@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from io import StringIO
 
 from .graphs import Graph
-from .lowering import lower_edges, lower_hof_node
+from .lowering import counter_bits, lower_edges, lower_hof_node
 
 __all__ = ["ResourceReport", "estimate_resources", "report_to_json", "render_report"]
 
@@ -39,11 +39,6 @@ class ResourceReport:
     not_modeled: tuple[str, ...] = NOT_MODELED
 
 
-def _phase_counter_bits(length: int) -> int:
-    # The counter also encodes the idle state, so it counts 0..length.
-    return max(1, length.bit_length())
-
-
 def estimate_resources(
     g: Graph, capacities: dict[str, int] | None = None
 ) -> ResourceReport:
@@ -58,7 +53,7 @@ def estimate_resources(
 
     for node in g.computes:
         plan = lower_hof_node(node)
-        node_regs = _phase_counter_bits(node.length)
+        node_regs = counter_bits(node.length)
         if plan.accumulator_width:
             node_regs += plan.accumulator_width
         muls = plan.op_counts.get("mul", 0)

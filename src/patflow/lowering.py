@@ -83,6 +83,12 @@ REGISTER_FIFO_MAX = 16
 FOLD_IDENTITY = {"add": 0, "max": 0, "mul": 1}
 
 
+def counter_bits(limit: int) -> int:
+    """Width of a register that counts 0..limit, such as a phase counter
+    (whose value ``length`` encodes idle) or a FIFO occupancy."""
+    return max(1, limit.bit_length())
+
+
 # ---------------------------------------------------------------------------
 # Node plans
 
@@ -140,13 +146,6 @@ def _lambda_op_counts(e: Expr, counts: dict[str, int], times: int = 1) -> None:
             f"{type(e).__name__} inside scalar lane logic cannot be unrolled"
         )
     # InputRef / Const / Var contribute no operators.
-
-
-def _vector_length(e: Expr, shapes: list[Shape]) -> int:
-    s = infer_shape(e, shapes)
-    if isinstance(s, Vector):
-        return s.length
-    raise UnsupportedExpr(f"expected a vector expression, got shape {s}")
 
 
 def normalized_fold(e: Foldl | Foldl1, width: int):

@@ -48,6 +48,7 @@ from ..graphs import Graph, NodeKind, NodeSpec
 from ..lowering import (
     DatapathPlan,
     EdgeLowering,
+    counter_bits,
     lower_edges,
     lower_hof_node,
     normalized_fold,
@@ -100,15 +101,6 @@ class _NameTable:
             )
         self.taken[s] = original
         return s
-
-
-def _phase_bits(length: int) -> int:
-    # Encodes phases 0..length-1 plus the idle value ``length``.
-    return max(1, length.bit_length())
-
-
-def _count_bits(limit: int) -> int:
-    return max(1, limit.bit_length())
 
 
 def _table_mux(sel: RExpr, values: list[RExpr], default: RExpr) -> RExpr:
@@ -229,7 +221,7 @@ def _apply(fn: Lambda, args: list, env: dict, inputs: list, b: _Builder):
 
 def _ctrl_module(mod_name: str, node: NodeSpec) -> RtlModule:
     length = node.length
-    pb = _phase_bits(length)
+    pb = counter_bits(length)
     m = RtlModule(
         mod_name,
         comment=f"firing controller for '{node.name}' ({length} phase(s))",
@@ -301,7 +293,7 @@ def _concat_words(words: list[RExpr]) -> RExpr:
 
 def _datapath_module(mod_name: str, node: NodeSpec, plan: DatapathPlan) -> RtlModule:
     width = node.width
-    pb = _phase_bits(node.length)
+    pb = counter_bits(node.length)
     m = RtlModule(
         mod_name,
         comment=f"datapath for '{node.name}' ({plan.mode}, {plan.lanes} lane(s))",
@@ -396,9 +388,9 @@ def _fifo_module(mod_name: str, low: EdgeLowering, write_through: bool) -> RtlMo
     depth = low.capacity
     n = e.pp.value
     mm = e.cp.value
-    ppb = _phase_bits(len(e.pp))
-    cpb = _phase_bits(len(e.cp))
-    ow = _count_bits(depth)
+    ppb = counter_bits(len(e.pp))
+    cpb = counter_bits(len(e.cp))
+    ow = counter_bits(depth)
     m = RtlModule(
         mod_name,
         comment=(
@@ -500,8 +492,8 @@ def _fifo_module(mod_name: str, low: EdgeLowering, write_through: bool) -> RtlMo
 def _fifo_ctrl_module(mod_name: str, low: EdgeLowering) -> RtlModule:
     e = low.edge
     gate = low.gate
-    ppb = _phase_bits(len(e.pp))
-    ow = _count_bits(low.capacity)
+    ppb = counter_bits(len(e.pp))
+    ow = counter_bits(low.capacity)
     m = RtlModule(
         mod_name,
         comment=f"firing threshold table for edge '{e.id}'",
@@ -530,7 +522,7 @@ def _pipe_module(mod_name: str, low: EdgeLowering) -> RtlModule:
     e = low.edge
     width = low.width
     n = e.pp.value
-    ppb = _phase_bits(len(e.pp))
+    ppb = counter_bits(len(e.pp))
     m = RtlModule(
         mod_name,
         comment=f"pipeline register for edge '{e.id}' ({n} token(s) per group)",
@@ -673,7 +665,7 @@ def _top_module(
         node = g.nodes[name]
         base = node_rtl[name]
         if node.kind is NodeKind.SOURCE:
-            pb = _phase_bits(node.length)
+            pb = counter_bits(node.length)
             top.port(f"{base}_firing", 1, "input")
             top.port(f"{base}_phase", pb, "input")
             for k, p in enumerate(node.patterns.outputs):
@@ -689,7 +681,7 @@ def _top_module(
         base = node_rtl[name]
         if node.kind is not NodeKind.COMPUTE:
             continue
-        pb = _phase_bits(node.length)
+        pb = counter_bits(node.length)
         top.net(f"{base}_firing", 1)
         top.net(f"{base}_phase", pb)
         top.net(f"{base}_ready", 1)
@@ -700,7 +692,7 @@ def _top_module(
         base = edge_rtl[e.id]
         if low.kind == "fifo":
             top.net(f"{base}_dout", e.cp.value * low.width)
-            top.net(f"{base}_occ", _count_bits(low.capacity))
+            top.net(f"{base}_occ", counter_bits(low.capacity))
             top.net(f"{base}_ready", 1)
         elif low.kind == "pipeline":
             top.net(f"{base}_dout", e.pp.value * low.width)

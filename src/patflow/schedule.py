@@ -27,12 +27,20 @@ Timing semantics
 Occupancy traces record each FIFO at the moment its consumer samples it
 (after the producer's same-cycle supply, before consumption), which is the
 quantity the thresholds gate on.
+
+The machine compiles these rules once into step tables (see
+:class:`Machine`): per node its last phase, its input edges with their
+gate entries and its output edges with the cycle their tokens land in.  A
+source's same-cycle supply is folded into the gate entry of the phase that
+supplied it, so no cycle-start snapshot of the FIFOs is taken.  A run is
+complete when no node owes a firing or is mid-firing; the machine keeps a
+count of those nodes, so the test costs O(1) per cycle.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 
 from .errors import Deadlock, FifoOverflow, HorizonExceeded, ShapeMismatch
@@ -80,60 +88,76 @@ class TimingReport:
 # ---------------------------------------------------------------------------
 # The shared machine
 
+# Where an out-edge puts a phase's tokens: a sink receives them at once, a
+# FIFO fed by a source counts them in the same cycle, and a FIFO fed by a
+# compute node counts them from the next cycle, behind the output register.
+_TO_SINK, _SAME_CYCLE, _NEXT_CYCLE = range(3)
+
+
+def _prefixes(patterns) -> list[list[int]]:
+    """Token offset at the start of each phase, per port."""
+    return [[sum(p.phases[:k]) for k in range(len(p) + 1)] for p in patterns]
+
 
 class _NodeRT:
+    """Run-time state of one non-sink node.
+
+    ``cur`` is the phase the node stepped in its latest visit, or -1 if it
+    did not step; gate tables are indexed with it, so -1 picks the idle
+    entry.  The remaining fields after ``starts`` are used in value mode only.
+    """
+
     __slots__ = (
-        "spec", "plan", "owed", "fired", "active", "phase",
-        "stepped_cycle", "phase_now", "inbufs", "acc", "acc_seeded",
-        "stim", "out_prefix", "in_prefix",
+        "spec", "plan", "owed", "fired", "cur", "starts",
+        "inbufs", "acc", "acc_seeded", "stim", "out_prefix", "in_prefix",
     )
 
-    def __init__(self, spec, plan: DatapathPlan | None, owed: int):
+    def __init__(self, spec, plan: DatapathPlan | None, owed: int,
+                 starts: list[int], values: bool):
         self.spec = spec
         self.plan = plan
         self.owed = owed
         self.fired = 0
-        self.active = False
-        self.phase = 0
-        self.stepped_cycle = -1
-        self.phase_now = 0
+        self.cur = -1
+        self.starts = starts
         self.inbufs: list[list[int]] = []
         self.acc: int | None = None
         self.acc_seeded = False
         self.stim: list[int] | None = None
-        # Token offsets at the start of each phase, per output port.
-        self.out_prefix = [
-            [sum(p.phases[:k]) for k in range(len(p) + 1)]
-            for p in spec.patterns.outputs
-        ]
-        self.in_prefix = [
-            [sum(p.phases[:k]) for k in range(len(p) + 1)]
-            for p in spec.patterns.inputs
-        ]
+        if values:
+            self.out_prefix = _prefixes(spec.patterns.outputs)
+            self.in_prefix = _prefixes(spec.patterns.inputs)
 
 
 class _EdgeRT:
-    __slots__ = (
-        "spec", "gate", "is_sink", "source_fed", "occupancy", "occ_start",
-        "fifo", "pending_count", "pending_vals", "trace", "underflow",
-    )
+    """Run-time state of one buffered edge (an edge into a non-sink node).
 
-    def __init__(self, spec, gate, is_sink: bool, source_fed: bool):
+    ``port`` is the edge's position among its consumer's input edges.
+    """
+
+    __slots__ = ("spec", "port", "occupancy", "trace", "underflow", "fifo")
+
+    def __init__(self, spec):
         self.spec = spec
-        self.gate = gate
-        self.is_sink = is_sink
-        self.source_fed = source_fed
+        self.port = 0
         self.occupancy = 0
-        self.occ_start = 0
-        self.fifo: deque[int] = deque()
-        self.pending_count = 0
-        self.pending_vals: list[int] = []
         self.trace: list[int] = []
         self.underflow = False
+        self.fifo: deque[int] = deque()
 
 
 class Machine:
     """Cycle-stepped execution of a graph.
+
+    ``__init__`` compiles the graph into step tables, one row per non-sink
+    node in topological order: the node's run-time state, its last phase,
+    its input edges as ``(edge, producer, gate, cp phases)`` and its output
+    edges as ``(producer port, pp phases, kind, destination)``.  Each gate
+    has one entry per producer phase plus the idle entry last, with
+    ``gate_offset`` applied and clamped at 0.  :meth:`run` is a single loop
+    over these rows; counts mode and value mode share it, and value work sits
+    behind ``if values``.  Completion is a count of the nodes that still owe
+    firings, so testing it costs O(1) per cycle.
 
     Not part of the public API surface; use :func:`simulate_schedule` or
     :func:`patflow.valuesim.simulate_clocked`.
@@ -156,36 +180,58 @@ class Machine:
         self.g = g
         self.iterations = iterations
         self.values = values
-        self.gate_offset = gate_offset
-        self.capacities = capacities
-        self.topo = g.topo_order()
         reps = compute_repetition_vector(g)
 
         if plans is None and values:
             plans = {n.name: lower_hof_node(n) for n in g.computes}
+        self.starts: dict[str, list[int]] = {
+            n: [] for n in g.nodes if g.nodes[n].kind is not NodeKind.SINK
+        }
         self.nodes: dict[str, _NodeRT] = {}
-        for name in self.topo:
+        for name in g.topo_order():
             spec = g.nodes[name]
-            owed = 0 if spec.kind is NodeKind.SINK else reps[name] * iterations
+            if spec.kind is NodeKind.SINK:
+                continue
             plan = plans.get(name) if plans and spec.kind is NodeKind.COMPUTE else None
-            self.nodes[name] = _NodeRT(spec, plan, owed)
+            self.nodes[name] = _NodeRT(
+                spec, plan, reps[name] * iterations, self.starts[name], values
+            )
 
         self.edges: dict[str, _EdgeRT] = {}
-        self.in_rt: dict[str, list[_EdgeRT]] = {n: [] for n in g.nodes}
-        self.out_rt: dict[str, list[list[_EdgeRT]]] = {
-            n: [[] for _ in g.nodes[n].patterns.outputs] for n in g.nodes
-        }
+        self.arrivals: dict[str, list[tuple[int, int]]] = {}
+        ins: dict[str, list] = {n: [] for n in self.nodes}
+        outs: dict[str, list] = {n: [] for n in self.nodes}
         for e in g.edges:
-            rt = _EdgeRT(
-                e,
-                edge_gate_table(g, e),
-                is_sink=g.nodes[e.consumer].kind is NodeKind.SINK,
-                source_fed=g.nodes[e.producer].kind is NodeKind.SOURCE,
-            )
-            self.edges[e.id] = rt
-            self.out_rt[e.producer][e.producer_port].append(rt)
-        for name in g.nodes:
-            self.in_rt[name] = [self.edges[e.id] for e in g.in_edges(name)]
+            from_source = g.nodes[e.producer].kind is NodeKind.SOURCE
+            if g.nodes[e.consumer].kind is NodeKind.SINK:
+                dest = self.arrivals[e.id] = []
+                kind = _TO_SINK
+            else:
+                dest = self.edges[e.id] = _EdgeRT(e)
+                kind = _SAME_CYCLE if from_source else _NEXT_CYCLE
+                # The gate reads the occupancy the cycle started with.  A
+                # source's same-cycle supply is already counted when the
+                # consumer looks, so it is added to the entry of the phase
+                # that supplied it.
+                entries = edge_gate_table(g, e).entries
+                supplied = e.pp.phases + (0,) if from_source else (0,) * len(entries)
+                gate = tuple(
+                    max(0, x + gate_offset) + s for x, s in zip(entries, supplied)
+                )
+                ins[e.consumer].append((dest, self.nodes[e.producer], gate, e.cp.phases))
+            outs[e.producer].append((e.producer_port, e.pp.phases, kind, dest))
+
+        self.steps = []
+        for name, nrt in self.nodes.items():
+            node_ins = sorted(ins[name], key=lambda row: row[0].spec.consumer_port)
+            for port, row in enumerate(node_ins):
+                row[0].port = port
+            node_outs = sorted(outs[name], key=lambda row: row[0])
+            self.steps.append((nrt, nrt.spec.length - 1, tuple(node_ins), tuple(node_outs)))
+        caps = capacities or {}
+        self.checked = [
+            (ert, caps[eid]) for eid, ert in self.edges.items() if caps.get(eid) is not None
+        ]
 
         if values:
             self._bind_stimulus(stimulus or {})
@@ -199,12 +245,6 @@ class Machine:
             horizon = 4 * iterations * work + 8
         self.horizon_limit = horizon
 
-        self.starts: dict[str, list[int]] = {
-            n: [] for n in g.nodes if g.nodes[n].kind is not NodeKind.SINK
-        }
-        self.arrivals: dict[str, list[tuple[int, int]]] = {
-            e.id: [] for e in g.edges if self.edges[e.id].is_sink
-        }
         self.fold_trace: dict[str, list[int]] = {}
         self.last_sink_cycle: int | None = None
         self.cycles = 0
@@ -234,60 +274,7 @@ class Machine:
             raise ShapeMismatch(f"stimulus for non-source nodes: {sorted(extra)}")
         self.stimulus = stimulus
 
-    # -- firing decisions ----------------------------------------------------
-
-    def _gate_entry(self, ert: _EdgeRT, t: int) -> int:
-        prt = self.nodes[ert.spec.producer]
-        if prt.active and prt.stepped_cycle == t:
-            entry = ert.gate[prt.phase_now]
-        elif not prt.active and prt.stepped_cycle == t:
-            # Producer finished its firing this very cycle; during cycle t it
-            # was still in its last phase.
-            entry = ert.gate[prt.phase_now]
-        else:
-            entry = ert.gate.idle
-        return max(0, entry + self.gate_offset)
-
-    def _can_start(self, name: str, t: int) -> bool:
-        # Thresholds are defined against the tokens buffered before the
-        # producer's same-cycle supply, so the gate reads the cycle-start
-        # snapshot; consumption afterwards may still use same-cycle tokens,
-        # which is exactly the alignment the tables promise.
-        nrt = self.nodes[name]
-        if nrt.spec.kind is NodeKind.SOURCE:
-            return True
-        for ert in self.in_rt[name]:
-            if ert.occ_start < self._gate_entry(ert, t):
-                return False
-        return True
-
-    # -- stepping ------------------------------------------------------------
-
-    def _begin_firing(self, nrt: _NodeRT, t: int) -> None:
-        nrt.active = True
-        nrt.phase = 0
-        self.starts[nrt.spec.name].append(t)
-        if self.values:
-            nrt.inbufs = [[] for _ in nrt.spec.patterns.inputs]
-            nrt.acc = None
-            nrt.acc_seeded = False
-            if nrt.spec.kind is NodeKind.SOURCE:
-                nrt.stim = self.stimulus[nrt.spec.name][nrt.fired]
-
-    def _consume(self, nrt: _NodeRT, ph: int) -> None:
-        for port, ert in enumerate(self.in_rt[nrt.spec.name]):
-            c = ert.spec.cp[ph]
-            if not c:
-                continue
-            got = min(c, ert.occupancy)
-            missing = c - got
-            ert.occupancy -= got
-            if missing:
-                ert.underflow = True
-            if self.values:
-                vals = [ert.fifo.popleft() for _ in range(min(got, len(ert.fifo)))]
-                vals += [0] * (c - len(vals))
-                nrt.inbufs[port].extend(vals)
+    # -- value mode ----------------------------------------------------------
 
     def _phase_outputs(self, nrt: _NodeRT, ph: int) -> list[list[int]]:
         """Concrete output tokens per port for this phase (value mode)."""
@@ -352,86 +339,103 @@ class Machine:
             out.append(list(v) if isinstance(v, tuple) else [v])
         return out
 
-    def _produce(self, nrt: _NodeRT, ph: int, t: int) -> None:
-        spec = nrt.spec
-        vals = self._phase_outputs(nrt, ph) if self.values else None
-        for port, p in enumerate(spec.patterns.outputs):
-            count = p[ph]
-            if not count:
-                continue
-            port_vals = vals[port] if vals is not None else None
-            for ert in self.out_rt[spec.name][port]:
-                if ert.is_sink:
-                    self.last_sink_cycle = t
-                    if port_vals is not None:
-                        for v in port_vals:
-                            self.arrivals[ert.spec.id].append((t, v))
-                elif ert.source_fed:
-                    ert.occupancy += count
-                    if port_vals is not None:
-                        ert.fifo.extend(port_vals)
-                else:
-                    ert.pending_count += count
-                    if port_vals is not None:
-                        ert.pending_vals.extend(port_vals)
-
-    def _step(self, nrt: _NodeRT, t: int) -> None:
-        ph = nrt.phase
-        nrt.phase_now = ph
-        nrt.stepped_cycle = t
-        self._consume(nrt, ph)
-        self._produce(nrt, ph, t)
-        nrt.phase += 1
-        if nrt.phase >= nrt.spec.length:
-            nrt.active = False
-            nrt.fired += 1
-
-    def _done(self) -> bool:
-        return all(
-            n.fired >= n.owed and not n.active for n in self.nodes.values()
-        ) and all(e.pending_count == 0 for e in self.edges.values())
+    # -- stepping ------------------------------------------------------------
 
     def run(self) -> "Machine":
+        values = self.values
+        limit = self.horizon_limit
+        steps = self.steps
+        checked = self.checked
+        # Nodes that still owe firings or are mid-firing; the run is complete
+        # when none are left.  Tokens from compute nodes wait in ``pending``
+        # until the end of the cycle, so none are in flight at this test.
+        remaining = sum(1 for nrt in self.nodes.values() if nrt.owed)
+        pending: list[tuple[_EdgeRT, int, list[int] | None]] = []
+        out_vals: list[list[int]] = []
         t = 0
-        while not self._done():
-            if t >= self.horizon_limit:
-                raise HorizonExceeded(
-                    f"no completion within {self.horizon_limit} cycles"
-                )
+        while remaining:
+            if t >= limit:
+                raise HorizonExceeded(f"no completion within {limit} cycles")
             stepped = False
-            for ert in self.edges.values():
-                ert.occ_start = ert.occupancy
-            for name in self.topo:
-                nrt = self.nodes[name]
-                if nrt.spec.kind is NodeKind.SINK:
-                    continue
-                for ert in self.in_rt[name]:
+            for nrt, last, ins, outs in steps:
+                for ert, _, _, _ in ins:
                     ert.trace.append(ert.occupancy)
-                if not nrt.active and nrt.fired < nrt.owed and self._can_start(name, t):
-                    self._begin_firing(nrt, t)
-                if nrt.active:
-                    self._step(nrt, t)
-                    stepped = True
-            for ert in self.edges.values():
-                if ert.pending_count:
-                    ert.occupancy += ert.pending_count
-                    ert.pending_count = 0
-                    if self.values:
-                        ert.fifo.extend(ert.pending_vals)
-                        ert.pending_vals.clear()
-                if self.capacities is not None and not ert.is_sink:
-                    cap = self.capacities.get(ert.spec.id)
-                    if cap is not None and ert.occupancy > cap:
-                        raise FifoOverflow(
-                            f"edge '{ert.spec.id}' holds {ert.occupancy} tokens, "
-                            f"sized for {cap}"
-                        )
+                ph = nrt.cur + 1
+                if not 0 < ph <= last:
+                    # Idle: start a firing if one is owed and every gate is
+                    # open.  Producers come first in topological order, so
+                    # ``prt.cur`` already holds their phase in this cycle.
+                    nrt.cur = ph = -1
+                    if nrt.fired == nrt.owed:
+                        continue
+                    for ert, prt, gate, _ in ins:
+                        if ert.occupancy < gate[prt.cur]:
+                            break
+                    else:
+                        ph = 0
+                    if ph < 0:
+                        continue
+                    nrt.starts.append(t)
+                    if values:
+                        nrt.inbufs = [[] for _ in nrt.spec.patterns.inputs]
+                        nrt.acc, nrt.acc_seeded = None, False
+                        if nrt.spec.kind is NodeKind.SOURCE:
+                            nrt.stim = self.stimulus[nrt.spec.name][nrt.fired]
+                nrt.cur = ph
+                stepped = True
+
+                for ert, _, _, cp in ins:
+                    c = cp[ph]
+                    if not c:
+                        continue
+                    occ = ert.occupancy
+                    if occ >= c:
+                        ert.occupancy = occ - c
+                    else:
+                        ert.occupancy = 0
+                        ert.underflow = True
+                    if values:
+                        fifo = ert.fifo
+                        vals = [fifo.popleft() for _ in range(min(c, occ, len(fifo)))]
+                        vals += [0] * (c - len(vals))
+                        nrt.inbufs[ert.port].extend(vals)
+
+                if values:
+                    out_vals = self._phase_outputs(nrt, ph)
+                for port, pp, kind, dest in outs:
+                    c = pp[ph]
+                    if not c:
+                        continue
+                    if kind == _NEXT_CYCLE:
+                        pending.append((dest, c, out_vals[port] if values else None))
+                    elif kind == _SAME_CYCLE:
+                        dest.occupancy += c
+                        if values:
+                            dest.fifo.extend(out_vals[port])
+                    else:
+                        self.last_sink_cycle = t
+                        if values:
+                            dest.extend((t, v) for v in out_vals[port])
+
+                if ph >= last:
+                    nrt.fired += 1
+                    if nrt.fired == nrt.owed:
+                        remaining -= 1
+
+            for ert, c, vals in pending:
+                ert.occupancy += c
+                if values:
+                    ert.fifo.extend(vals)
+            pending.clear()
+            for ert, cap in checked:
+                if ert.occupancy > cap:
+                    raise FifoOverflow(
+                        f"edge '{ert.spec.id}' holds {ert.occupancy} tokens, "
+                        f"sized for {cap}"
+                    )
             if not stepped:
-                blocked = [
-                    n for n, rt in self.nodes.items()
-                    if rt.fired < rt.owed and rt.spec.kind is not NodeKind.SINK
-                ]
-                occ = {e.spec.id: e.occupancy for e in self.edges.values() if not e.is_sink}
+                blocked = [n for n, rt in self.nodes.items() if rt.fired < rt.owed]
+                occ = {eid: e.occupancy for eid, e in self.edges.items()}
                 raise Deadlock(
                     f"no progress at cycle {t}; waiting nodes {blocked}, occupancy {occ}"
                 )
@@ -442,9 +446,7 @@ class Machine:
     # -- exports -------------------------------------------------------------
 
     def traces(self) -> dict[str, list[int]]:
-        return {
-            eid: list(rt.trace) for eid, rt in self.edges.items() if not rt.is_sink
-        }
+        return {eid: list(rt.trace) for eid, rt in self.edges.items()}
 
     def underflows(self) -> list[str]:
         return [eid for eid, rt in self.edges.items() if rt.underflow]

@@ -133,9 +133,12 @@ class TestClockedConsistency:
     def test_starts_match_schedule(self):
         for name in names():
             g = load_graph(name)
-            s = simulate_schedule(g)
-            r = simulate_clocked(g, random_stimulus(g, seed=5))
-            assert r.firing_starts == s.firing_starts, name
+            for iterations in (1, 3):
+                s = simulate_schedule(g, iterations)
+                stim = random_stimulus(g, iterations, seed=5)
+                r = simulate_clocked(g, stim, iterations=iterations)
+                assert r.firing_starts == s.firing_starts, (name, iterations)
+                assert r.cycles == s.horizon, (name, iterations)
 
     def test_no_underflow_on_valid_designs(self):
         for name in names():
