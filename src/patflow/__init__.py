@@ -47,6 +47,7 @@ from .exprs import (
     Shape,
     TupleShape,
     Vector,
+    compile_expr,
     eval_expr,
     format_expr,
     infer_shape,
@@ -112,8 +113,8 @@ __all__ = [
     "compute_fifo_thresholds", "compute_registered_thresholds",
     "divisor_refinements",
     # expressions
-    "parse_expr", "format_expr", "eval_expr", "infer_shape", "scalarize",
-    "substitute", "Shape", "Scalar", "Vector", "TupleShape",
+    "parse_expr", "format_expr", "eval_expr", "compile_expr", "infer_shape",
+    "scalarize", "substitute", "Shape", "Scalar", "Vector", "TupleShape",
     # graphs
     "Graph", "NodeSpec", "EdgeSpec", "NodeKind", "build_graph",
     "validate_graph", "compute_repetition_vector",

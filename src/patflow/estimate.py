@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from io import StringIO
 
 from .graphs import Graph
-from .lowering import counter_bits, lower_edges, lower_hof_node
+from .lowering import counter_bits, lower_edges
 
 __all__ = ["ResourceReport", "estimate_resources", "report_to_json", "render_report"]
 
@@ -51,8 +51,9 @@ def estimate_resources(
     per_node: dict[str, dict] = {}
     per_edge: dict[str, dict] = {}
 
+    plans = g.prepared.plans
     for node in g.computes:
-        plan = lower_hof_node(node)
+        plan = plans[node.name]
         node_regs = counter_bits(node.length)
         if plan.accumulator_width:
             node_regs += plan.accumulator_width

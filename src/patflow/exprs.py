@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ExprSyntaxError, ShapeMismatch, UnsupportedExpr
 
@@ -48,6 +49,7 @@ __all__ = [
     "format_expr",
     "infer_shape",
     "eval_expr",
+    "compile_expr",
     "apply_prim",
     "scalarize",
     "substitute",
@@ -452,9 +454,13 @@ def infer_shape(
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-# Runtime values: int (scalar), tuple[int, ...] (vector),
-# and _TupleVal for multi-output bodies.
+#
+# An expression is compiled once into nested closures ``f(inputs, env)``:
+# ``inputs`` holds one value per input port and ``env`` maps bound names to
+# values.  Runtime values are int (scalar), tuple[int, ...] (vector), and
+# _TupleVal for multi-output bodies.  Every shape check runs when the
+# closure that needs it runs, so a sub-expression that is never evaluated
+# (a lambda mapped over an empty vector, say) never raises.
 
 
 @dataclass(frozen=True)
@@ -462,21 +468,25 @@ class _TupleVal:
     items: tuple
 
 
+_PRIMS = {
+    "add": lambda a, b, mask: (a + b) & mask,
+    "mul": lambda a, b, mask: (a * b) & mask,
+    "sub": lambda a, b, mask: (a - b) & mask,
+    "min": lambda a, b, mask: a if a <= b else b,
+    "max": lambda a, b, mask: a if a >= b else b,
+    "compare": lambda a, b, mask: 1 if a < b else 0,
+}
+
+# Closures never modify ``env``; they bind names in a copy.
+_NO_ENV: dict = {}
+
+
 def apply_prim(op: str, a: int, b: int, mask: int) -> int:
     """Apply one scalar primitive with wrap-around at ``mask``."""
-    if op == "add":
-        return (a + b) & mask
-    if op == "mul":
-        return (a * b) & mask
-    if op == "sub":
-        return (a - b) & mask
-    if op == "min":
-        return a if a <= b else b
-    if op == "max":
-        return a if a >= b else b
-    if op == "compare":
-        return 1 if a < b else 0
-    raise UnsupportedExpr(f"unknown primitive '{op}'")
+    fn = _PRIMS.get(op)
+    if fn is None:
+        raise UnsupportedExpr(f"unknown primitive '{op}'")
+    return fn(a, b, mask)
 
 
 def _scalar_val(v, what: str) -> int:
@@ -491,6 +501,23 @@ def _vector_val(v, what: str) -> tuple:
     if isinstance(v, tuple) and not isinstance(v, _TupleVal):
         return v
     raise ShapeMismatch(f"{what} must be a vector, got {v!r}")
+
+
+def compile_expr(e: Expr, width: int):
+    """Compile ``e`` into a function ``f(inputs, env={})``.
+
+    ``f`` returns what :func:`eval_expr` returns for the same arguments, and
+    raises the same errors, but walks the expression tree only once, here.
+    """
+    f = _compile(e, (1 << width) - 1)
+    if not isinstance(e, (Let, Tuple, Proj)):
+        return f  # cannot yield a multi-output value
+
+    def run(inputs, env=_NO_ENV):
+        v = f(inputs, env)
+        return v.items if isinstance(v, _TupleVal) else v
+
+    return run
 
 
 def eval_expr(e: Expr, inputs: Sequence, width: int, env: dict | None = None):
@@ -508,69 +535,160 @@ def eval_expr(e: Expr, inputs: Sequence, width: int, env: dict | None = None):
     -------
     int, tuple of int, or a tuple of those for multi-output bodies.
     """
-    mask = (1 << width) - 1
-    result = _eval(e, list(inputs), mask, env or {})
-    if isinstance(result, _TupleVal):
-        return result.items
-    return result
+    return compile_expr(e, width)(list(inputs), env or _NO_ENV)
 
 
-def _eval(e: Expr, inputs: list, mask: int, env: dict):
+def _raising(exc: Exception):
+    def f(inputs, env=_NO_ENV):
+        raise exc
+
+    return f
+
+
+def _compile(e: Expr, mask: int):
     if isinstance(e, InputRef):
-        return inputs[e.index]
+        index = e.index
+        return lambda inputs, env=_NO_ENV: inputs[index]
     if isinstance(e, Const):
-        return e.value & mask
+        value = e.value & mask
+        return lambda inputs, env=_NO_ENV: value
     if isinstance(e, Var):
-        return env[e.name]
+        name = e.name
+        return lambda inputs, env=_NO_ENV: env[name]
     if isinstance(e, PrimOp):
-        a = _scalar_val(_eval(e.args[0], inputs, mask, env), f"{e.op} operand 0")
-        b = _scalar_val(_eval(e.args[1], inputs, mask, env), f"{e.op} operand 1")
-        return apply_prim(e.op, a, b, mask)
+        a = _compile_scalar(e.args[0], mask, f"{e.op} operand 0")
+        b = _compile_scalar(e.args[1], mask, f"{e.op} operand 1")
+        # An unknown primitive raises once its operands are evaluated.
+        prim = _PRIMS.get(e.op) or partial(apply_prim, e.op)
+        return lambda inputs, env=_NO_ENV: prim(a(inputs, env), b(inputs, env), mask)
     if isinstance(e, Map):
-        vec = _vector_val(_eval(e.vec, inputs, mask, env), "map argument")
-        return tuple(_apply(e.fn, (x,), inputs, mask, env) for x in vec)
+        vec = _compile_vector(e.vec, mask, "map argument")
+        fn = _compile_lambda(e.fn, mask)
+        return lambda inputs, env=_NO_ENV: tuple(fn(inputs, env, (x,)) for x in vec(inputs, env))
     if isinstance(e, ZipWith):
-        a = _vector_val(_eval(e.left, inputs, mask, env), "zipwith left")
-        b = _vector_val(_eval(e.right, inputs, mask, env), "zipwith right")
-        if len(a) != len(b):
-            raise ShapeMismatch(f"zipwith length mismatch: {len(a)} vs {len(b)}")
-        return tuple(_apply(e.fn, (x, y), inputs, mask, env) for x, y in zip(a, b))
+        left = _compile_vector(e.left, mask, "zipwith left")
+        right = _compile_vector(e.right, mask, "zipwith right")
+        fn = _compile_lambda(e.fn, mask)
+
+        def zipwith(inputs, env=_NO_ENV):
+            a = left(inputs, env)
+            b = right(inputs, env)
+            if len(a) != len(b):
+                raise ShapeMismatch(f"zipwith length mismatch: {len(a)} vs {len(b)}")
+            return tuple(fn(inputs, env, xy) for xy in zip(a, b))
+
+        return zipwith
     if isinstance(e, Foldl):
-        acc = _scalar_val(_eval(e.init, inputs, mask, env), "fold init")
-        vec = _vector_val(_eval(e.vec, inputs, mask, env), "fold argument")
-        for x in vec:
-            acc = _apply(e.fn, (acc, x), inputs, mask, env)
-        return acc
+        init = _compile_scalar(e.init, mask, "fold init")
+        vec = _compile_vector(e.vec, mask, "fold argument")
+        fn = _compile_lambda(e.fn, mask)
+
+        def foldl(inputs, env=_NO_ENV):
+            acc = init(inputs, env)
+            for x in vec(inputs, env):
+                acc = fn(inputs, env, (acc, x))
+            return acc
+
+        return foldl
     if isinstance(e, Foldl1):
-        vec = _vector_val(_eval(e.vec, inputs, mask, env), "fold argument")
-        if not vec:
-            raise ShapeMismatch("foldl1 over an empty vector")
-        acc = vec[0]
-        for x in vec[1:]:
-            acc = _apply(e.fn, (acc, x), inputs, mask, env)
-        return acc
+        vec = _compile_vector(e.vec, mask, "fold argument")
+        fn = _compile_lambda(e.fn, mask)
+
+        def foldl1(inputs, env=_NO_ENV):
+            v = vec(inputs, env)
+            if not v:
+                raise ShapeMismatch("foldl1 over an empty vector")
+            acc = v[0]
+            for x in v[1:]:
+                acc = fn(inputs, env, (acc, x))
+            return acc
+
+        return foldl1
     if isinstance(e, Let):
-        inner = dict(env)
-        for name, bound in e.bindings:
-            inner[name] = _eval(bound, inputs, mask, inner)
-        return _eval(e.body, inputs, mask, inner)
+        bindings = [(name, _compile(bound, mask)) for name, bound in e.bindings]
+        body = _compile(e.body, mask)
+
+        def let(inputs, env=_NO_ENV):
+            inner = dict(env)
+            for name, bound in bindings:
+                inner[name] = bound(inputs, inner)
+            return body(inputs, inner)
+
+        return let
     if isinstance(e, Tuple):
-        return _TupleVal(tuple(_eval(i, inputs, mask, env) for i in e.items))
+        items = [_compile(i, mask) for i in e.items]
+        return lambda inputs, env=_NO_ENV: _TupleVal(tuple(f(inputs, env) for f in items))
     if isinstance(e, Proj):
-        t = _eval(e.tup, inputs, mask, env)
-        if not isinstance(t, _TupleVal):
-            raise ShapeMismatch("proj over a non-tuple value")
-        return t.items[e.index]
+        tup = _compile(e.tup, mask)
+        index = e.index
+
+        def proj(inputs, env=_NO_ENV):
+            t = tup(inputs, env)
+            if not isinstance(t, _TupleVal):
+                raise ShapeMismatch("proj over a non-tuple value")
+            return t.items[index]
+
+        return proj
     if isinstance(e, Lambda):
-        raise ShapeMismatch("a lambda is only valid as a higher-order-function argument")
-    raise UnsupportedExpr(f"cannot evaluate {type(e).__name__}")
+        return _raising(
+            ShapeMismatch("a lambda is only valid as a higher-order-function argument")
+        )
+    return _raising(UnsupportedExpr(f"cannot evaluate {type(e).__name__}"))
 
 
-def _apply(fn: Lambda, args: tuple, inputs: list, mask: int, env: dict):
-    inner = dict(env)
-    for name, val in zip(fn.params, args):
-        inner[name] = _scalar_val(val, f"lambda argument '{name}'")
-    return _scalar_val(_eval(fn.body, inputs, mask, inner), "lambda body")
+def _compile_scalar(e: Expr, mask: int, what: str):
+    """Compile ``e`` with the scalar check of a ``what`` operand applied."""
+    if isinstance(e, (Const, PrimOp)):
+        return _compile(e, mask)  # always an int
+    if isinstance(e, Var):
+        name = e.name
+
+        def scalar_var(inputs, env=_NO_ENV):
+            v = env[name]
+            return v if v.__class__ is int else _scalar_val(v, what)
+
+        return scalar_var
+    if isinstance(e, InputRef):
+        index = e.index
+
+        def scalar_input(inputs, env=_NO_ENV):
+            v = inputs[index]
+            return v if v.__class__ is int else _scalar_val(v, what)
+
+        return scalar_input
+    f = _compile(e, mask)
+
+    def scalar(inputs, env=_NO_ENV):
+        v = f(inputs, env)
+        return v if v.__class__ is int else _scalar_val(v, what)
+
+    return scalar
+
+
+def _compile_vector(e: Expr, mask: int, what: str):
+    """Compile ``e`` with the vector check of a ``what`` operand applied."""
+    f = _compile(e, mask)
+
+    def vector(inputs, env=_NO_ENV):
+        v = f(inputs, env)
+        return v if v.__class__ is tuple else _vector_val(v, what)
+
+    return vector
+
+
+def _compile_lambda(fn: Lambda, mask: int):
+    """Compile a HOF argument into ``call(inputs, env, args)``: the body's
+    scalar value with the parameters bound to the scalar ``args``."""
+    body = _compile_scalar(fn.body, mask, "lambda body")
+    params = [(name, f"lambda argument '{name}'") for name in fn.params]
+
+    def call(inputs, env, args):
+        inner = dict(env)
+        for (name, what), v in zip(params, args):
+            inner[name] = v if v.__class__ is int else _scalar_val(v, what)
+        return body(inputs, inner)
+
+    return call
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import (
     CycleDetected,
@@ -66,6 +68,9 @@ from .exprs import (
     scalarize,
 )
 from .patterns import AccessPattern, PatternSet, validate_pattern
+
+if TYPE_CHECKING:
+    from .prepared import PreparedGraph
 
 __all__ = [
     "NodeKind",
@@ -124,7 +129,7 @@ class EdgeSpec:
     pp: AccessPattern
     cp: AccessPattern
 
-    @property
+    @cached_property
     def id(self) -> str:
         return (
             f"{self.producer}.{self.producer_port}"
@@ -137,14 +142,21 @@ class EdgeSpec:
 
 @dataclass
 class Graph:
-    """A fully linked dataflow graph."""
+    """A fully linked dataflow graph.
+
+    A graph is immutable once :func:`build_graph` returns it: every pass
+    reads the facts it derives from :attr:`prepared`, which is computed from
+    the nodes and edges once and never refreshed.
+    """
 
     name: str
     nodes: dict[str, NodeSpec]
     edges: list[EdgeSpec]
     iterations: int = 1
 
-    _topo: list[str] | None = field(default=None, repr=False, compare=False)
+    _prepared: PreparedGraph | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- membership helpers ------------------------------------------------
 
@@ -160,19 +172,24 @@ class Graph:
     def computes(self) -> list[NodeSpec]:
         return [n for n in self.nodes.values() if n.kind is NodeKind.COMPUTE]
 
+    @property
+    def prepared(self) -> PreparedGraph:
+        """The :class:`~patflow.prepared.PreparedGraph` of this graph."""
+        if self._prepared is None:
+            from .prepared import PreparedGraph
+
+            self._prepared = PreparedGraph(self)
+        return self._prepared
+
     def in_edges(self, name: str) -> list[EdgeSpec]:
         """Edges into ``name``, ordered by consumer port."""
-        return sorted(
-            (e for e in self.edges if e.consumer == name),
-            key=lambda e: e.consumer_port,
-        )
+        return list(self.prepared.ins.get(name, ()))
 
     def out_edges(self, name: str, port: int | None = None) -> list[EdgeSpec]:
         """Edges out of ``name`` (optionally one port), in document order."""
-        return [
-            e for e in self.edges
-            if e.producer == name and (port is None or e.producer_port == port)
-        ]
+        if port is None:
+            return [e for e in self.edges if e.producer == name]
+        return list(self.prepared.outs.get((name, port), ()))
 
     def edge(self, selector: str) -> EdgeSpec:
         """Look up an edge by its ``"a.0->b.1"`` id."""
@@ -189,23 +206,7 @@ class Graph:
         CycleDetected
             If the graph has a directed cycle.
         """
-        if self._topo is not None:
-            return self._topo
-        remaining = {name: {e.producer for e in self.in_edges(name)} for name in self.nodes}
-        order: list[str] = []
-        placed: set[str] = set()
-        while remaining:
-            ready = [n for n, deps in remaining.items() if deps <= placed]
-            if not ready:
-                raise CycleDetected(
-                    f"dependency cycle among nodes {sorted(remaining)}"
-                )
-            for n in ready:
-                order.append(n)
-                placed.add(n)
-                del remaining[n]
-        self._topo = order
-        return order
+        return self.prepared.topo
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +621,7 @@ def validate_graph(g: Graph) -> list[Diagnostic]:
         return out  # rate analysis needs an acyclic graph
 
     try:
-        compute_repetition_vector(g)
+        g.prepared.reps  # computed here once, then kept for every later pass
     except InconsistentRates as exc:
         _diag(out, "InconsistentRates", g.name, str(exc))
 

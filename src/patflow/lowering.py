@@ -340,10 +340,11 @@ def lower_edges(
         Raise :class:`CapacityMissing` instead of falling back.
     """
     capacities = capacities or {}
+    gates = g.prepared.gates
     out: dict[str, EdgeLowering] = {}
     for e in g.edges:
         width = g.nodes[e.producer].width
-        gate = edge_gate_table(g, e)
+        gate = gates[e.id]
         if g.nodes[e.consumer].kind is NodeKind.SINK:
             out[e.id] = EdgeLowering(e, "sink", 0, None, width, gate)
             continue

@@ -50,7 +50,6 @@ from ..lowering import (
     EdgeLowering,
     counter_bits,
     lower_edges,
-    lower_hof_node,
     normalized_fold,
 )
 from .ir import (
@@ -589,7 +588,7 @@ def lower_design(g: Graph, capacities: dict[str, int] | None = None) -> RtlDesig
     names = _NameTable()
     design_name = _sanitize(g.name) if g.name else "design"
     lows = lower_edges(g, capacities)
-    plans = {n.name: lower_hof_node(n) for n in g.computes}
+    plans = g.prepared.plans
 
     node_rtl = {n: names.claim(n) for n in g.nodes}
     edge_rtl = {e.id: names.claim(e.id) for e in g.edges}
@@ -715,7 +714,7 @@ def _top_module(
             continue
         base = node_rtl[name]
         terms: list[RExpr] = []
-        for e in g.in_edges(name):
+        for e in g.prepared.ins[name]:
             low = lows[e.id]
             ebase = edge_rtl[e.id]
             terms.append(
@@ -745,7 +744,7 @@ def _top_module(
             ("firing", RRef(f"{base}_firing")),
             ("phase", RRef(f"{base}_phase")),
         ]
-        for i, e in enumerate(g.in_edges(name)):
+        for i, e in enumerate(g.prepared.ins[name]):
             low = lows[e.id]
             ebase = edge_rtl[e.id]
             conns.append((f"in{i}", RRef(f"{ebase}_dout")))

@@ -28,13 +28,19 @@ Occupancy traces record each FIFO at the moment its consumer samples it
 (after the producer's same-cycle supply, before consumption), which is the
 quantity the thresholds gate on.
 
-The machine compiles these rules once into step tables (see
-:class:`Machine`): per node its last phase, its input edges with their
-gate entries and its output edges with the cycle their tokens land in.  A
-source's same-cycle supply is folded into the gate entry of the phase that
-supplied it, so no cycle-start snapshot of the FIFOs is taken.  A run is
-complete when no node owes a firing or is mid-firing; the machine keeps a
-count of those nodes, so the test costs O(1) per cycle.
+The machine compiles these rules into step tables (see :class:`Machine`):
+per node its last phase, its input edges with their gate entries and its
+output edges with the cycle their tokens land in.  A source's same-cycle
+supply is folded into the gate entry of the phase that supplied it, so no
+cycle-start snapshot of the FIFOs is taken.  A run is complete when no node
+owes a firing or is mid-firing; the machine keeps a count of those nodes,
+so the test costs O(1) per cycle.
+
+Everything the tables are built from (topological order, adjacency,
+repetition vector, gate tables and, in value mode, datapath plans and
+compiled node logic) comes from the graph's
+:class:`~patflow.prepared.PreparedGraph`, computed once per graph; a new
+machine only applies ``gate_offset`` and allocates run-time state.
 """
 
 from __future__ import annotations
@@ -44,9 +50,8 @@ from dataclasses import dataclass
 from io import StringIO
 
 from .errors import Deadlock, FifoOverflow, HorizonExceeded, ShapeMismatch
-from .exprs import eval_expr
-from .graphs import Graph, NodeKind, compute_repetition_vector
-from .lowering import DatapathPlan, edge_gate_table, lower_hof_node
+from .graphs import Graph, NodeKind
+from .lowering import DatapathPlan
 
 __all__ = [
     "Schedule",
@@ -94,28 +99,27 @@ class TimingReport:
 _TO_SINK, _SAME_CYCLE, _NEXT_CYCLE = range(3)
 
 
-def _prefixes(patterns) -> list[list[int]]:
-    """Token offset at the start of each phase, per port."""
-    return [[sum(p.phases[:k]) for k in range(len(p) + 1)] for p in patterns]
-
-
 class _NodeRT:
     """Run-time state of one non-sink node.
 
     ``cur`` is the phase the node stepped in its latest visit, or -1 if it
     did not step; gate tables are indexed with it, so -1 picks the idle
-    entry.  The remaining fields after ``starts`` are used in value mode only.
+    entry.  The remaining fields after ``starts`` are used in value mode
+    only: ``fn`` is the node's compiled per-phase logic, if it has any, and
+    the prefixes are its token offsets per phase (see
+    :class:`patflow.prepared.PreparedGraph`).
     """
 
     __slots__ = (
-        "spec", "plan", "owed", "fired", "cur", "starts",
+        "spec", "plan", "fn", "owed", "fired", "cur", "starts",
         "inbufs", "acc", "acc_seeded", "stim", "out_prefix", "in_prefix",
     )
 
-    def __init__(self, spec, plan: DatapathPlan | None, owed: int,
-                 starts: list[int], values: bool):
+    def __init__(self, spec, plan: DatapathPlan | None, fn, offsets, owed: int,
+                 starts: list[int]):
         self.spec = spec
         self.plan = plan
+        self.fn = fn
         self.owed = owed
         self.fired = 0
         self.cur = -1
@@ -124,9 +128,8 @@ class _NodeRT:
         self.acc: int | None = None
         self.acc_seeded = False
         self.stim: list[int] | None = None
-        if values:
-            self.out_prefix = _prefixes(spec.patterns.outputs)
-            self.in_prefix = _prefixes(spec.patterns.inputs)
+        if offsets is not None:
+            self.in_prefix, self.out_prefix = offsets
 
 
 class _EdgeRT:
@@ -149,15 +152,15 @@ class _EdgeRT:
 class Machine:
     """Cycle-stepped execution of a graph.
 
-    ``__init__`` compiles the graph into step tables, one row per non-sink
-    node in topological order: the node's run-time state, its last phase,
-    its input edges as ``(edge, producer, gate, cp phases)`` and its output
-    edges as ``(producer port, pp phases, kind, destination)``.  Each gate
-    has one entry per producer phase plus the idle entry last, with
-    ``gate_offset`` applied and clamped at 0.  :meth:`run` is a single loop
-    over these rows; counts mode and value mode share it, and value work sits
-    behind ``if values``.  Completion is a count of the nodes that still owe
-    firings, so testing it costs O(1) per cycle.
+    ``__init__`` builds step tables from the graph's prepared view, one row
+    per non-sink node in topological order: the node's run-time state, its
+    last phase, its input edges as ``(edge, producer, gate, cp phases)`` and
+    its output edges as ``(producer port, pp phases, kind, destination)``.
+    Each gate has one entry per producer phase plus the idle entry last,
+    with ``gate_offset`` applied and clamped at 0.  :meth:`run` is a single
+    loop over these rows; counts mode and value mode share it, and value
+    work sits behind ``if values``.  Completion is a count of the nodes that
+    still owe firings, so testing it costs O(1) per cycle.
 
     Not part of the public API surface; use :func:`simulate_schedule` or
     :func:`patflow.valuesim.simulate_clocked`.
@@ -173,61 +176,68 @@ class Machine:
         gate_offset: int = 0,
         horizon: int | None = None,
         capacities: dict[str, int] | None = None,
-        plans: dict[str, DatapathPlan] | None = None,
     ):
         if iterations < 0:
             raise ValueError("iterations must be >= 0")
         self.g = g
         self.iterations = iterations
         self.values = values
-        reps = compute_repetition_vector(g)
+        prep = self.prep = g.prepared
+        reps = prep.reps
+        fns = prep.phase_fns if values else {}
+        offsets = prep.offsets if values else {}
 
-        if plans is None and values:
-            plans = {n.name: lower_hof_node(n) for n in g.computes}
         self.starts: dict[str, list[int]] = {
             n: [] for n in g.nodes if g.nodes[n].kind is not NodeKind.SINK
         }
         self.nodes: dict[str, _NodeRT] = {}
-        for name in g.topo_order():
+        for name in prep.topo:
             spec = g.nodes[name]
             if spec.kind is NodeKind.SINK:
                 continue
-            plan = plans.get(name) if plans and spec.kind is NodeKind.COMPUTE else None
+            plan = prep.plans[name] if values and spec.kind is NodeKind.COMPUTE else None
             self.nodes[name] = _NodeRT(
-                spec, plan, reps[name] * iterations, self.starts[name], values
+                spec, plan, fns.get(name), offsets.get(name), reps[name] * iterations,
+                self.starts[name],
             )
 
+        gates = prep.gates
         self.edges: dict[str, _EdgeRT] = {}
         self.arrivals: dict[str, list[tuple[int, int]]] = {}
-        ins: dict[str, list] = {n: [] for n in self.nodes}
-        outs: dict[str, list] = {n: [] for n in self.nodes}
         for e in g.edges:
-            from_source = g.nodes[e.producer].kind is NodeKind.SOURCE
             if g.nodes[e.consumer].kind is NodeKind.SINK:
-                dest = self.arrivals[e.id] = []
-                kind = _TO_SINK
+                self.arrivals[e.id] = []
             else:
-                dest = self.edges[e.id] = _EdgeRT(e)
-                kind = _SAME_CYCLE if from_source else _NEXT_CYCLE
+                self.edges[e.id] = _EdgeRT(e)
+
+        self.steps = []
+        for name, nrt in self.nodes.items():
+            ins = []
+            for port, e in enumerate(prep.ins[name]):
+                ert = self.edges[e.id]
+                ert.port = port
                 # The gate reads the occupancy the cycle started with.  A
                 # source's same-cycle supply is already counted when the
                 # consumer looks, so it is added to the entry of the phase
                 # that supplied it.
-                entries = edge_gate_table(g, e).entries
-                supplied = e.pp.phases + (0,) if from_source else (0,) * len(entries)
+                entries = gates[e.id].entries
+                if g.nodes[e.producer].kind is NodeKind.SOURCE:
+                    supplied = e.pp.phases + (0,)
+                else:
+                    supplied = (0,) * len(entries)
                 gate = tuple(
                     max(0, x + gate_offset) + s for x, s in zip(entries, supplied)
                 )
-                ins[e.consumer].append((dest, self.nodes[e.producer], gate, e.cp.phases))
-            outs[e.producer].append((e.producer_port, e.pp.phases, kind, dest))
-
-        self.steps = []
-        for name, nrt in self.nodes.items():
-            node_ins = sorted(ins[name], key=lambda row: row[0].spec.consumer_port)
-            for port, row in enumerate(node_ins):
-                row[0].port = port
-            node_outs = sorted(outs[name], key=lambda row: row[0])
-            self.steps.append((nrt, nrt.spec.length - 1, tuple(node_ins), tuple(node_outs)))
+                ins.append((ert, self.nodes[e.producer], gate, e.cp.phases))
+            outs = []
+            for port in range(len(nrt.spec.patterns.outputs)):
+                for e in prep.outs.get((name, port), ()):
+                    if g.nodes[e.consumer].kind is NodeKind.SINK:
+                        outs.append((port, e.pp.phases, _TO_SINK, self.arrivals[e.id]))
+                    else:
+                        kind = _SAME_CYCLE if nrt.spec.kind is NodeKind.SOURCE else _NEXT_CYCLE
+                        outs.append((port, e.pp.phases, kind, self.edges[e.id]))
+            self.steps.append((nrt, nrt.spec.length - 1, tuple(ins), tuple(outs)))
         caps = capacities or {}
         self.checked = [
             (ert, caps[eid]) for eid, ert in self.edges.items() if caps.get(eid) is not None
@@ -279,8 +289,7 @@ class Machine:
     def _phase_outputs(self, nrt: _NodeRT, ph: int) -> list[list[int]]:
         """Concrete output tokens per port for this phase (value mode)."""
         spec = nrt.spec
-        width = spec.width
-        counts = [p[ph] for p in spec.patterns.outputs]
+        counts = [p.phases[ph] for p in spec.patterns.outputs]
 
         if spec.kind is NodeKind.SOURCE:
             # Stimulus vector covers all output ports, port-major.
@@ -295,24 +304,17 @@ class Machine:
         plan = nrt.plan
         assert plan is not None
         if plan.mode == "fold":
-            new = nrt.inbufs[plan.fold_input][
-                nrt.in_prefix[plan.fold_input][ph] : nrt.in_prefix[plan.fold_input][ph + 1]
-            ]
+            lo, hi = nrt.in_prefix[plan.fold_input][ph : ph + 2]
             acc = nrt.acc
             seeded = nrt.acc_seeded
             if ph == 0 and plan.fold_init is not None:
                 acc, seeded = plan.fold_init, True
-            fn = plan.fold_fn
-            for tok in new:
+            step = nrt.fn
+            for tok in nrt.inbufs[plan.fold_input][lo:hi]:
                 if not seeded:
                     acc, seeded = tok, True
                 else:
-                    acc = eval_expr(
-                        fn.body,
-                        [],
-                        width,
-                        env={fn.params[0]: acc, fn.params[1]: tok},
-                    )
+                    acc = step(acc, tok)
             nrt.acc, nrt.acc_seeded = acc, seeded
             self.fold_trace.setdefault(spec.name, []).append(acc if acc is not None else 0)
             return [[acc] * c if c else [] for c in counts]
@@ -321,23 +323,14 @@ class Machine:
             out = []
             for port, c in enumerate(counts):
                 lo = nrt.out_prefix[port][ph]
-                vals = []
-                for k in range(lo, lo + c):
-                    elems = [buf[k] for buf in nrt.inbufs]
-                    vals.append(eval_expr(plan.scalar_exprs[port], elems, width))
-                out.append(vals)
+                scalar = nrt.fn[port]
+                out.append([
+                    scalar([buf[k] for buf in nrt.inbufs]) for k in range(lo, lo + c)
+                ])
             return out
 
         # general: single phase, everything is available at once
-        vectors = [tuple(buf) for buf in nrt.inbufs]
-        result = eval_expr(spec.body, vectors, width)
-        ports = len(spec.patterns.outputs)
-        values = list(result) if ports > 1 else [result]
-        out = []
-        for port in range(ports):
-            v = values[port]
-            out.append(list(v) if isinstance(v, tuple) else [v])
-        return out
+        return self.prep.firing_outputs(spec.name, [tuple(buf) for buf in nrt.inbufs])
 
     # -- stepping ------------------------------------------------------------
 

@@ -9,6 +9,12 @@ Two executions of the same graph:
   :mod:`patflow.schedule` with concrete values, so every firing decision is
   the one the generated hardware would take.
 
+Both read the graph's :class:`~patflow.prepared.PreparedGraph`: rates,
+adjacency and compiled node bodies are derived once per graph, not once per
+run.  A whole firing is evaluated by one helper,
+:meth:`~patflow.prepared.PreparedGraph.firing_outputs`, which the machine
+also uses for single-phase nodes.
+
 :func:`equivalence_check` runs both on random stimulus and compares the
 token streams delivered to each sink input.  With ``gate_offset=0`` the two
 must agree on every legal graph; a negative offset corrupts the firing
@@ -22,8 +28,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ShapeMismatch
-from .exprs import eval_expr
-from .graphs import Graph, NodeKind, compute_repetition_vector
+from .graphs import Graph, NodeKind
 from .schedule import Machine
 
 __all__ = [
@@ -66,8 +71,13 @@ class EquivalenceReport:
         return self.mismatches == 0
 
 
-def _infer_iterations(g: Graph, stimulus: dict[str, list[list[int]]],
-                      reps: dict[str, int]) -> int | None:
+def _stimulus_iterations(
+    g: Graph, stimulus: dict[str, list[list[int]]], iterations: int | None
+) -> int:
+    """The iteration count the stimulus holds, checked against
+    ``iterations`` when that is given (default 1 for a graph without
+    sources)."""
+    reps = g.prepared.reps
     counts = set()
     for src in g.sources:
         vecs = stimulus.get(src.name)
@@ -80,13 +90,18 @@ def _infer_iterations(g: Graph, stimulus: dict[str, list[list[int]]],
                 f"got {len(vecs)}"
             )
         counts.add(len(vecs) // r)
-    if not counts:
-        return None
     if len(counts) > 1:
         raise ShapeMismatch(
             f"stimulus lengths disagree on the iteration count: {sorted(counts)}"
         )
-    return counts.pop()
+    inferred = counts.pop() if counts else None
+    if iterations is None:
+        return inferred if inferred is not None else 1
+    if inferred is not None and inferred != iterations:
+        raise ShapeMismatch(
+            f"stimulus holds {inferred} iterations, {iterations} requested"
+        )
+    return iterations
 
 
 def random_stimulus(
@@ -94,7 +109,7 @@ def random_stimulus(
 ) -> dict[str, list[list[int]]]:
     """Uniform random tokens for every source, ``iterations`` rounds deep."""
     rng = random.Random(seed)
-    reps = compute_repetition_vector(g)
+    reps = g.prepared.reps
     out: dict[str, list[list[int]]] = {}
     for src in g.sources:
         hi = (1 << src.width) - 1
@@ -106,31 +121,23 @@ def random_stimulus(
     return out
 
 
-def _firing_outputs(spec, vectors: list[tuple[int, ...]]) -> list[list[int]]:
-    """Evaluate one whole firing of a compute node; tokens per output port."""
-    result = eval_expr(spec.body, vectors, spec.width)
-    ports = len(spec.patterns.outputs)
-    values = list(result) if ports > 1 else [result]
-    out = []
-    for port in range(ports):
-        v = values[port]
-        out.append(list(v) if isinstance(v, tuple) else [v])
-    return out
-
-
 def _combinational_streams(
     g: Graph, stimulus: dict[str, list[list[int]]], iterations: int
 ) -> dict[str, list[int]]:
     """Token stream per edge id under the untimed functional semantics."""
-    reps = compute_repetition_vector(g)
+    prep = g.prepared
     streams: dict[str, list[int]] = {e.id: [] for e in g.edges}
-    for name in g.topo_order():
+    for name in prep.topo:
         spec = g.nodes[name]
         if spec.kind is NodeKind.SINK:
             continue
-        firings = reps[name] * iterations
-        in_edges = g.in_edges(name)
-        cursors = [0] * len(in_edges)
+        firings = prep.reps[name] * iterations
+        ins = [(streams[e.id], e.cp.total) for e in prep.ins[name]]
+        cursors = [0] * len(ins)
+        outs = [
+            [streams[e.id] for e in prep.outs.get((name, port), ())]
+            for port in range(len(spec.patterns.outputs))
+        ]
         for k in range(firings):
             if spec.kind is NodeKind.SOURCE:
                 vec = stimulus[name][k]
@@ -141,15 +148,13 @@ def _combinational_streams(
                     base += p.total
             else:
                 vectors = []
-                for i, e in enumerate(in_edges):
-                    need = e.cp.total
-                    s = streams[e.id]
+                for i, (s, need) in enumerate(ins):
                     vectors.append(tuple(s[cursors[i] : cursors[i] + need]))
                     cursors[i] += need
-                per_port = _firing_outputs(spec, vectors)
+                per_port = prep.firing_outputs(name, vectors)
             for port, vals in enumerate(per_port):
-                for e in g.out_edges(name, port):
-                    streams[e.id].extend(vals)
+                for s in outs[port]:
+                    s.extend(vals)
     return streams
 
 
@@ -166,19 +171,12 @@ def eval_combinational(
     when not given.
     """
     stimulus = stimulus or {}
-    reps = compute_repetition_vector(g)
-    inferred = _infer_iterations(g, stimulus, reps)
-    if iterations is None:
-        iterations = inferred if inferred is not None else 1
-    elif inferred is not None and inferred != iterations:
-        raise ShapeMismatch(
-            f"stimulus holds {inferred} iterations, {iterations} requested"
-        )
+    iterations = _stimulus_iterations(g, stimulus, iterations)
     streams = _combinational_streams(g, stimulus, iterations)
     out: dict[str, list[int]] = {}
     for sink in g.sinks:
         vals: list[int] = []
-        for e in g.in_edges(sink.name):
+        for e in g.prepared.ins[sink.name]:
             vals.extend(streams[e.id])
         out[sink.name] = vals
     return out
@@ -201,14 +199,7 @@ def simulate_clocked(
     ``gate_offset``.
     """
     stimulus = stimulus or {}
-    reps = compute_repetition_vector(g)
-    inferred = _infer_iterations(g, stimulus, reps)
-    if iterations is None:
-        iterations = inferred if inferred is not None else 1
-    elif inferred is not None and inferred != iterations:
-        raise ShapeMismatch(
-            f"stimulus holds {inferred} iterations, {iterations} requested"
-        )
+    iterations = _stimulus_iterations(g, stimulus, iterations)
     m = Machine(
         g,
         iterations,
@@ -220,7 +211,7 @@ def simulate_clocked(
     ).run()
     merged: dict[str, list[tuple[int, int]]] = {n.name: [] for n in g.sinks}
     for sink in g.sinks:
-        for e in g.in_edges(sink.name):
+        for e in g.prepared.ins[sink.name]:
             merged[sink.name].extend(m.arrivals[e.id])
         merged[sink.name].sort(key=lambda tv: tv[0])
     return SimResult(

@@ -13,6 +13,7 @@ from patflow import (
     TupleShape,
     UnsupportedExpr,
     Vector,
+    compile_expr,
     eval_expr,
     format_expr,
     infer_shape,
@@ -177,6 +178,53 @@ class TestEval:
         e = parse_expr("(map (lambda (a) a) (input 0))")
         with pytest.raises(ShapeMismatch):
             eval_expr(e, [7], 8)
+
+    @pytest.mark.parametrize("src, inputs, message", [
+        ("(zipwith (lambda (a b) (add a b)) (input 0) (input 1))", [(1, 2), (1, 2, 3)],
+         "zipwith length mismatch: 2 vs 3"),
+        ("(map (lambda (a) a) (input 0))", [7], "map argument must be a vector, got 7"),
+        ("(foldl1 (lambda (a b) (add a b)) (input 0))", [()],
+         "foldl1 over an empty vector"),
+        ("(foldl1 (lambda (a b) (add a b)) (input 0))", [((1, 2), 3)],
+         "lambda argument 'a' must be scalar, got (1, 2)"),
+        ("(foldl (lambda (a b) (add a b)) (input 0) (input 1))", [(1, 2), (3,)],
+         "fold init must be scalar, got (1, 2)"),
+        ("(map (lambda (x) (proj x 0)) (input 0))", [(5,)], "proj over a non-tuple value"),
+        ("(let ((v (input 0))) (add v 1))", [(1, 2)],
+         "add operand 0 must be scalar, got (1, 2)"),
+        ("(add (input 0) 1)", [(1, 2)], "add operand 0 must be scalar, got (1, 2)"),
+        ("(map (lambda (x) (tuple x x)) (input 0))", [(1,)],
+         "lambda body must be scalar, got _TupleVal(items=(1, 1))"),
+    ])
+    def test_runtime_shape_errors(self, src, inputs, message):
+        with pytest.raises(ShapeMismatch) as exc:
+            eval_expr(parse_expr(src), inputs, 8)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("src", [
+        "(map (lambda (x) (proj x 0)) (input 0))",
+        "(map (lambda (x) (map (lambda (y) y) x)) (input 0))",
+        "(map (lambda (x) (add x unbound)) (input 0))",
+    ])
+    def test_unevaluated_lambda_body_never_raises(self, src):
+        # Compiling walks the whole body; only evaluating it checks shapes.
+        f = compile_expr(parse_expr(src), 8)
+        assert f([()]) == ()
+        assert eval_expr(parse_expr(src), [()], 8) == ()
+        with pytest.raises((ShapeMismatch, KeyError)):
+            f([(4,)])
+
+    def test_one_element_vectors_are_scalars(self):
+        assert eval_expr(parse_expr("(add (input 0) 1)"), [(5,)], 8) == 6
+        assert eval_expr(parse_expr("(let ((v (input 0))) (mul v 3))"), [(5,)], 8) == 15
+
+    def test_compiled_function_is_reusable(self):
+        e = parse_expr(
+            "(let ((s (foldl1 (lambda (a b) (add a b)) (input 0)))) (tuple s (input 0)))"
+        )
+        f = compile_expr(e, 8)
+        for xs in [(1, 2, 3), (200, 100), (7,)]:
+            assert f([xs]) == eval_expr(e, [xs], 8) == (sum(xs) & 0xFF, xs)
 
     @given(
         xs=st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=8),

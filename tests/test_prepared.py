@@ -1,0 +1,169 @@
+"""Tests for the prepared view of a graph: what it caches and when."""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import patflow.prepared
+from patflow import (
+    EdgeSpec,
+    Graph,
+    NodeKind,
+    NodeSpec,
+    build_graph,
+    equivalence_check,
+    estimate_resources,
+    eval_combinational,
+    lower_edges,
+    random_stimulus,
+    simulate_clocked,
+    simulate_schedule,
+)
+from patflow.errors import CycleDetected
+from patflow.fixtures import load, load_graph, names
+from patflow.patterns import PatternSet, validate_pattern
+from patflow.rtl import emit_verilog
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the calls the prepared view makes to each derivation."""
+    counts: dict[str, int] = {}
+
+    def counting(name):
+        fn = getattr(patflow.prepared, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(patflow.prepared, name, wrapper)
+
+    for name in ("compute_repetition_vector", "edge_gate_table", "lower_hof_node"):
+        counting(name)
+    return counts
+
+
+class TestComputedOnce:
+    @pytest.mark.parametrize("name", names())
+    def test_equivalence_trials_share_one_preparation(self, calls, name):
+        g = load_graph(name)
+        equivalence_check(g, 5)
+        equivalence_check(g, 5, iterations=2, gate_offset=-1)
+        assert calls.get("compute_repetition_vector", 0) <= 1
+        assert calls.get("edge_gate_table", 0) <= len(g.edges)
+        assert calls.get("lower_hof_node", 0) <= len(g.computes)
+
+    def test_counts_only_schedule_plans_nothing(self, calls):
+        g = load_graph("dotp-1x20")
+        simulate_schedule(g, 3)
+        assert "lower_hof_node" not in calls
+        assert "bodies" not in vars(g.prepared)
+        assert "phase_fns" not in vars(g.prepared)
+
+    def test_lowering_passes_share_gates_and_plans(self, calls):
+        g = load_graph("moments")
+        lower_edges(g)
+        estimate_resources(g)
+        emit_verilog(g)
+        assert calls["edge_gate_table"] == len(g.edges)
+        assert calls["lower_hof_node"] == len(g.computes)
+
+    def test_each_graph_has_its_own_view(self):
+        a, b = load_graph("fig2"), load_graph("fig2")
+        assert a.prepared is a.prepared
+        assert a.prepared is not b.prepared
+
+
+# ---------------------------------------------------------------------------
+# Adjacency and topological order
+# ---------------------------------------------------------------------------
+
+
+def _round_topo(g: Graph) -> list[str]:
+    """Reference order: repeatedly place every node whose producers are all
+    placed, in document order."""
+    remaining = {
+        name: {e.producer for e in g.edges if e.consumer == name} for name in g.nodes
+    }
+    order: list[str] = []
+    while remaining:
+        ready = [n for n, deps in remaining.items() if deps <= set(order)]
+        if not ready:
+            raise CycleDetected(f"dependency cycle among nodes {sorted(remaining)}")
+        for n in ready:
+            order.append(n)
+            del remaining[n]
+    return order
+
+
+def _wired(n: int, links: list[tuple[int, int]], doc_order: list[int]) -> Graph:
+    """A graph over nodes ``n0..n{n-1}`` listed in ``doc_order``, with one
+    edge per link; only names and endpoints matter to the order."""
+    pat = validate_pattern([1])
+    nodes = {
+        f"n{i}": NodeSpec(f"n{i}", NodeKind.COMPUTE, 8, PatternSet((pat,), (pat,)))
+        for i in doc_order
+    }
+    edges = [
+        EdgeSpec(f"n{a}", 0, f"n{b}", k, pat, pat) for k, (a, b) in enumerate(links)
+    ]
+    return Graph("wired", nodes, edges)
+
+
+@st.composite
+def _dags(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    links = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    doc_order = draw(st.permutations(range(n)))
+    return _wired(n, links, list(doc_order))
+
+
+class TestAdjacency:
+    @pytest.mark.parametrize("name", names())
+    def test_edges_match_a_scan(self, name):
+        g = load_graph(name)
+        for node in g.nodes:
+            scanned = sorted(
+                (e for e in g.edges if e.consumer == node), key=lambda e: e.consumer_port
+            )
+            assert g.in_edges(node) == scanned
+            for port in range(len(g.nodes[node].patterns.outputs)):
+                assert g.out_edges(node, port) == [
+                    e for e in g.edges if e.producer == node and e.producer_port == port
+                ]
+
+    def test_in_edges_follow_ports_not_document_order(self):
+        doc = load("dotp-1x20")
+        shuffled = copy.deepcopy(doc)
+        shuffled["edges"].reverse()
+        g, h = build_graph(doc), build_graph(shuffled)
+        assert [e.consumer_port for e in h.in_edges("zw")] == [0, 1]
+        assert [e.id for e in h.in_edges("zw")] == [e.id for e in g.in_edges("zw")]
+        stim = random_stimulus(g, 2, seed=3)
+        assert simulate_clocked(h, stim).arrivals == simulate_clocked(g, stim).arrivals
+        assert eval_combinational(h, stim) == eval_combinational(g, stim)
+
+    @pytest.mark.parametrize("name", names())
+    def test_fixture_order_matches_rounds(self, name):
+        g = load_graph(name)
+        assert g.topo_order() == _round_topo(g)
+
+    @given(g=_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_random_order_matches_rounds(self, g):
+        assert g.topo_order() == _round_topo(g)
+
+    def test_cycle_names_every_blocked_node(self):
+        cyclic = _wired(4, [(0, 1), (1, 2), (2, 1), (2, 3)], [3, 2, 1, 0])
+        with pytest.raises(CycleDetected) as got:
+            cyclic.topo_order()
+        with pytest.raises(CycleDetected) as want:
+            _round_topo(cyclic)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "dependency cycle among nodes ['n1', 'n2', 'n3']"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,3 +207,42 @@ class TestEquivalence:
     def test_report_records_gate_offset(self):
         rep = equivalence_check(load_graph("fig2"), 3, seed=0, gate_offset=0)
         assert rep.gate_offset == 0
+
+
+# Digest of every report ``_report_digest`` makes, recorded from the
+# interpreter that walked the expression tree on every evaluation and
+# rebuilt rates, gate tables and plans for every trial.
+REPORT_DIGESTS = {
+    "alg1-worked": "f3401f1218b30b7a",
+    "dotp-1010": "db13d4cbdb21be39",
+    "dotp-1x20": "e8ff0b27f0227128",
+    "dotp-20": "db13d4cbdb21be39",
+    "dotp-2261": "25b488216d0b1904",
+    "dotp-5555": "db13d4cbdb21be39",
+    "fig2": "b43fa0d0f7913896",
+    "fold-pipeline": "817d168fbea40e8e",
+    "moments": "db13d4cbdb21be39",
+    "transform-stage": "db13d4cbdb21be39",
+}
+
+
+def _report_digest(name: str) -> str:
+    """Trials, mismatches and full counterexamples of seeded checks at
+    iterations 1 and 3 and gate offsets -2, -1 and 0, hashed."""
+    g = load_graph(name)
+    h = hashlib.sha256()
+    for iterations in (1, 3):
+        for offset in (-2, -1, 0):
+            r = equivalence_check(g, 5, seed=7, iterations=iterations, gate_offset=offset)
+            h.update(json.dumps([r.trials, r.mismatches, r.counterexamples],
+                                sort_keys=True).encode())
+    return h.hexdigest()[:16]
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+    def test_reports_are_unchanged(self, name):
+        assert _report_digest(name) == REPORT_DIGESTS[name]
+
+    def test_every_fixture_is_pinned(self):
+        assert sorted(REPORT_DIGESTS) == names()
