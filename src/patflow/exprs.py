@@ -47,6 +47,7 @@ __all__ = [
     "TupleShape",
     "parse_expr",
     "format_expr",
+    "children",
     "infer_shape",
     "eval_expr",
     "compile_expr",
@@ -352,6 +353,25 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Proj):
         return f"(proj {format_expr(e.tup)} {e.index})"
     raise UnsupportedExpr(f"cannot format {type(e).__name__}")
+
+
+_CHILDREN = {
+    PrimOp: lambda e: e.args,
+    Map: lambda e: (e.fn.body, e.vec),
+    ZipWith: lambda e: (e.fn.body, e.left, e.right),
+    Foldl: lambda e: (e.fn.body, e.init, e.vec),
+    Foldl1: lambda e: (e.fn.body, e.vec),
+    Let: lambda e: (*(bound for _, bound in e.bindings), e.body),
+    Tuple: lambda e: e.items,
+    Proj: lambda e: (e.tup,),
+}
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions of ``e``.  A higher-order function's
+    lambda contributes its body; a lambda anywhere else has no children."""
+    get = _CHILDREN.get(type(e))
+    return get(e) if get else ()
 
 
 # ---------------------------------------------------------------------------

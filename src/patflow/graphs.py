@@ -53,16 +53,12 @@ from .exprs import (
     Foldl1,
     InputRef,
     Let,
-    Map,
     PrimOp,
-    Proj,
     Scalar,
     Shape,
-    Tuple,
     TupleShape,
-    Var,
     Vector,
-    ZipWith,
+    children,
     infer_shape,
     parse_expr,
     scalarize,
@@ -379,21 +375,7 @@ def build_graph(doc: dict) -> Graph:
 
 def contains_fold(e: Expr) -> bool:
     """True when any fold appears anywhere in ``e``."""
-    if isinstance(e, (Foldl, Foldl1)):
-        return True
-    if isinstance(e, Map):
-        return contains_fold(e.fn.body) or contains_fold(e.vec)
-    if isinstance(e, ZipWith):
-        return contains_fold(e.fn.body) or contains_fold(e.left) or contains_fold(e.right)
-    if isinstance(e, PrimOp):
-        return any(contains_fold(a) for a in e.args)
-    if isinstance(e, Let):
-        return any(contains_fold(b) for _, b in e.bindings) or contains_fold(e.body)
-    if isinstance(e, Tuple):
-        return any(contains_fold(i) for i in e.items)
-    if isinstance(e, Proj):
-        return contains_fold(e.tup)
-    return False
+    return isinstance(e, (Foldl, Foldl1)) or any(contains_fold(c) for c in children(e))
 
 
 def root_fold(e: Expr) -> Foldl | Foldl1 | None:
@@ -403,13 +385,7 @@ def root_fold(e: Expr) -> Foldl | Foldl1 | None:
 
 def _const_only(e: Expr) -> bool:
     # An expression that can be computed at compile time: no inputs, no HOFs.
-    if isinstance(e, Const):
-        return True
-    if isinstance(e, PrimOp):
-        return all(_const_only(a) for a in e.args)
-    if isinstance(e, Let):
-        return all(_const_only(b) for _, b in e.bindings) and _const_only(e.body)
-    return False
+    return isinstance(e, (Const, PrimOp, Let)) and all(_const_only(c) for c in children(e))
 
 
 # ---------------------------------------------------------------------------
@@ -453,32 +429,8 @@ def _check_output_shape(node: NodeSpec, shape: Shape, out: list[Diagnostic]) -> 
 def _referenced_inputs(e: Expr, acc: set[int]) -> None:
     if isinstance(e, InputRef):
         acc.add(e.index)
-    elif isinstance(e, PrimOp):
-        for a in e.args:
-            _referenced_inputs(a, acc)
-    elif isinstance(e, Map):
-        _referenced_inputs(e.fn.body, acc)
-        _referenced_inputs(e.vec, acc)
-    elif isinstance(e, ZipWith):
-        _referenced_inputs(e.fn.body, acc)
-        _referenced_inputs(e.left, acc)
-        _referenced_inputs(e.right, acc)
-    elif isinstance(e, Foldl):
-        _referenced_inputs(e.fn.body, acc)
-        _referenced_inputs(e.init, acc)
-        _referenced_inputs(e.vec, acc)
-    elif isinstance(e, Foldl1):
-        _referenced_inputs(e.fn.body, acc)
-        _referenced_inputs(e.vec, acc)
-    elif isinstance(e, Let):
-        for _, b in e.bindings:
-            _referenced_inputs(b, acc)
-        _referenced_inputs(e.body, acc)
-    elif isinstance(e, Tuple):
-        for i in e.items:
-            _referenced_inputs(i, acc)
-    elif isinstance(e, Proj):
-        _referenced_inputs(e.tup, acc)
+    for c in children(e):
+        _referenced_inputs(c, acc)
 
 
 def _validate_compute_body(node: NodeSpec, out: list[Diagnostic]) -> None:

@@ -14,7 +14,15 @@ A fold spread over several phases additionally keeps its running value in an
 accumulator register.  ``foldl1`` over an operator with a known identity
 (``add``/``max`` with 0, ``mul`` with 1) is normalized to ``foldl`` of that
 identity so every fold lowers to the same seeded chain of ``n`` operator
-instances per phase.
+instances per phase.  A ``foldl`` seed that is a compile-time constant is a
+literal (no operator); a seed that reads an input is unrolled.
+
+One unroller, :func:`unroll`, turns bodies into operator instances.  The
+RTL lowering runs it to emit one wire per instance, and
+:func:`lower_hof_node` runs it over the same per-mode structure to fill
+``DatapathPlan.op_counts``, so the estimate counts exactly what the RTL
+instantiates.  Evaluation stays on :func:`~patflow.exprs.compile_expr`, the
+functional reference the equivalence check compares against.
 
 Edges
 -----
@@ -46,19 +54,14 @@ from .exprs import (
     Map,
     PrimOp,
     Proj,
-    Scalar,
-    Shape,
     Tuple,
-    TupleShape,
     Var,
-    Vector,
     ZipWith,
     InputRef,
     eval_expr,
-    infer_shape,
     scalarize,
 )
-from .graphs import EdgeSpec, Graph, NodeKind, NodeSpec, root_fold
+from .graphs import EdgeSpec, Graph, NodeKind, NodeSpec, _const_only, root_fold
 from .patterns import (
     FiringThresholds,
     compute_fifo_thresholds,
@@ -70,6 +73,8 @@ __all__ = [
     "FOLD_IDENTITY",
     "DatapathPlan",
     "lower_hof_node",
+    "unroll",
+    "apply_lambda",
     "EdgeLowering",
     "lower_edges",
     "edge_gate_table",
@@ -132,31 +137,17 @@ class DatapathPlan:
     scalar_exprs: tuple[Expr, ...] = field(default_factory=tuple)
 
 
-def _lambda_op_counts(e: Expr, counts: dict[str, int], times: int = 1) -> None:
-    if isinstance(e, PrimOp):
-        counts[e.op] = counts.get(e.op, 0) + times
-        for a in e.args:
-            _lambda_op_counts(a, counts, times)
-    elif isinstance(e, Let):
-        for _, b in e.bindings:
-            _lambda_op_counts(b, counts, times)
-        _lambda_op_counts(e.body, counts, times)
-    elif isinstance(e, (Map, ZipWith, Foldl, Foldl1, Tuple, Proj)):
-        raise UnsupportedExpr(
-            f"{type(e).__name__} inside scalar lane logic cannot be unrolled"
-        )
-    # InputRef / Const / Var contribute no operators.
-
-
 def normalized_fold(e: Foldl | Foldl1, width: int):
-    """Return ``(fn, init_value_or_None, vec)`` for a root fold.
+    """Return ``(fn, seed, vec)`` for a fold.
 
-    ``foldl1`` whose lambda is a bare identity-bearing primitive becomes a
-    seeded fold; other ``foldl1`` keep ``init = None`` (seed from the first
+    A ``foldl`` seed that is a compile-time constant becomes its value, a
+    literal; any other seed stays an expression.  ``foldl1`` whose lambda is
+    a bare identity-bearing primitive becomes a fold seeded with that
+    identity; other ``foldl1`` get ``seed = None`` (seed from the first
     element, with the first operator instance bypassed in phase 0).
     """
     if isinstance(e, Foldl):
-        init = eval_expr(e.init, [], width)
+        init = eval_expr(e.init, [], width) if _const_only(e.init) else e.init
         return e.fn, init, e.vec
     body = e.fn.body
     if (
@@ -168,61 +159,101 @@ def normalized_fold(e: Foldl | Foldl1, width: int):
     return e.fn, None, e.vec
 
 
-def _count_general(e: Expr, shapes: list[Shape], width: int, counts: dict[str, int],
-                   env: dict[str, Shape]) -> Shape:
-    """Count operator instances of a fully unrolled single-phase body."""
-    if isinstance(e, (InputRef, Const, Var)):
-        return infer_shape(e, shapes, dict(env))
+# ---------------------------------------------------------------------------
+# Unrolling
+#
+# ``unroll`` turns an expression into one operator instance per primitive
+# application.  What an instance is belongs to ``emit``, which has the
+# element ``width`` and two methods: ``prim(op, a, b)`` makes one operator
+# instance and returns its value, ``lit(value)`` makes a constant.  The RTL
+# lowering's emit makes one wire per instance; the plan's emit counts them,
+# so ``DatapathPlan.op_counts`` is the number of wires by construction.
+# Values are whatever ``emit`` returns, or lists of them (vectors and the
+# items of a ``tuple``).
+
+
+def _as_scalar(v):
+    if isinstance(v, list):
+        if len(v) == 1:
+            return _as_scalar(v[0])
+        raise UnsupportedExpr("vector value where a scalar operand is needed")
+    return v
+
+
+def _as_vector(v) -> list:
+    return v if isinstance(v, list) else [v]
+
+
+def unroll(e: Expr, env: dict, inputs: list, emit):
+    """Unroll ``e`` over ``inputs`` (one value per input port) through ``emit``."""
+    if isinstance(e, InputRef):
+        return inputs[e.index]
+    if isinstance(e, Const):
+        return emit.lit(e.value)
+    if isinstance(e, Var):
+        return env[e.name]
     if isinstance(e, PrimOp):
-        for a in e.args:
-            _count_general(a, shapes, width, counts, env)
-        counts[e.op] = counts.get(e.op, 0) + 1
-        return Scalar()
+        a, b = (_as_scalar(unroll(x, env, inputs, emit)) for x in e.args)
+        return emit.prim(e.op, a, b)
     if isinstance(e, Map):
-        length = _vector_length_env(e.vec, shapes, env)
-        _count_general(e.vec, shapes, width, counts, env)
-        _lambda_op_counts(e.fn.body, counts, times=length)
-        return Vector(length)
+        vec = _as_vector(unroll(e.vec, env, inputs, emit))
+        return [apply_lambda(e.fn, [x], env, inputs, emit) for x in vec]
     if isinstance(e, ZipWith):
-        length = _vector_length_env(e.left, shapes, env)
-        _count_general(e.left, shapes, width, counts, env)
-        _count_general(e.right, shapes, width, counts, env)
-        _lambda_op_counts(e.fn.body, counts, times=length)
-        return Vector(length)
+        left = _as_vector(unroll(e.left, env, inputs, emit))
+        right = _as_vector(unroll(e.right, env, inputs, emit))
+        return [apply_lambda(e.fn, [x, y], env, inputs, emit) for x, y in zip(left, right)]
     if isinstance(e, (Foldl, Foldl1)):
-        length = _vector_length_env(e.vec, shapes, env)
-        _count_general(e.vec, shapes, width, counts, env)
-        if isinstance(e, Foldl):
-            _count_general(e.init, shapes, width, counts, env)
-            applications = length
+        fn, seed, vec_expr = normalized_fold(e, emit.width)
+        vec = _as_vector(unroll(vec_expr, env, inputs, emit))
+        if seed is None:
+            acc, vec = _as_scalar(vec[0]), vec[1:]
+        elif isinstance(seed, int):
+            acc = emit.lit(seed)
         else:
-            _, init, _ = normalized_fold(e, width)
-            applications = length if init is not None else max(0, length - 1)
-        _lambda_op_counts(e.fn.body, counts, times=applications)
-        return Scalar()
+            acc = _as_scalar(unroll(seed, env, inputs, emit))
+        for x in vec:
+            acc = apply_lambda(fn, [acc, x], env, inputs, emit)
+        return acc
     if isinstance(e, Let):
         inner = dict(env)
         for name, bound in e.bindings:
-            inner[name] = _count_general(bound, shapes, width, counts, inner)
-        return _count_general(e.body, shapes, width, counts, inner)
+            inner[name] = unroll(bound, inner, inputs, emit)
+        return unroll(e.body, inner, inputs, emit)
     if isinstance(e, Tuple):
-        return TupleShape(tuple(_count_general(i, shapes, width, counts, env) for i in e.items))
+        return [unroll(i, env, inputs, emit) for i in e.items]
     if isinstance(e, Proj):
-        t = _count_general(e.tup, shapes, width, counts, env)
-        assert isinstance(t, TupleShape)
-        return t.items[e.index]
-    raise UnsupportedExpr(f"cannot lower {type(e).__name__}")
+        return unroll(e.tup, env, inputs, emit)[e.index]
+    raise UnsupportedExpr(f"cannot lower {type(e).__name__} to hardware")
 
 
-def _vector_length_env(e: Expr, shapes: list[Shape], env: dict[str, Shape]) -> int:
-    s = infer_shape(e, shapes, dict(env))
-    if isinstance(s, Vector):
-        return s.length
-    raise UnsupportedExpr(f"expected a vector expression, got shape {s}")
+def apply_lambda(fn: Lambda, args: list, env: dict, inputs: list, emit):
+    """Unroll one application of ``fn`` to ``args``; return its scalar value."""
+    inner = dict(env)
+    for name, val in zip(fn.params, args):
+        inner[name] = _as_scalar(val)
+    return _as_scalar(unroll(fn.body, inner, inputs, emit))
+
+
+class _OpCounter:
+    """An ``emit`` that only counts operator instances by primitive name."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.counts: dict[str, int] = {}
+
+    def prim(self, op: str, a, b) -> None:
+        self.counts[op] = self.counts.get(op, 0) + 1
+
+    def lit(self, value: int) -> None:
+        return None
 
 
 def lower_hof_node(node: NodeSpec) -> DatapathPlan:
     """Plan the datapath of one validated compute node.
+
+    ``op_counts`` comes from unrolling the same structure the RTL builds:
+    ``lanes`` applications of a fold's lambda, ``lanes`` copies of each
+    elementwise scalar expression, or the whole single-phase body.
 
     Raises
     ------
@@ -237,8 +268,7 @@ def lower_hof_node(node: NodeSpec) -> DatapathPlan:
     out_values = [p.value for p in node.patterns.outputs]
     lanes = max(in_values) if in_values else max(out_values)
     phases = node.length
-    shapes = node.input_shapes()
-    counts: dict[str, int] = {}
+    counter = _OpCounter(node.width)
 
     if phases > 1:
         fold = root_fold(node.body)
@@ -248,39 +278,45 @@ def lower_hof_node(node: NodeSpec) -> DatapathPlan:
                     f"node '{node.name}': multi-phase fold must reduce an input port"
                 )
             fn, init, vec = normalized_fold(fold, node.width)
-            _lambda_op_counts(fn.body, counts, times=lanes)
-            if isinstance(fold, Foldl):
-                _lambda_op_counts(fold.init, counts)
+            if isinstance(init, Expr):
+                raise UnsupportedExpr(
+                    f"node '{node.name}': multi-phase fold seed must be a constant"
+                )
+            for _ in range(lanes):
+                apply_lambda(fn, [None, None], {}, [], counter)
             return DatapathPlan(
                 node=node.name,
                 mode="fold",
                 lanes=lanes,
                 phases=phases,
-                op_counts=counts,
+                op_counts=counter.counts,
                 accumulator_width=node.width,
                 fold_fn=fn,
                 fold_init=init,
                 fold_input=vec.index,
             )
         exprs = tuple(scalarize(node.body))
+        inputs = [None] * len(in_values)
         for s in exprs:
-            _lambda_op_counts(s, counts, times=lanes)
+            for _ in range(lanes):
+                unroll(s, {}, inputs, counter)
         return DatapathPlan(
             node=node.name,
             mode="elementwise",
             lanes=lanes,
             phases=phases,
-            op_counts=counts,
+            op_counts=counter.counts,
             scalar_exprs=exprs,
         )
 
-    _count_general(node.body, shapes, node.width, counts, {})
+    inputs = [[None] * p.total for p in node.patterns.inputs]
+    unroll(node.body, {}, inputs, counter)
     return DatapathPlan(
         node=node.name,
         mode="general",
         lanes=lanes,
         phases=phases,
-        op_counts=counts,
+        op_counts=counter.counts,
     )
 
 

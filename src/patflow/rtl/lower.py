@@ -9,8 +9,8 @@ Hardware shape
 * ``<node>_datapath``: pure per-phase logic.  Elementwise bodies become
   parallel lanes, folds become a chain of operator instances ending in an
   accumulator register, and single-phase bodies unroll completely.  Every
-  primitive operator application is one named wire, so operator instances
-  can be counted in the netlist text.
+  primitive operator application is one named wire, made by the same
+  :func:`~patflow.lowering.unroll` the estimator counts with.
 * ``<edge>_fifo`` / ``<edge>_fifo_ctrl``: token storage plus the firing
   threshold table for the edge.  The controller compares the registered
   (cycle-start) occupancy against the threshold selected by the producer's
@@ -29,28 +29,14 @@ from __future__ import annotations
 import re
 
 from ..errors import NameCollision, UnsupportedExpr
-from ..exprs import (
-    Const,
-    Expr,
-    Foldl,
-    Foldl1,
-    InputRef,
-    Lambda,
-    Let,
-    Map,
-    PrimOp,
-    Proj,
-    Tuple,
-    Var,
-    ZipWith,
-)
 from ..graphs import Graph, NodeKind, NodeSpec
 from ..lowering import (
     DatapathPlan,
     EdgeLowering,
+    apply_lambda,
     counter_bits,
     lower_edges,
-    normalized_fold,
+    unroll,
 )
 from .ir import (
     AlwaysFF,
@@ -114,6 +100,9 @@ def _table_mux(sel: RExpr, values: list[RExpr], default: RExpr) -> RExpr:
 
 
 class _Builder:
+    """The RTL ``emit`` of :func:`~patflow.lowering.unroll`: one named wire
+    per operator instance."""
+
     def __init__(self, module: RtlModule, width: int, prefix: str):
         self.m = module
         self.width = width
@@ -126,6 +115,9 @@ class _Builder:
         self.m.net(name, self.width)
         self.m.assigns.append(Assign(name, expr))
         return RRef(name)
+
+    def lit(self, value: int) -> RLit:
+        return RLit(value & ((1 << self.width) - 1), self.width)
 
     def prim(self, op: str, a: RExpr, b: RExpr) -> RRef:
         if op == "add":
@@ -143,75 +135,6 @@ class _Builder:
         else:  # pragma: no cover - parser restricts the op set
             raise UnsupportedExpr(f"no hardware mapping for '{op}'")
         return self.wire(e)
-
-
-def _as_scalar(v):
-    if isinstance(v, list):
-        if len(v) == 1:
-            return _as_scalar(v[0])
-        raise UnsupportedExpr("vector value where a scalar operand is needed")
-    return v
-
-
-def _as_vector(v) -> list:
-    if isinstance(v, list):
-        return v
-    return [v]
-
-
-def _materialize(e: Expr, env: dict, inputs: list, b: _Builder):
-    """Build combinational logic for ``e``.
-
-    Values are RTL expressions, lists of them (vectors), or lists produced
-    by ``tuple`` bodies; the caller distinguishes the latter by position.
-    """
-    if isinstance(e, InputRef):
-        return inputs[e.index]
-    if isinstance(e, Const):
-        return RLit(e.value & ((1 << b.width) - 1), b.width)
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, PrimOp):
-        x = _as_scalar(_materialize(e.args[0], env, inputs, b))
-        y = _as_scalar(_materialize(e.args[1], env, inputs, b))
-        return b.prim(e.op, x, y)
-    if isinstance(e, Map):
-        vec = _as_vector(_materialize(e.vec, env, inputs, b))
-        return [_apply(e.fn, [x], env, inputs, b) for x in vec]
-    if isinstance(e, ZipWith):
-        left = _as_vector(_materialize(e.left, env, inputs, b))
-        right = _as_vector(_materialize(e.right, env, inputs, b))
-        return [_apply(e.fn, [x, y], env, inputs, b) for x, y in zip(left, right)]
-    if isinstance(e, (Foldl, Foldl1)):
-        fn, init, vec_expr = normalized_fold(e, b.width)
-        vec = _as_vector(_materialize(vec_expr, env, inputs, b))
-        if init is not None:
-            acc = RLit(init & ((1 << b.width) - 1), b.width)
-            rest = vec
-        else:
-            acc = _as_scalar(vec[0])
-            rest = vec[1:]
-        for x in rest:
-            acc = _apply(fn, [acc, x], env, inputs, b)
-        return acc
-    if isinstance(e, Let):
-        inner = dict(env)
-        for name, bound in e.bindings:
-            inner[name] = _materialize(bound, inner, inputs, b)
-        return _materialize(e.body, inner, inputs, b)
-    if isinstance(e, Tuple):
-        return [_materialize(i, env, inputs, b) for i in e.items]
-    if isinstance(e, Proj):
-        t = _materialize(e.tup, env, inputs, b)
-        return t[e.index]
-    raise UnsupportedExpr(f"cannot lower {type(e).__name__} to hardware")
-
-
-def _apply(fn: Lambda, args: list, env: dict, inputs: list, b: _Builder):
-    inner = dict(env)
-    for name, val in zip(fn.params, args):
-        inner[name] = _as_scalar(val)
-    return _as_scalar(_materialize(fn.body, inner, inputs, b))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +240,7 @@ def _datapath_module(mod_name: str, node: NodeSpec, plan: DatapathPlan) -> RtlMo
                     _word(f"in{i}", lane, width)
                     for i in range(len(node.patterns.inputs))
                 ]
-                words.append(_as_scalar(_materialize(scalar, {}, inputs, b)))
+                words.append(unroll(scalar, {}, inputs, b))
             m.assigns.append(Assign(f"out{k}", _concat_words(words)))
     else:
         b = _Builder(m, width, "g")
@@ -325,10 +248,10 @@ def _datapath_module(mod_name: str, node: NodeSpec, plan: DatapathPlan) -> RtlMo
             [_word(f"in{i}", w, width) for w in range(p.total)]
             for i, p in enumerate(node.patterns.inputs)
         ]
-        result = _materialize(node.body, {}, inputs, b)
+        result = unroll(node.body, {}, inputs, b)
         values = result if len(node.patterns.outputs) > 1 else [result]
         for k, val in enumerate(values):
-            words = [_as_scalar(w) for w in _as_vector(val)]
+            words = val if isinstance(val, list) else [val]
             m.assigns.append(Assign(f"out{k}", _concat_words(words)))
     return m
 
@@ -341,21 +264,21 @@ def _fold_datapath(m: RtlModule, node: NodeSpec, plan: DatapathPlan, width: int)
     at_first = RBin("==", RRef("phase"), RLit(0))
     b = _Builder(m, width, "f")
     if plan.fold_init is not None:
-        seed = RLit(plan.fold_init & ((1 << width) - 1), width)
         m.net("carry", width)
+        seed = b.lit(plan.fold_init)
         m.assigns.append(Assign("carry", RMux(at_first, seed, RRef("acc_q"))))
         acc: RExpr = RRef("carry")
         for tok in tokens:
-            acc = _apply(fn, [acc, tok], {}, [], b)
+            acc = apply_lambda(fn, [acc, tok], {}, [], b)
     else:
         # No seed: in the first phase the leading operator is bypassed and
         # the first token starts the chain.
-        first_op = _apply(fn, [RRef("acc_q"), tokens[0]], {}, [], b)
+        first_op = apply_lambda(fn, [RRef("acc_q"), tokens[0]], {}, [], b)
         m.net("stage0", width)
         m.assigns.append(Assign("stage0", RMux(at_first, tokens[0], first_op)))
         acc = RRef("stage0")
         for tok in tokens[1:]:
-            acc = _apply(fn, [acc, tok], {}, [], b)
+            acc = apply_lambda(fn, [acc, tok], {}, [], b)
     m.net("result", width)
     m.assigns.append(Assign("result", acc))
     m.assigns.append(Assign("out0", RRef("result")))
@@ -534,14 +457,9 @@ def _pipe_module(mod_name: str, low: EdgeLowering) -> RtlModule:
     m.port("dout", n * width, "output")
     m.port("valid", 1, "output")
     m.regs += [RegDecl("data_q", n * width), RegDecl("valid_q", 1)]
-    nz = _table_mux(
-        RRef("phase"),
-        [RLit(1 if v else 0, 1) for v in e.pp.phases],
-        RLit(0, 1),
-    )
     m.net("wr", 1)
     m.assigns += [
-        Assign("wr", RBin("&", RRef("stb"), nz)),
+        Assign("wr", RBin("&", RRef("stb"), _nz_mux(RRef("phase"), e.pp))),
         Assign("dout", RRef("data_q")),
         Assign("valid", RRef("valid_q")),
     ]
@@ -625,7 +543,7 @@ def lower_design(g: Graph, capacities: dict[str, int] | None = None) -> RtlDesig
         elif low.kind == "pipeline":
             _add(_pipe_module(f"{base}_pipe", low), "pipe", e.id)
 
-    top = _top_module(g, design_name, lows, node_rtl, edge_rtl)
+    top = _top_module(g, order, design_name, lows, node_rtl, edge_rtl)
     _add(top, "top", g.name or "design")
     design.manifest = {
         "design": g.name or "design",
@@ -645,6 +563,7 @@ def lower_design(g: Graph, capacities: dict[str, int] | None = None) -> RtlDesig
 
 def _top_module(
     g: Graph,
+    order: list[str],
     design_name: str,
     lows: dict[str, EdgeLowering],
     node_rtl: dict[str, str],
@@ -657,8 +576,6 @@ def _top_module(
     top.port("clk", 1, "input")
     top.port("rst", 1, "input")
     top.port("run", 1, "input")
-
-    order = g.topo_order()
 
     for name in order:
         node = g.nodes[name]
@@ -745,9 +662,7 @@ def _top_module(
             ("phase", RRef(f"{base}_phase")),
         ]
         for i, e in enumerate(g.prepared.ins[name]):
-            low = lows[e.id]
-            ebase = edge_rtl[e.id]
-            conns.append((f"in{i}", RRef(f"{ebase}_dout")))
+            conns.append((f"in{i}", RRef(f"{edge_rtl[e.id]}_dout")))
         for k in range(len(node.patterns.outputs)):
             conns.append((f"out{k}", RRef(f"{base}_out{k}")))
         top.instances.append(

@@ -21,7 +21,7 @@ from patflow import (
     scalarize,
     substitute,
 )
-from patflow.exprs import Const, Lambda, PrimOp, Var, apply_prim
+from patflow.exprs import Const, Lambda, PrimOp, Var, apply_prim, children
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +317,22 @@ class TestAstNodes:
         assert isinstance(lam, Lambda)
         assert lam.params == ("a", "b")
         assert isinstance(lam.body, PrimOp)
+
+    def test_children_are_direct_subexpressions(self):
+        cases = {
+            "(input 0)": [],
+            "(add (input 0) 1)": ["(input 0)", "1"],
+            "(map (lambda (a) (add a 7)) (input 0))": ["(add a 7)", "(input 0)"],
+            "(zipwith (lambda (a b) (mul a b)) (input 0) (input 1))":
+                ["(mul a b)", "(input 0)", "(input 1)"],
+            "(foldl (lambda (acc x) (add acc x)) 0 (input 0))":
+                ["(add acc x)", "0", "(input 0)"],
+            "(foldl1 (lambda (a b) (max a b)) (input 0))": ["(max a b)", "(input 0)"],
+            "(let ((x (add 1 2)) (y (mul x x))) (sub y x))":
+                ["(add 1 2)", "(mul x x)", "(sub y x)"],
+            "(tuple (input 0) 2)": ["(input 0)", "2"],
+            "(proj (tuple 10 20) 1)": ["(tuple 10 20)"],
+            "(lambda (a) (input 0))": [],  # a stray lambda is opaque
+        }
+        for text, expected in cases.items():
+            assert [format_expr(c) for c in children(parse_expr(text))] == expected, text

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
+from collections import Counter
 
 import pytest
 
-from patflow import build_graph, estimate_resources, lower_edges
+from patflow import (
+    build_graph,
+    equivalence_check,
+    estimate_resources,
+    lower_edges,
+    simulate_schedule,
+    size_fifos,
+    validate_graph,
+)
 from patflow.errors import NameCollision
 from patflow.fixtures import load_graph, names
 from patflow.graphs import NodeKind
@@ -15,6 +25,8 @@ from patflow.rtl import (
     Assign,
     Instance,
     Port,
+    RBin,
+    RMux,
     RRef,
     RtlDesign,
     RtlModule,
@@ -114,13 +126,112 @@ class TestEdgeModules:
 # Datapath structure
 # ---------------------------------------------------------------------------
 
+def one_node_doc(expr: str, inputs: list, outputs: list) -> dict:
+    """One source per input port feeding compute node ``c``, whose single
+    output port feeds a sink."""
+    nodes = [
+        {"name": f"s{i}", "kind": "source", "width": 8, "outputs": [p]}
+        for i, p in enumerate(inputs)
+    ]
+    nodes.append({"name": "c", "kind": "compute", "width": 8, "expr": expr,
+                  "inputs": inputs, "outputs": outputs})
+    nodes.append({"name": "o", "kind": "sink", "width": 8, "inputs": outputs})
+    edges = [{"from": f"s{i}.0", "to": f"c.{i}"} for i in range(len(inputs))]
+    edges.append({"from": "c.0", "to": "o.0"})
+    return {"meta": {"name": "one", "iterations": 1}, "nodes": nodes, "edges": edges}
+
+
+MUL_SEED = "(foldl (lambda (a b) (add a b)) (mul 2 3) (input 0))"
+INPUT_SEED = "(foldl (lambda (a b) (add a b)) (input 1) (input 0))"
+FOLD_IN_LAMBDA = (
+    "(map (lambda (x) (add x (foldl1 (lambda (a b) (add a b)) (input 1)))) (input 0))"
+)
+
+# Bodies on which the estimate and the RTL once disagreed or failed.
+ODD_BODIES = {
+    "mul-seed-2-phase": one_node_doc(MUL_SEED, [[2, 2]], [[0, 1]]),
+    "mul-seed-1-phase": one_node_doc(MUL_SEED, [[4]], [[1]]),
+    "input-seed": one_node_doc(INPUT_SEED, [[4], [1]], [[1]]),
+    "fold-in-lambda": one_node_doc(FOLD_IN_LAMBDA, [[3], [4]], [[3]]),
+}
+
+
+def wire_op(value) -> str:
+    """The primitive an operator wire of a datapath implements."""
+    if isinstance(value, RBin):
+        return {"+": "add", "-": "sub", "*": "mul"}[value.op]
+    assert isinstance(value, RMux) and value.cond.op == "<"
+    a, b = value.cond.left, value.cond.right
+    if (value.then, value.orelse) == (a, b):
+        return "min"
+    if (value.then, value.orelse) == (b, a):
+        return "max"
+    return "compare"
+
+
+def datapath_ops(design, node: str) -> dict[str, int]:
+    """Operator wires by primitive in ``node``'s datapath module."""
+    (module,) = [
+        m["module"] for m in design.manifest["modules"]
+        if m["role"] == "datapath" and m["subject"] == node
+    ]
+    return dict(Counter(
+        wire_op(a.value) for a in design.modules[module].assigns
+        if re.search(r"_w\d+$", a.target)
+    ))
+
+
+# sha256 over every fixture's sized emission (file names and texts, in
+# sorted order), recorded before the datapath unroller was shared with the
+# estimator; any change to the emitted Verilog shows up here.
+SIZED_EMIT_SHA256 = {
+    "alg1-worked": "00a206af91c3478691bca7f5cef683d8e7fa3cec3277940d63b8cdce58f23a71",
+    "dotp-1010": "649046a5c5d368e1313402ae69380ec7213dd40de3b6c5dc74eb7e33285f339e",
+    "dotp-1x20": "b1625d441fd0581e1ff176d7a072acd0994ca6fd3693511c2d6a537a8a07cb61",
+    "dotp-20": "75bdc6778845a0c24d647a5face210e2cc909d7be750c01a60ef90036680f9c1",
+    "dotp-2261": "a960a5e5d052d150830e503f66cec3cdebf4d0cdaacc5fa3dd0131b47f7defe6",
+    "dotp-5555": "99b8827e64f0fbc8e3a92536adeb244f2bd335a63bd530d67a01547a558f7935",
+    "fig2": "316f70a5f4234dff39af18d4769aa9b1b1beb9046344975d344529a54cfac486",
+    "fold-pipeline": "3586ea4c5348a41e98f339f3c8f6cf596e85fa96c8261cc95470cc0a3a1bfd2b",
+    "moments": "3a12517b08e6307c2b9a75fcae8d28a05de35baf536a2b60d2b75e9ef71fa570",
+    "transform-stage": "d92f75799bc154f54f05d072c8fe1b610e403315f7eb7e97bee52a69307ff9a1",
+}
+
+
 class TestDatapaths:
     def test_multiplier_instances_match_estimate(self):
+        graphs = {name: load_graph(name) for name in names()}
+        for label, doc in ODD_BODIES.items():
+            graphs[label] = build_graph(doc)
+            assert validate_graph(graphs[label]) == [], label
+        for label, g in graphs.items():
+            files = emit_verilog(g)
+            report = estimate_resources(g)
+            stars = sum(text.count("*") for text in files.values())
+            assert stars == report.dsp_count, label
+            design = lower_design(g)
+            for node in g.computes:
+                ops = report.per_node[node.name]["ops"]
+                assert datapath_ops(design, node.name) == ops, (label, node.name)
+
+    def test_constant_fold_seed_is_a_literal(self):
+        for label in ("mul-seed-2-phase", "mul-seed-1-phase"):
+            report = estimate_resources(build_graph(ODD_BODIES[label]))
+            assert report.dsp_count == 0, label
+            assert "mul" not in report.per_node["c"]["ops"], label
+
+    @pytest.mark.parametrize("label", ["input-seed", "fold-in-lambda"])
+    def test_unrolled_bodies_stay_equivalent(self, label):
+        assert equivalence_check(build_graph(ODD_BODIES[label]), 3, iterations=2).ok
+
+    def test_sized_emission_is_pinned(self):
         for name in names():
             g = load_graph(name)
-            files = emit_verilog(g)
-            stars = sum(text.count("*") for text in files.values())
-            assert stars == estimate_resources(g).dsp_count, name
+            files = emit_verilog(g, size_fifos(simulate_schedule(g, 2), g))
+            h = hashlib.sha256()
+            for fname in sorted(files):
+                h.update(fname.encode() + b"\0" + files[fname].encode() + b"\0")
+            assert h.hexdigest() == SIZED_EMIT_SHA256[name], name
 
     def test_fold_datapath_has_accumulator(self):
         files = emit_verilog(load_graph("dotp-1010"))
