@@ -1,9 +1,10 @@
 """Self-timed (ASAP) cycle-accurate scheduling and FIFO sizing.
 
-One shared machine steps the graph cycle by cycle; the schedule view runs it
-on token counts alone, and the value simulator (:mod:`patflow.valuesim`)
-runs the same machine carrying concrete values, so both always agree on
-firing decisions.
+One machine steps the graph cycle by cycle on token counts alone.  Firing
+decisions never read token values, so the schedule view and the value
+simulator (:mod:`patflow.valuesim`) both run it: the value simulator then
+replays concrete values along the firings and occupancy traces it
+recorded, and the two always agree on every firing decision.
 
 Timing semantics
 ----------------
@@ -37,21 +38,18 @@ owes a firing or is mid-firing; the machine keeps a count of those nodes,
 so the test costs O(1) per cycle.
 
 Everything the tables are built from (topological order, adjacency,
-repetition vector, gate tables and, in value mode, datapath plans and
-compiled node logic) comes from the graph's
+repetition vector and gate tables) comes from the graph's
 :class:`~patflow.prepared.PreparedGraph`, computed once per graph; a new
 machine only applies ``gate_offset`` and allocates run-time state.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from io import StringIO
 
-from .errors import Deadlock, FifoOverflow, HorizonExceeded, ShapeMismatch
+from .errors import Deadlock, FifoOverflow, HorizonExceeded
 from .graphs import Graph, NodeKind
-from .lowering import DatapathPlan
 
 __all__ = [
     "Schedule",
@@ -104,63 +102,47 @@ class _NodeRT:
 
     ``cur`` is the phase the node stepped in its latest visit, or -1 if it
     did not step; gate tables are indexed with it, so -1 picks the idle
-    entry.  The remaining fields after ``starts`` are used in value mode
-    only: ``fn`` is the node's compiled per-phase logic, if it has any, and
-    the prefixes are its token offsets per phase (see
-    :class:`patflow.prepared.PreparedGraph`).
+    entry.
     """
 
-    __slots__ = (
-        "spec", "plan", "fn", "owed", "fired", "cur", "starts",
-        "inbufs", "acc", "acc_seeded", "stim", "out_prefix", "in_prefix",
-    )
+    __slots__ = ("spec", "owed", "fired", "cur", "starts")
 
-    def __init__(self, spec, plan: DatapathPlan | None, fn, offsets, owed: int,
-                 starts: list[int]):
+    def __init__(self, spec, owed: int, starts: list[int]):
         self.spec = spec
-        self.plan = plan
-        self.fn = fn
         self.owed = owed
         self.fired = 0
         self.cur = -1
         self.starts = starts
-        self.inbufs: list[list[int]] = []
-        self.acc: int | None = None
-        self.acc_seeded = False
-        self.stim: list[int] | None = None
-        if offsets is not None:
-            self.in_prefix, self.out_prefix = offsets
 
 
 class _EdgeRT:
-    """Run-time state of one buffered edge (an edge into a non-sink node).
+    """Run-time state of one buffered edge (an edge into a non-sink node)."""
 
-    ``port`` is the edge's position among its consumer's input edges.
-    """
-
-    __slots__ = ("spec", "port", "occupancy", "trace", "underflow", "fifo")
+    __slots__ = ("spec", "occupancy", "trace", "underflow")
 
     def __init__(self, spec):
         self.spec = spec
-        self.port = 0
         self.occupancy = 0
         self.trace: list[int] = []
         self.underflow = False
-        self.fifo: deque[int] = deque()
 
 
 class Machine:
-    """Cycle-stepped execution of a graph.
+    """Cycle-stepped execution of a graph on token counts.
 
     ``__init__`` builds step tables from the graph's prepared view, one row
     per non-sink node in topological order: the node's run-time state, its
     last phase, its input edges as ``(edge, producer, gate, cp phases)`` and
-    its output edges as ``(producer port, pp phases, kind, destination)``.
-    Each gate has one entry per producer phase plus the idle entry last,
-    with ``gate_offset`` applied and clamped at 0.  :meth:`run` is a single
-    loop over these rows; counts mode and value mode share it, and value
-    work sits behind ``if values``.  Completion is a count of the nodes that
-    still owe firings, so testing it costs O(1) per cycle.
+    its output edges as ``(pp phases, kind, destination)``.  Each gate has
+    one entry per producer phase plus the idle entry last, with
+    ``gate_offset`` applied and clamped at 0.  :meth:`run` is a single loop
+    over these rows.  Completion is a count of the nodes that still owe
+    firings, so testing it costs O(1) per cycle.
+
+    A run records firing starts and per-cycle occupancy traces; token
+    values play no part in any firing decision, so
+    :func:`patflow.valuesim.simulate_clocked` derives them afterwards from
+    these records.
 
     Not part of the public API surface; use :func:`simulate_schedule` or
     :func:`patflow.valuesim.simulate_clocked`.
@@ -171,21 +153,14 @@ class Machine:
         g: Graph,
         iterations: int,
         *,
-        values: bool = False,
-        stimulus: dict[str, list[list[int]]] | None = None,
         gate_offset: int = 0,
         horizon: int | None = None,
         capacities: dict[str, int] | None = None,
     ):
         if iterations < 0:
             raise ValueError("iterations must be >= 0")
-        self.g = g
-        self.iterations = iterations
-        self.values = values
-        prep = self.prep = g.prepared
+        prep = g.prepared
         reps = prep.reps
-        fns = prep.phase_fns if values else {}
-        offsets = prep.offsets if values else {}
 
         self.starts: dict[str, list[int]] = {
             n: [] for n in g.nodes if g.nodes[n].kind is not NodeKind.SINK
@@ -193,29 +168,18 @@ class Machine:
         self.nodes: dict[str, _NodeRT] = {}
         for name in prep.topo:
             spec = g.nodes[name]
-            if spec.kind is NodeKind.SINK:
-                continue
-            plan = prep.plans[name] if values and spec.kind is NodeKind.COMPUTE else None
-            self.nodes[name] = _NodeRT(
-                spec, plan, fns.get(name), offsets.get(name), reps[name] * iterations,
-                self.starts[name],
-            )
+            if spec.kind is not NodeKind.SINK:
+                self.nodes[name] = _NodeRT(spec, reps[name] * iterations, self.starts[name])
 
         gates = prep.gates
-        self.edges: dict[str, _EdgeRT] = {}
-        self.arrivals: dict[str, list[tuple[int, int]]] = {}
-        for e in g.edges:
-            if g.nodes[e.consumer].kind is NodeKind.SINK:
-                self.arrivals[e.id] = []
-            else:
-                self.edges[e.id] = _EdgeRT(e)
+        self.edges: dict[str, _EdgeRT] = {
+            e.id: _EdgeRT(e) for e in g.edges if g.nodes[e.consumer].kind is not NodeKind.SINK
+        }
 
         self.steps = []
         for name, nrt in self.nodes.items():
             ins = []
-            for port, e in enumerate(prep.ins[name]):
-                ert = self.edges[e.id]
-                ert.port = port
+            for e in prep.ins[name]:
                 # The gate reads the occupancy the cycle started with.  A
                 # source's same-cycle supply is already counted when the
                 # consumer looks, so it is added to the entry of the phase
@@ -228,23 +192,20 @@ class Machine:
                 gate = tuple(
                     max(0, x + gate_offset) + s for x, s in zip(entries, supplied)
                 )
-                ins.append((ert, self.nodes[e.producer], gate, e.cp.phases))
+                ins.append((self.edges[e.id], self.nodes[e.producer], gate, e.cp.phases))
             outs = []
             for port in range(len(nrt.spec.patterns.outputs)):
                 for e in prep.outs.get((name, port), ()):
                     if g.nodes[e.consumer].kind is NodeKind.SINK:
-                        outs.append((port, e.pp.phases, _TO_SINK, self.arrivals[e.id]))
+                        outs.append((e.pp.phases, _TO_SINK, None))
                     else:
                         kind = _SAME_CYCLE if nrt.spec.kind is NodeKind.SOURCE else _NEXT_CYCLE
-                        outs.append((port, e.pp.phases, kind, self.edges[e.id]))
+                        outs.append((e.pp.phases, kind, self.edges[e.id]))
             self.steps.append((nrt, nrt.spec.length - 1, tuple(ins), tuple(outs)))
         caps = capacities or {}
         self.checked = [
             (ert, caps[eid]) for eid, ert in self.edges.items() if caps.get(eid) is not None
         ]
-
-        if values:
-            self._bind_stimulus(stimulus or {})
 
         if horizon is None:
             work = sum(
@@ -255,87 +216,12 @@ class Machine:
             horizon = 4 * iterations * work + 8
         self.horizon_limit = horizon
 
-        self.fold_trace: dict[str, list[int]] = {}
         self.last_sink_cycle: int | None = None
         self.cycles = 0
-
-    # -- setup -------------------------------------------------------------
-
-    def _bind_stimulus(self, stimulus: dict[str, list[list[int]]]) -> None:
-        for src in self.g.sources:
-            vecs = stimulus.get(src.name)
-            if vecs is None:
-                raise ShapeMismatch(f"stimulus missing source '{src.name}'")
-            need = self.nodes[src.name].owed
-            if len(vecs) != need:
-                raise ShapeMismatch(
-                    f"source '{src.name}' needs {need} firing vectors "
-                    f"({self.iterations} iterations), got {len(vecs)}"
-                )
-            per_firing = sum(p.total for p in src.patterns.outputs)
-            for k, v in enumerate(vecs):
-                if len(v) != per_firing:
-                    raise ShapeMismatch(
-                        f"source '{src.name}' firing {k}: expected {per_firing} "
-                        f"tokens, got {len(v)}"
-                    )
-        extra = set(stimulus) - {s.name for s in self.g.sources}
-        if extra:
-            raise ShapeMismatch(f"stimulus for non-source nodes: {sorted(extra)}")
-        self.stimulus = stimulus
-
-    # -- value mode ----------------------------------------------------------
-
-    def _phase_outputs(self, nrt: _NodeRT, ph: int) -> list[list[int]]:
-        """Concrete output tokens per port for this phase (value mode)."""
-        spec = nrt.spec
-        counts = [p.phases[ph] for p in spec.patterns.outputs]
-
-        if spec.kind is NodeKind.SOURCE:
-            # Stimulus vector covers all output ports, port-major.
-            out = []
-            base = 0
-            for port, p in enumerate(spec.patterns.outputs):
-                off = base + nrt.out_prefix[port][ph]
-                out.append(list(nrt.stim[off : off + counts[port]]))
-                base += p.total
-            return out
-
-        plan = nrt.plan
-        assert plan is not None
-        if plan.mode == "fold":
-            lo, hi = nrt.in_prefix[plan.fold_input][ph : ph + 2]
-            acc = nrt.acc
-            seeded = nrt.acc_seeded
-            if ph == 0 and plan.fold_init is not None:
-                acc, seeded = plan.fold_init, True
-            step = nrt.fn
-            for tok in nrt.inbufs[plan.fold_input][lo:hi]:
-                if not seeded:
-                    acc, seeded = tok, True
-                else:
-                    acc = step(acc, tok)
-            nrt.acc, nrt.acc_seeded = acc, seeded
-            self.fold_trace.setdefault(spec.name, []).append(acc if acc is not None else 0)
-            return [[acc] * c if c else [] for c in counts]
-
-        if plan.mode == "elementwise":
-            out = []
-            for port, c in enumerate(counts):
-                lo = nrt.out_prefix[port][ph]
-                scalar = nrt.fn[port]
-                out.append([
-                    scalar([buf[k] for buf in nrt.inbufs]) for k in range(lo, lo + c)
-                ])
-            return out
-
-        # general: single phase, everything is available at once
-        return self.prep.firing_outputs(spec.name, [tuple(buf) for buf in nrt.inbufs])
 
     # -- stepping ------------------------------------------------------------
 
     def run(self) -> "Machine":
-        values = self.values
         limit = self.horizon_limit
         steps = self.steps
         checked = self.checked
@@ -343,8 +229,7 @@ class Machine:
         # when none are left.  Tokens from compute nodes wait in ``pending``
         # until the end of the cycle, so none are in flight at this test.
         remaining = sum(1 for nrt in self.nodes.values() if nrt.owed)
-        pending: list[tuple[_EdgeRT, int, list[int] | None]] = []
-        out_vals: list[list[int]] = []
+        pending: list[tuple[_EdgeRT, int]] = []
         t = 0
         while remaining:
             if t >= limit:
@@ -369,11 +254,6 @@ class Machine:
                     if ph < 0:
                         continue
                     nrt.starts.append(t)
-                    if values:
-                        nrt.inbufs = [[] for _ in nrt.spec.patterns.inputs]
-                        nrt.acc, nrt.acc_seeded = None, False
-                        if nrt.spec.kind is NodeKind.SOURCE:
-                            nrt.stim = self.stimulus[nrt.spec.name][nrt.fired]
                 nrt.cur = ph
                 stepped = True
 
@@ -387,38 +267,25 @@ class Machine:
                     else:
                         ert.occupancy = 0
                         ert.underflow = True
-                    if values:
-                        fifo = ert.fifo
-                        vals = [fifo.popleft() for _ in range(min(c, occ, len(fifo)))]
-                        vals += [0] * (c - len(vals))
-                        nrt.inbufs[ert.port].extend(vals)
 
-                if values:
-                    out_vals = self._phase_outputs(nrt, ph)
-                for port, pp, kind, dest in outs:
+                for pp, kind, dest in outs:
                     c = pp[ph]
                     if not c:
                         continue
                     if kind == _NEXT_CYCLE:
-                        pending.append((dest, c, out_vals[port] if values else None))
+                        pending.append((dest, c))
                     elif kind == _SAME_CYCLE:
                         dest.occupancy += c
-                        if values:
-                            dest.fifo.extend(out_vals[port])
                     else:
                         self.last_sink_cycle = t
-                        if values:
-                            dest.extend((t, v) for v in out_vals[port])
 
                 if ph >= last:
                     nrt.fired += 1
                     if nrt.fired == nrt.owed:
                         remaining -= 1
 
-            for ert, c, vals in pending:
+            for ert, c in pending:
                 ert.occupancy += c
-                if values:
-                    ert.fifo.extend(vals)
             pending.clear()
             for ert, cap in checked:
                 if ert.occupancy > cap:
@@ -480,9 +347,7 @@ def simulate_schedule(
         iterations = g.iterations
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    m = Machine(
-        g, iterations, values=False, horizon=horizon, gate_offset=gate_offset
-    ).run()
+    m = Machine(g, iterations, horizon=horizon, gate_offset=gate_offset).run()
     return Schedule(
         graph=g.name,
         iterations=iterations,

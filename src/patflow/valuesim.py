@@ -5,15 +5,18 @@ Two executions of the same graph:
 * :func:`eval_combinational` ignores time entirely.  Every node fires its
   full repetition count in topological order, consuming and producing whole
   token streams.  This is the functional meaning of the graph.
-* :func:`simulate_clocked` drives the cycle-accurate machine from
-  :mod:`patflow.schedule` with concrete values, so every firing decision is
-  the one the generated hardware would take.
+* :func:`simulate_clocked` first runs the counts-only machine of
+  :mod:`patflow.schedule`, which fixes every firing exactly as the
+  generated hardware would take it, and then replays concrete values along
+  those firings: node by node, each consumer takes as many real tokens as
+  the recorded occupancy trace says were waiting in its FIFO, and pads the
+  rest of an underflowing read with zeros.
 
 Both read the graph's :class:`~patflow.prepared.PreparedGraph`: rates,
 adjacency and compiled node bodies are derived once per graph, not once per
 run.  A whole firing is evaluated by one helper,
-:meth:`~patflow.prepared.PreparedGraph.firing_outputs`, which the machine
-also uses for single-phase nodes.
+:meth:`~patflow.prepared.PreparedGraph.firing_outputs`, which the replay
+also uses for single-phase nodes.  Both check the stimulus the same way.
 
 :func:`equivalence_check` runs both on random stimulus and compares the
 token streams delivered to each sink input.  With ``gate_offset=0`` the two
@@ -26,9 +29,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import ShapeMismatch
-from .graphs import Graph, NodeKind
+from .graphs import Graph, NodeKind, NodeSpec
+from .prepared import PreparedGraph
 from .schedule import Machine
 
 __all__ = [
@@ -76,7 +81,8 @@ def _stimulus_iterations(
 ) -> int:
     """The iteration count the stimulus holds, checked against
     ``iterations`` when that is given (default 1 for a graph without
-    sources)."""
+    sources).  Every firing vector must hold one firing's tokens, and only
+    sources take stimulus."""
     reps = g.prepared.reps
     counts = set()
     for src in g.sources:
@@ -96,11 +102,24 @@ def _stimulus_iterations(
         )
     inferred = counts.pop() if counts else None
     if iterations is None:
-        return inferred if inferred is not None else 1
-    if inferred is not None and inferred != iterations:
+        iterations = inferred if inferred is not None else 1
+    elif inferred is not None and inferred != iterations:
         raise ShapeMismatch(
             f"stimulus holds {inferred} iterations, {iterations} requested"
         )
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    for src in g.sources:
+        per_firing = sum(p.total for p in src.patterns.outputs)
+        for k, v in enumerate(stimulus[src.name]):
+            if len(v) != per_firing:
+                raise ShapeMismatch(
+                    f"source '{src.name}' firing {k}: expected {per_firing} "
+                    f"tokens, got {len(v)}"
+                )
+    extra = set(stimulus) - {s.name for s in g.sources}
+    if extra:
+        raise ShapeMismatch(f"stimulus for non-source nodes: {sorted(extra)}")
     return iterations
 
 
@@ -191,7 +210,8 @@ def simulate_clocked(
     horizon: int | None = None,
     capacities: dict[str, int] | None = None,
 ) -> SimResult:
-    """Cycle-accurate run carrying concrete token values.
+    """Cycle-accurate run with concrete token values: the counts-only
+    machine fixes every firing, then the values are replayed along them.
 
     Raises :class:`~patflow.errors.FifoOverflow` when ``capacities`` are
     supplied and any FIFO exceeds its allocation; records (rather than
@@ -200,28 +220,137 @@ def simulate_clocked(
     """
     stimulus = stimulus or {}
     iterations = _stimulus_iterations(g, stimulus, iterations)
+    # Plans and node logic are derived before the run, so a body that
+    # cannot be planned or compiled fails ahead of any scheduling error.
+    fns = g.prepared.phase_fns
     m = Machine(
-        g,
-        iterations,
-        values=True,
-        stimulus=stimulus,
-        gate_offset=gate_offset,
-        horizon=horizon,
-        capacities=capacities,
+        g, iterations, gate_offset=gate_offset, horizon=horizon, capacities=capacities
     ).run()
-    merged: dict[str, list[tuple[int, int]]] = {n.name: [] for n in g.sinks}
+    return _replay(g, m, stimulus, fns)
+
+
+def _replay(
+    g: Graph, m: Machine, stimulus: dict[str, list[list[int]]], fns: dict
+) -> SimResult:
+    """Concrete values along the firings of a finished counts-only run.
+
+    Nodes are replayed in topological order, one firing after another.  At
+    firing start ``s`` and phase ``ph`` a consumer takes ``min(c,
+    trace[s + ph])`` real tokens from the head of its producer's stream,
+    ``c`` being its input pattern's count, and pads the rest with zeros:
+    the occupancy trace says how many tokens were waiting in the FIFO.
+    Tokens delivered to a sink are stamped with the cycle ``s + ph``.
+    """
+    prep = g.prepared
+    streams: dict[tuple[str, int], list[int]] = {}
+    edge_arrivals: dict[str, list[tuple[int, int]]] = {
+        e.id: [] for e in g.edges if g.nodes[e.consumer].kind is NodeKind.SINK
+    }
+    fold_trace: dict[str, list[int]] = {}
+    for name in prep.topo:
+        spec = g.nodes[name]
+        if spec.kind is NodeKind.SINK:
+            continue
+        ins = [
+            (streams[e.producer, e.producer_port], m.edges[e.id].trace, e.cp.phases)
+            for e in prep.ins[name]
+        ]
+        cursors = [0] * len(ins)
+        outs = []
+        for port, p in enumerate(spec.patterns.outputs):
+            stream = streams[name, port] = []
+            sinks = [
+                edge_arrivals[e.id]
+                for e in prep.outs.get((name, port), ())
+                if e.id in edge_arrivals
+            ]
+            outs.append((p.phases, stream, sinks))
+        for k, s in enumerate(m.starts[name]):
+            bufs = []
+            for i, (stream, trace, cp) in enumerate(ins):
+                cur = cursors[i]
+                buf: list[int] = []
+                for ph, c in enumerate(cp):
+                    if c:
+                        n = min(c, trace[s + ph])
+                        buf += stream[cur : cur + n]
+                        buf += [0] * (c - n)
+                        cur += n
+                cursors[i] = cur
+                bufs.append(buf)
+            phases = _firing_phases(prep, spec, fns, bufs, stimulus, k, fold_trace)
+            for ph, vals in enumerate(phases):
+                for (pp, stream, sinks), v in zip(outs, vals):
+                    if pp[ph]:
+                        stream += v
+                        for arrivals in sinks:
+                            arrivals.extend((s + ph, x) for x in v)
+
+    merged: dict[str, list[tuple[int, int]]] = {}
     for sink in g.sinks:
-        for e in g.prepared.ins[sink.name]:
-            merged[sink.name].extend(m.arrivals[e.id])
+        merged[sink.name] = [tv for e in prep.ins[sink.name] for tv in edge_arrivals[e.id]]
         merged[sink.name].sort(key=lambda tv: tv[0])
     return SimResult(
         arrivals=merged,
-        edge_arrivals={k: list(v) for k, v in m.arrivals.items()},
+        edge_arrivals=edge_arrivals,
         cycles=m.cycles,
         firing_starts={k: list(v) for k, v in m.starts.items()},
         underflow_edges=m.underflows(),
-        fold_trace={k: list(v) for k, v in m.fold_trace.items()},
+        # In the order the nodes first fired, as a clocked run records them.
+        fold_trace=dict(sorted(fold_trace.items(), key=lambda kv: m.starts[kv[0]][0])),
     )
+
+
+def _firing_phases(
+    prep: PreparedGraph,
+    spec: NodeSpec,
+    fns: dict,
+    bufs: list[list[int]],
+    stimulus: dict[str, list[list[int]]],
+    k: int,
+    fold_trace: dict[str, list[int]],
+) -> list[list[list[int]]]:
+    """Output tokens per phase and port of ``spec``'s firing ``k``, given
+    its whole input per port in ``bufs``.  A fold appends its accumulator
+    after every phase to ``fold_trace``."""
+    in_prefix, out_prefix = prep.offsets[spec.name]
+    counts = [p.phases for p in spec.patterns.outputs]
+    phases = range(spec.length)
+    if spec.kind is NodeKind.SOURCE:
+        # The firing vector covers all output ports, port-major.
+        vec = stimulus[spec.name][k]
+        bases = [0, *accumulate(p.total for p in spec.patterns.outputs)]
+        return [
+            [vec[b + off[ph] : b + off[ph + 1]] for b, off in zip(bases, out_prefix)]
+            for ph in phases
+        ]
+    plan = prep.plans[spec.name]
+    fn = fns.get(spec.name)
+    if plan.mode == "fold":
+        acc, seeded = (plan.fold_init, True) if plan.fold_init is not None else (None, False)
+        offs = in_prefix[plan.fold_input]
+        buf = bufs[plan.fold_input]
+        trace = fold_trace.setdefault(spec.name, [])
+        out = []
+        for ph in phases:
+            for tok in buf[offs[ph] : offs[ph + 1]]:
+                if not seeded:
+                    acc, seeded = tok, True
+                else:
+                    acc = fn(acc, tok)
+            trace.append(acc if acc is not None else 0)
+            out.append([[acc] * c[ph] for c in counts])
+        return out
+    if plan.mode == "elementwise":
+        return [
+            [
+                [scalar([b[j] for b in bufs]) for j in range(off[ph], off[ph + 1])]
+                for scalar, off in zip(fn, out_prefix)
+            ]
+            for ph in phases
+        ]
+    # general: single phase, everything is available at once
+    return [prep.firing_outputs(spec.name, [tuple(b) for b in bufs])]
 
 
 def equivalence_check(

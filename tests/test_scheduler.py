@@ -212,6 +212,11 @@ class TestFailureModes:
         m.run()
         assert m.underflows() == ["zw.0->fl.0"]
 
+    @pytest.mark.parametrize("kwarg", [{"values": True}, {"stimulus": {}}])
+    def test_machine_counts_only(self, kwarg):
+        with pytest.raises(TypeError):
+            Machine(load_graph("fig2"), 1, **kwarg)
+
     def test_correct_gates_never_underflow(self):
         from patflow.fixtures import names
 

@@ -16,7 +16,7 @@ from patflow import (
     simulate_clocked,
     simulate_schedule,
 )
-from patflow.errors import FifoOverflow, ShapeMismatch
+from patflow.errors import FifoOverflow, PatflowError, ShapeMismatch
 from patflow.fixtures import load_graph, names
 
 
@@ -102,11 +102,20 @@ class TestStimulus:
             ({"xs": [[1] * 5], "ys": [[1] * 6]}, "expected 6 tokens, got 5"),
             ({"xs": [[1] * 6], "ys": [[1] * 6, [2] * 6]}, "iteration count"),
             ({"xs": [[1] * 6], "ys": [[1] * 6], "zw": [[1]]}, "non-source"),
+            ({"xs": [[1] * 7], "ys": [[1] * 6]}, "expected 6 tokens, got 7"),
         ],
     )
     def test_malformed_stimulus(self, stim, message):
-        with pytest.raises(ShapeMismatch, match=message):
-            simulate_clocked(load_graph("fold-pipeline"), stim)
+        g = load_graph("fold-pipeline")
+        for simulate in (simulate_clocked, eval_combinational):
+            with pytest.raises(ShapeMismatch, match=message):
+                simulate(g, stim)
+
+    def test_negative_iterations_rejected(self):
+        g = load_graph("fig2")
+        for simulate in (simulate_clocked, eval_combinational):
+            with pytest.raises(ValueError, match="iterations must be >= 0"):
+                simulate(g, {"p": [[1]]}, iterations=-1)
 
     def test_random_stimulus_shape(self):
         g = load_graph("fold-pipeline")
@@ -246,3 +255,55 @@ class TestPinnedReports:
 
     def test_every_fixture_is_pinned(self):
         assert sorted(REPORT_DIGESTS) == names()
+
+
+# Digest of every result ``_sim_digest`` makes, recorded from the machine
+# that carried token values through its FIFOs cycle by cycle.
+SIM_DIGESTS = {
+    "alg1-worked": "15bb6fdc961738e0",
+    "dotp-1010": "f2e6a3bd0e88fb2c",
+    "dotp-1x20": "7ad661919cae3074",
+    "dotp-20": "f71cb3ebe3785f59",
+    "dotp-2261": "ddacc9456f2230fa",
+    "dotp-5555": "86278cd3be9732a9",
+    "fig2": "875f22074dd6d8ee",
+    "fold-pipeline": "bc65c5a1a6252b7b",
+    "moments": "7fbd6355cf15f211",
+    "transform-stage": "0bb9b2217f868672",
+}
+
+
+def _sim_digest(name: str) -> str:
+    """Full ``simulate_clocked`` results (arrivals with their cycles, edge
+    arrivals, fold traces, underflows, cycles and firing starts) on seeded
+    stimulus at iterations 1 and 3 and gate offsets -2, -1 and 0, hashed.
+    A run that raises contributes its exception type and message."""
+    g = load_graph(name)
+    h = hashlib.sha256()
+    for iterations in (1, 3):
+        stim = random_stimulus(g, iterations, seed=11)
+        for offset in (-2, -1, 0):
+            try:
+                r = simulate_clocked(g, stim, iterations=iterations, gate_offset=offset)
+            except PatflowError as exc:
+                record = [type(exc).__name__, str(exc)]
+            else:
+                record = [
+                    list(r.arrivals.items()),
+                    list(r.edge_arrivals.items()),
+                    list(r.fold_trace.items()),
+                    r.underflow_edges,
+                    r.cycles,
+                    list(r.firing_starts.items()),
+                ]
+            h.update(json.dumps(record).encode())
+    return h.hexdigest()[:16]
+
+
+class TestPinnedSimResults:
+    @pytest.mark.parametrize("name", names())
+    def test_results_are_unchanged(self, name):
+        assert _sim_digest(name) == SIM_DIGESTS[name]
+
+    def test_every_fixture_is_pinned(self):
+        assert sorted(SIM_DIGESTS) == names()
