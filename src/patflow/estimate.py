@@ -3,10 +3,9 @@
 The estimator prices exactly what :mod:`patflow.rtl` will instantiate:
 
 * one DSP (multiplier) per ``mul`` operator instance in a node's datapath;
-  the plan's operator counts come from the same unroll
-  (:func:`patflow.lowering.unroll`) that emits the RTL's operator wires, so
-  a constant ``foldl`` seed is a literal with no operator and no DSP, and a
-  seed that reads an input is unrolled and counted,
+  the plan counts its operators over the netlists the RTL renders wire by
+  wire, where any constant subexpression is already a literal with no
+  operator and no DSP,
 * register bits for pipeline stages, register-flavored FIFOs, fold
   accumulators and per-node phase counters,
 * memory bits for FIFOs deeper than

@@ -47,13 +47,10 @@ from .errors import (
     UnknownNode,
 )
 from .exprs import (
-    Const,
     Expr,
     Foldl,
     Foldl1,
     InputRef,
-    Let,
-    PrimOp,
     Scalar,
     Shape,
     TupleShape,
@@ -383,11 +380,6 @@ def root_fold(e: Expr) -> Foldl | Foldl1 | None:
     return e if isinstance(e, (Foldl, Foldl1)) else None
 
 
-def _const_only(e: Expr) -> bool:
-    # An expression that can be computed at compile time: no inputs, no HOFs.
-    return isinstance(e, (Const, PrimOp, Let)) and all(_const_only(c) for c in children(e))
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -472,7 +464,9 @@ def _validate_compute_body(node: NodeSpec, out: list[Diagnostic]) -> None:
                 "a fold spread over a multi-phase firing must reduce an input "
                 "port directly; its internal state cannot be split otherwise",
             )
-        if isinstance(fold, Foldl) and not _const_only(fold.init):
+        from .lowering import seed_literal
+
+        if isinstance(fold, Foldl) and seed_literal(node, fold.init) is None:
             _diag(
                 out,
                 "FoldNotAtRoot",

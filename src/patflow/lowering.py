@@ -14,15 +14,15 @@ A fold spread over several phases additionally keeps its running value in an
 accumulator register.  ``foldl1`` over an operator with a known identity
 (``add``/``max`` with 0, ``mul`` with 1) is normalized to ``foldl`` of that
 identity so every fold lowers to the same seeded chain of ``n`` operator
-instances per phase.  A ``foldl`` seed that is a compile-time constant is a
-literal (no operator); a seed that reads an input is unrolled.
+instances per phase.
 
-One unroller, :func:`unroll`, turns bodies into operator instances.  The
-RTL lowering runs it to emit one wire per instance, and
-:func:`lower_hof_node` runs it over the same per-mode structure to fill
-``DatapathPlan.op_counts``, so the estimate counts exactly what the RTL
-instantiates.  Evaluation stays on :func:`~patflow.exprs.compile_expr`, the
-functional reference the equivalence check compares against.
+:func:`lower_hof_node` unrolls each body once, into the netlists of its
+plan: one operator instance per primitive application, where an operator on
+two literals folds into a literal, so any constant subexpression, a
+``foldl`` seed included, costs no operator.  The RTL renders one wire per
+instance and the estimator counts them, so both see the same hardware.
+Evaluation stays on :func:`~patflow.exprs.compile_expr`, the functional
+reference the equivalence check compares against.
 
 Edges
 -----
@@ -41,7 +41,10 @@ becomes a memory array.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 from .errors import CapacityMissing, UnsupportedExpr
 from .exprs import (
@@ -58,10 +61,10 @@ from .exprs import (
     Var,
     ZipWith,
     InputRef,
-    eval_expr,
+    apply_prim,
     scalarize,
 )
-from .graphs import EdgeSpec, Graph, NodeKind, NodeSpec, _const_only, root_fold
+from .graphs import EdgeSpec, Graph, NodeKind, NodeSpec, root_fold
 from .patterns import (
     FiringThresholds,
     compute_fifo_thresholds,
@@ -71,10 +74,12 @@ from .patterns import (
 __all__ = [
     "REGISTER_FIFO_MAX",
     "FOLD_IDENTITY",
+    "Wire",
+    "Netlist",
     "DatapathPlan",
     "lower_hof_node",
+    "seed_literal",
     "unroll",
-    "apply_lambda",
     "EdgeLowering",
     "lower_edges",
     "edge_gate_table",
@@ -98,6 +103,22 @@ def counter_bits(limit: int) -> int:
 # Node plans
 
 
+class Wire(NamedTuple):
+    """An operand: the result of operator instance ``index`` of its netlist."""
+
+    index: int
+
+
+class Netlist(NamedTuple):
+    """One ``(op, a, b)`` per operator instance, in the RTL's assign order,
+    and the output words per output port.  An operand is a :class:`Wire`, a
+    literal ``int``, an input word ``(port, k)``, or a fold datapath's
+    register ``"acc_q"``, ``"carry"`` or ``"stage0"``."""
+
+    ops: tuple[tuple[str, object, object], ...]
+    outs: tuple[tuple[object, ...], ...]
+
+
 @dataclass(frozen=True)
 class DatapathPlan:
     """How one compute node's body becomes a datapath.
@@ -114,8 +135,10 @@ class DatapathPlan:
         Parallel copies of the per-element logic (the patterns' shared n).
     phases : int
         Firing length in cycles.
-    op_counts : dict
-        Total operator instances by primitive name, e.g. ``{"mul": 5}``.
+    netlists : tuple of Netlist
+        Elementwise: one per output port and lane, port-major.  Fold: the
+        chain of ``lanes`` lambda applications, after the first application
+        on its own if the fold is unseeded.  General: the whole body.
     accumulator_width : int or None
         Width of the fold accumulator register, if one exists.
     fold_fn, fold_init, fold_input :
@@ -129,26 +152,29 @@ class DatapathPlan:
     mode: str
     lanes: int
     phases: int
-    op_counts: dict[str, int]
+    netlists: tuple[Netlist, ...]
     accumulator_width: int | None = None
     fold_fn: Lambda | None = None
     fold_init: int | None = None
     fold_input: int = 0
     scalar_exprs: tuple[Expr, ...] = field(default_factory=tuple)
 
+    @property
+    def op_counts(self) -> dict[str, int]:
+        """Operator instances by primitive name, e.g. ``{"mul": 5}``."""
+        return dict(Counter(op for net in self.netlists for op, _, _ in net.ops))
 
-def normalized_fold(e: Foldl | Foldl1, width: int):
+
+def normalized_fold(e: Foldl | Foldl1):
     """Return ``(fn, seed, vec)`` for a fold.
 
-    A ``foldl`` seed that is a compile-time constant becomes its value, a
-    literal; any other seed stays an expression.  ``foldl1`` whose lambda is
-    a bare identity-bearing primitive becomes a fold seeded with that
+    A ``foldl`` keeps its seed expression.  ``foldl1`` whose lambda is a
+    bare identity-bearing primitive becomes a fold seeded with that
     identity; other ``foldl1`` get ``seed = None`` (seed from the first
     element, with the first operator instance bypassed in phase 0).
     """
     if isinstance(e, Foldl):
-        init = eval_expr(e.init, [], width) if _const_only(e.init) else e.init
-        return e.fn, init, e.vec
+        return e.fn, e.init, e.vec
     body = e.fn.body
     if (
         isinstance(body, PrimOp)
@@ -162,14 +188,33 @@ def normalized_fold(e: Foldl | Foldl1, width: int):
 # ---------------------------------------------------------------------------
 # Unrolling
 #
-# ``unroll`` turns an expression into one operator instance per primitive
-# application.  What an instance is belongs to ``emit``, which has the
-# element ``width`` and two methods: ``prim(op, a, b)`` makes one operator
-# instance and returns its value, ``lit(value)`` makes a constant.  The RTL
-# lowering's emit makes one wire per instance; the plan's emit counts them,
-# so ``DatapathPlan.op_counts`` is the number of wires by construction.
-# Values are whatever ``emit`` returns, or lists of them (vectors and the
-# items of a ``tuple``).
+# ``unroll`` records one operator instance per primitive application.  Its
+# values are operands (see ``Netlist``) or lists of them (vectors, tuples).
+
+
+class _Recorder:
+    """Records one ``(op, a, b)`` per operator instance; an operator whose
+    operands are both literals becomes a literal instead.  :meth:`take`
+    ends one netlist and starts the next."""
+
+    def __init__(self, width: int):
+        self.mask = (1 << width) - 1
+        self.ops: list[tuple[str, object, object]] = []
+
+    def lit(self, value: int) -> int:
+        return value & self.mask
+
+    def prim(self, op: str, a, b):
+        if isinstance(a, int) and isinstance(b, int):
+            return apply_prim(op, a, b, self.mask)
+        self.ops.append((op, a, b))
+        return Wire(len(self.ops) - 1)
+
+    def take(self, *outs) -> Netlist:
+        """The instances recorded so far, with one output value per port."""
+        net = Netlist(tuple(self.ops), tuple(tuple(_as_vector(v)) for v in outs))
+        self.ops = []
+        return net
 
 
 def _as_scalar(v):
@@ -184,76 +229,73 @@ def _as_vector(v) -> list:
     return v if isinstance(v, list) else [v]
 
 
-def unroll(e: Expr, env: dict, inputs: list, emit):
-    """Unroll ``e`` over ``inputs`` (one value per input port) through ``emit``."""
+def unroll(e: Expr, env: dict, inputs: list, rec: _Recorder):
+    """Unroll ``e`` over ``inputs`` (one value per input port) into ``rec``."""
     if isinstance(e, InputRef):
         return inputs[e.index]
     if isinstance(e, Const):
-        return emit.lit(e.value)
+        return rec.lit(e.value)
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, PrimOp):
-        a, b = (_as_scalar(unroll(x, env, inputs, emit)) for x in e.args)
-        return emit.prim(e.op, a, b)
+        a, b = (_as_scalar(unroll(x, env, inputs, rec)) for x in e.args)
+        return rec.prim(e.op, a, b)
     if isinstance(e, Map):
-        vec = _as_vector(unroll(e.vec, env, inputs, emit))
-        return [apply_lambda(e.fn, [x], env, inputs, emit) for x in vec]
+        vec = _as_vector(unroll(e.vec, env, inputs, rec))
+        return [_apply_lambda(e.fn, [x], env, inputs, rec) for x in vec]
     if isinstance(e, ZipWith):
-        left = _as_vector(unroll(e.left, env, inputs, emit))
-        right = _as_vector(unroll(e.right, env, inputs, emit))
-        return [apply_lambda(e.fn, [x, y], env, inputs, emit) for x, y in zip(left, right)]
+        left = _as_vector(unroll(e.left, env, inputs, rec))
+        right = _as_vector(unroll(e.right, env, inputs, rec))
+        return [_apply_lambda(e.fn, [x, y], env, inputs, rec) for x, y in zip(left, right)]
     if isinstance(e, (Foldl, Foldl1)):
-        fn, seed, vec_expr = normalized_fold(e, emit.width)
-        vec = _as_vector(unroll(vec_expr, env, inputs, emit))
+        fn, seed, vec_expr = normalized_fold(e)
+        vec = _as_vector(unroll(vec_expr, env, inputs, rec))
         if seed is None:
             acc, vec = _as_scalar(vec[0]), vec[1:]
-        elif isinstance(seed, int):
-            acc = emit.lit(seed)
         else:
-            acc = _as_scalar(unroll(seed, env, inputs, emit))
+            acc = seed if isinstance(seed, int) else _as_scalar(unroll(seed, env, inputs, rec))
         for x in vec:
-            acc = apply_lambda(fn, [acc, x], env, inputs, emit)
+            acc = _apply_lambda(fn, [acc, x], env, inputs, rec)
         return acc
     if isinstance(e, Let):
         inner = dict(env)
         for name, bound in e.bindings:
-            inner[name] = unroll(bound, inner, inputs, emit)
-        return unroll(e.body, inner, inputs, emit)
+            inner[name] = unroll(bound, inner, inputs, rec)
+        return unroll(e.body, inner, inputs, rec)
     if isinstance(e, Tuple):
-        return [unroll(i, env, inputs, emit) for i in e.items]
+        return [unroll(i, env, inputs, rec) for i in e.items]
     if isinstance(e, Proj):
-        return unroll(e.tup, env, inputs, emit)[e.index]
+        return unroll(e.tup, env, inputs, rec)[e.index]
     raise UnsupportedExpr(f"cannot lower {type(e).__name__} to hardware")
 
 
-def apply_lambda(fn: Lambda, args: list, env: dict, inputs: list, emit):
+def _apply_lambda(fn: Lambda, args: list, env: dict, inputs: list, rec: _Recorder):
     """Unroll one application of ``fn`` to ``args``; return its scalar value."""
     inner = dict(env)
     for name, val in zip(fn.params, args):
         inner[name] = _as_scalar(val)
-    return _as_scalar(unroll(fn.body, inner, inputs, emit))
+    return _as_scalar(unroll(fn.body, inner, inputs, rec))
 
 
-class _OpCounter:
-    """An ``emit`` that only counts operator instances by primitive name."""
+def _input_words(node: NodeSpec) -> list[list[tuple[int, int]]]:
+    """Every word of one firing's input, as a vector per input port."""
+    return [[(i, k) for k in range(p.total)] for i, p in enumerate(node.patterns.inputs)]
 
-    def __init__(self, width: int):
-        self.width = width
-        self.counts: dict[str, int] = {}
 
-    def prim(self, op: str, a, b) -> None:
-        self.counts[op] = self.counts.get(op, 0) + 1
-
-    def lit(self, value: int) -> None:
-        return None
+def seed_literal(node: NodeSpec, seed: Expr) -> int | None:
+    """The literal a fold seed of ``node`` unrolls to, or None when the
+    seed is not a compile-time constant."""
+    value = unroll(seed, {}, _input_words(node), _Recorder(node.width))
+    return value if isinstance(value, int) else None
 
 
 def lower_hof_node(node: NodeSpec) -> DatapathPlan:
     """Plan the datapath of one validated compute node.
 
-    ``op_counts`` comes from unrolling the same structure the RTL builds:
-    ``lanes`` applications of a fold's lambda, ``lanes`` copies of each
-    elementwise scalar expression, or the whole single-phase body.
+    The body is unrolled here, once, into the netlists the RTL renders and
+    ``op_counts`` counts: ``lanes`` applications of a fold's lambda,
+    ``lanes`` copies of each elementwise scalar expression, or the whole
+    single-phase body.
 
     Raises
     ------
@@ -268,7 +310,8 @@ def lower_hof_node(node: NodeSpec) -> DatapathPlan:
     out_values = [p.value for p in node.patterns.outputs]
     lanes = max(in_values) if in_values else max(out_values)
     phases = node.length
-    counter = _OpCounter(node.width)
+    plan = partial(DatapathPlan, node=node.name, lanes=lanes, phases=phases)
+    rec = _Recorder(node.width)
 
     if phases > 1:
         fold = root_fold(node.body)
@@ -277,47 +320,34 @@ def lower_hof_node(node: NodeSpec) -> DatapathPlan:
                 raise UnsupportedExpr(
                     f"node '{node.name}': multi-phase fold must reduce an input port"
                 )
-            fn, init, vec = normalized_fold(fold, node.width)
+            fn, init, vec = normalized_fold(fold)
             if isinstance(init, Expr):
-                raise UnsupportedExpr(
-                    f"node '{node.name}': multi-phase fold seed must be a constant"
-                )
-            for _ in range(lanes):
-                apply_lambda(fn, [None, None], {}, [], counter)
-            return DatapathPlan(
-                node=node.name,
-                mode="fold",
-                lanes=lanes,
-                phases=phases,
-                op_counts=counter.counts,
-                accumulator_width=node.width,
-                fold_fn=fn,
-                fold_init=init,
-                fold_input=vec.index,
-            )
+                init = seed_literal(node, init)
+                if init is None:
+                    raise UnsupportedExpr(
+                        f"node '{node.name}': multi-phase fold seed must be a constant"
+                    )
+            tokens = [(vec.index, k) for k in range(lanes)]
+            netlists, acc = [], "carry"
+            if init is None:
+                netlists.append(rec.take(_apply_lambda(fn, ["acc_q", tokens[0]], {}, [], rec)))
+                acc, tokens = "stage0", tokens[1:]
+            for tok in tokens:
+                acc = _apply_lambda(fn, [acc, tok], {}, [], rec)
+            netlists.append(rec.take(acc))
+            return plan(mode="fold", netlists=tuple(netlists), accumulator_width=node.width,
+                        fold_fn=fn, fold_init=init, fold_input=vec.index)
         exprs = tuple(scalarize(node.body))
-        inputs = [None] * len(in_values)
-        for s in exprs:
-            for _ in range(lanes):
-                unroll(s, {}, inputs, counter)
-        return DatapathPlan(
-            node=node.name,
-            mode="elementwise",
-            lanes=lanes,
-            phases=phases,
-            op_counts=counter.counts,
-            scalar_exprs=exprs,
+        netlists = tuple(
+            rec.take(unroll(s, {}, [(i, lane) for i in range(len(in_values))], rec))
+            for s in exprs
+            for lane in range(lanes)
         )
+        return plan(mode="elementwise", netlists=netlists, scalar_exprs=exprs)
 
-    inputs = [[None] * p.total for p in node.patterns.inputs]
-    unroll(node.body, {}, inputs, counter)
-    return DatapathPlan(
-        node=node.name,
-        mode="general",
-        lanes=lanes,
-        phases=phases,
-        op_counts=counter.counts,
-    )
+    result = unroll(node.body, {}, _input_words(node), rec)
+    values = result if len(out_values) > 1 else [result]
+    return plan(mode="general", netlists=(rec.take(*values),))
 
 
 # ---------------------------------------------------------------------------

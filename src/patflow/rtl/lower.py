@@ -8,9 +8,10 @@ Hardware shape
   and may run back to back.
 * ``<node>_datapath``: pure per-phase logic.  Elementwise bodies become
   parallel lanes, folds become a chain of operator instances ending in an
-  accumulator register, and single-phase bodies unroll completely.  Every
-  primitive operator application is one named wire, made by the same
-  :func:`~patflow.lowering.unroll` the estimator counts with.
+  accumulator register (which holds through a phase that reads no token),
+  and single-phase bodies unroll completely.  Each operator instance of the
+  plan's netlists (:class:`~patflow.lowering.Netlist`), which the estimator
+  counts, is one named wire.
 * ``<edge>_fifo`` / ``<edge>_fifo_ctrl``: token storage plus the firing
   threshold table for the edge.  The controller compares the registered
   (cycle-start) occupancy against the threshold selected by the producer's
@@ -28,16 +29,9 @@ from __future__ import annotations
 
 import re
 
-from ..errors import NameCollision, UnsupportedExpr
+from ..errors import NameCollision
 from ..graphs import Graph, NodeKind, NodeSpec
-from ..lowering import (
-    DatapathPlan,
-    EdgeLowering,
-    apply_lambda,
-    counter_bits,
-    lower_edges,
-    unroll,
-)
+from ..lowering import DatapathPlan, EdgeLowering, Netlist, Wire, counter_bits, lower_edges
 from .ir import (
     AlwaysFF,
     Assign,
@@ -96,45 +90,40 @@ def _table_mux(sel: RExpr, values: list[RExpr], default: RExpr) -> RExpr:
 
 
 # ---------------------------------------------------------------------------
-# Expression materialization (one wire per operator application)
+# Netlist rendering (one wire per operator instance)
+
+# The operator each primitive becomes, given its operands and the width.
+_PRIMS = {
+    "add": lambda a, b, w: RBin("+", a, b),
+    "sub": lambda a, b, w: RBin("-", a, b),
+    "mul": lambda a, b, w: RBin("*", a, b),
+    "min": lambda a, b, w: RMux(RBin("<", a, b), a, b),
+    "max": lambda a, b, w: RMux(RBin("<", a, b), b, a),
+    "compare": lambda a, b, w: RMux(RBin("<", a, b), RLit(1, w), RLit(0, w)),
+}
 
 
-class _Builder:
-    """The RTL ``emit`` of :func:`~patflow.lowering.unroll`: one named wire
-    per operator instance."""
+def _render(m: RtlModule, net: Netlist, prefix: str, width: int, start: int = 0) -> list:
+    """Add one wire per operator instance of ``net`` to ``m``, named
+    ``<prefix>_w<i>`` counting from ``start``; return the output words per
+    port."""
+    wires: list[RExpr] = []
 
-    def __init__(self, module: RtlModule, width: int, prefix: str):
-        self.m = module
-        self.width = width
-        self.prefix = prefix
-        self.count = 0
+    def operand(x) -> RExpr:
+        if isinstance(x, Wire):
+            return wires[x.index]
+        if isinstance(x, int):
+            return RLit(x, width)
+        if isinstance(x, str):
+            return RRef(x)
+        port, k = x
+        return _word(f"in{port}", k, width)
 
-    def wire(self, expr: RExpr) -> RRef:
-        name = f"{self.prefix}_w{self.count}"
-        self.count += 1
-        self.m.net(name, self.width)
-        self.m.assigns.append(Assign(name, expr))
-        return RRef(name)
-
-    def lit(self, value: int) -> RLit:
-        return RLit(value & ((1 << self.width) - 1), self.width)
-
-    def prim(self, op: str, a: RExpr, b: RExpr) -> RRef:
-        if op == "add":
-            e: RExpr = RBin("+", a, b)
-        elif op == "sub":
-            e = RBin("-", a, b)
-        elif op == "mul":
-            e = RBin("*", a, b)
-        elif op == "min":
-            e = RMux(RBin("<", a, b), a, b)
-        elif op == "max":
-            e = RMux(RBin("<", a, b), b, a)
-        elif op == "compare":
-            e = RMux(RBin("<", a, b), RLit(1, self.width), RLit(0, self.width))
-        else:  # pragma: no cover - parser restricts the op set
-            raise UnsupportedExpr(f"no hardware mapping for '{op}'")
-        return self.wire(e)
+    for i, (op, a, b) in enumerate(net.ops, start):
+        name = m.net(f"{prefix}_w{i}", width)
+        m.assigns.append(Assign(name, _PRIMS[op](operand(a), operand(b), width)))
+        wires.append(RRef(name))
+    return [[operand(x) for x in words] for words in net.outs]
 
 
 # ---------------------------------------------------------------------------
@@ -232,53 +221,43 @@ def _datapath_module(mod_name: str, node: NodeSpec, plan: DatapathPlan) -> RtlMo
     if plan.mode == "fold":
         _fold_datapath(m, node, plan, width)
     elif plan.mode == "elementwise":
-        for k, scalar in enumerate(plan.scalar_exprs):
-            words = []
-            for lane in range(plan.lanes):
-                b = _Builder(m, width, f"o{k}_l{lane}")
-                inputs = [
-                    _word(f"in{i}", lane, width)
-                    for i in range(len(node.patterns.inputs))
-                ]
-                words.append(unroll(scalar, {}, inputs, b))
+        for k in range(len(plan.scalar_exprs)):
+            words = [
+                _render(m, plan.netlists[k * plan.lanes + lane], f"o{k}_l{lane}", width)[0][0]
+                for lane in range(plan.lanes)
+            ]
             m.assigns.append(Assign(f"out{k}", _concat_words(words)))
     else:
-        b = _Builder(m, width, "g")
-        inputs = [
-            [_word(f"in{i}", w, width) for w in range(p.total)]
-            for i, p in enumerate(node.patterns.inputs)
-        ]
-        result = unroll(node.body, {}, inputs, b)
-        values = result if len(node.patterns.outputs) > 1 else [result]
-        for k, val in enumerate(values):
-            words = val if isinstance(val, list) else [val]
+        (net,) = plan.netlists
+        for k, words in enumerate(_render(m, net, "g", width)):
             m.assigns.append(Assign(f"out{k}", _concat_words(words)))
     return m
 
 
 def _fold_datapath(m: RtlModule, node: NodeSpec, plan: DatapathPlan, width: int) -> None:
-    lanes = plan.lanes
-    fn = plan.fold_fn
-    tokens = [_word(f"in{plan.fold_input}", k, width) for k in range(lanes)]
+    cp = node.patterns.inputs[plan.fold_input]
+    first_phase = next(j for j, v in enumerate(cp.phases) if v)
+    at_first = RBin("==", RRef("phase"), RLit(first_phase))
     m.regs.append(RegDecl("acc_q", width))
-    at_first = RBin("==", RRef("phase"), RLit(0))
-    b = _Builder(m, width, "f")
+    start = 0
     if plan.fold_init is not None:
         m.net("carry", width)
-        seed = b.lit(plan.fold_init)
+        seed = RLit(plan.fold_init, width)
         m.assigns.append(Assign("carry", RMux(at_first, seed, RRef("acc_q"))))
-        acc: RExpr = RRef("carry")
-        for tok in tokens:
-            acc = apply_lambda(fn, [acc, tok], {}, [], b)
     else:
-        # No seed: in the first phase the leading operator is bypassed and
-        # the first token starts the chain.
-        first_op = apply_lambda(fn, [RRef("acc_q"), tokens[0]], {}, [], b)
+        # No seed: in the first phase that reads tokens the leading operator
+        # is bypassed and the first token starts the chain.
+        first = plan.netlists[0]
+        first_op = _render(m, first, "f", width)[0][0]
+        tok0 = _word(f"in{plan.fold_input}", 0, width)
         m.net("stage0", width)
-        m.assigns.append(Assign("stage0", RMux(at_first, tokens[0], first_op)))
-        acc = RRef("stage0")
-        for tok in tokens[1:]:
-            acc = apply_lambda(fn, [acc, tok], {}, [], b)
+        m.assigns.append(Assign("stage0", RMux(at_first, tok0, first_op)))
+        start = len(first.ops)
+    acc = _render(m, plan.netlists[-1], "f", width, start)[0][0]
+    if 0 in cp.phases:
+        # The input bus still shows words in a phase that reads none; the
+        # accumulator holds through such a phase.
+        acc = RMux(_nz_mux(RRef("phase"), cp), acc, RRef("acc_q"))
     m.net("result", width)
     m.assigns.append(Assign("result", acc))
     m.assigns.append(Assign("out0", RRef("result")))

@@ -12,6 +12,7 @@ from patflow import (
     build_graph,
     compute_repetition_vector,
     edge_gate_table,
+    equivalence_check,
     lower_edges,
     lower_hof_node,
     validate_graph,
@@ -125,6 +126,24 @@ class TestBuildGraph:
             build_graph(d)
 
 
+def fold_seed_doc(seed: str, inputs: list) -> dict:
+    """A multi-phase ``foldl`` node ``c`` with seed ``seed``, reducing its
+    input port 0; one source per input port, one sink."""
+    nodes = [
+        {"name": f"s{i}", "kind": "source", "width": 8, "outputs": [p]}
+        for i, p in enumerate(inputs)
+    ]
+    out = [0] * (len(inputs[0]) - 1) + [1]
+    nodes += [
+        {"name": "c", "kind": "compute", "width": 8, "inputs": inputs, "outputs": [out],
+         "expr": f"(foldl (lambda (a b) (add a b)) {seed} (input 0))"},
+        {"name": "o", "kind": "sink", "width": 8, "inputs": [out]},
+    ]
+    edges = [{"from": f"s{i}.0", "to": f"c.{i}"} for i in range(len(inputs))]
+    edges.append({"from": "c.0", "to": "o.0"})
+    return {"meta": {"name": "seed", "iterations": 1}, "nodes": nodes, "edges": edges}
+
+
 # ---------------------------------------------------------------------------
 # Validation diagnostics
 # ---------------------------------------------------------------------------
@@ -192,6 +211,29 @@ class TestValidation:
 
     def test_inconsistent_rates(self):
         assert "InconsistentRates" in codes(copy.deepcopy(DIAMOND_DOC))
+
+    def test_let_bound_constant_seed_is_a_constant(self):
+        g = build_graph(fold_seed_doc("(let ((k 3)) (add k k))", [[2, 2]]))
+        assert validate_graph(g) == []
+        assert lower_hof_node(g.nodes["c"]).fold_init == 6
+        assert equivalence_check(g, 3, iterations=2).ok
+
+    def test_seed_reading_an_input_is_not_a_constant(self):
+        for seed in ("(input 1)", "(add (input 1) 1)", "(let ((k (input 1))) (add k 2))"):
+            ds = validate_graph(build_graph(fold_seed_doc(seed, [[1, 1], [1, 0]])))
+            assert [(d.code, d.message) for d in ds] == [(
+                "FoldNotAtRoot",
+                "a multi-phase fold's initial value must be a compile-time constant",
+            )], seed
+
+    def test_odd_seeds_are_reported_not_raised(self):
+        for seed, inputs in [
+            ("(input 1)", [[2, 2], [2, 0]]),
+            ("(foldl1 (lambda (a b) (add a b)) (input 1))", [[2, 2], [2, 0]]),
+            ("(map (lambda (x) x) (input 1))", [[1, 1], [1, 0]]),
+        ]:
+            ds = validate_graph(build_graph(fold_seed_doc(seed, inputs)))
+            assert ds and all(d.code and d.message for d in ds), seed
 
     def test_diagnostics_are_reported_not_raised(self):
         ds = validate_graph(build_graph(copy.deepcopy(DIAMOND_DOC)))
@@ -283,7 +325,7 @@ class TestLowerHofNode:
 
     def test_fold_identity_normalization(self):
         g = load_graph("fig2")
-        fn, init, vec = normalized_fold(g.nodes["c"].body, 8)
+        fn, init, vec = normalized_fold(g.nodes["c"].body)
         assert init == 0          # add folds seed with 0
         assert vec.index == 0
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import importlib
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,37 @@ class TestComputedOnce:
         emit_verilog(g)
         assert calls["edge_gate_table"] == len(g.edges)
         assert calls["lower_hof_node"] == len(g.computes)
+
+    def test_datapaths_unroll_only_while_planning(self, monkeypatch):
+        plan = patflow.prepared.lower_hof_node
+        planning = []
+        runs = {"planning": 0, "elsewhere": 0}
+
+        def planned(node):
+            planning.append(node)
+            try:
+                return plan(node)
+            finally:
+                planning.pop()
+
+        monkeypatch.setattr(patflow.prepared, "lower_hof_node", planned)
+        for name in ("patflow.lowering", "patflow.rtl.lower"):
+            module = importlib.import_module(name)
+            unroll = getattr(module, "unroll", None)
+            if unroll is None:
+                continue
+
+            def counted(*args, _unroll=unroll):
+                runs["planning" if planning else "elsewhere"] += 1
+                return _unroll(*args)
+
+            monkeypatch.setattr(module, "unroll", counted)
+        g = load_graph("dotp-1010")
+        estimate_resources(g)
+        emit_verilog(g)
+        emit_verilog(g)
+        assert runs["planning"] > 0
+        assert runs["elsewhere"] == 0
 
     def test_each_graph_has_its_own_view(self):
         a, b = load_graph("fig2"), load_graph("fig2")

@@ -12,6 +12,7 @@ import pytest
 from patflow import (
     build_graph,
     equivalence_check,
+    eval_expr,
     estimate_resources,
     lower_edges,
     simulate_schedule,
@@ -26,8 +27,10 @@ from patflow.rtl import (
     Instance,
     Port,
     RBin,
+    RLit,
     RMux,
     RRef,
+    RSlice,
     RtlDesign,
     RtlModule,
     check_design,
@@ -146,6 +149,8 @@ INPUT_SEED = "(foldl (lambda (a b) (add a b)) (input 1) (input 0))"
 FOLD_IN_LAMBDA = (
     "(map (lambda (x) (add x (foldl1 (lambda (a b) (add a b)) (input 1)))) (input 0))"
 )
+CONST_IN_MAP = "(map (lambda (x) (add x (mul 2 3))) (input 0))"
+LET_SEED = "(foldl (lambda (a b) (add a b)) (let ((k 3)) (add k k)) (input 0))"
 
 # Bodies on which the estimate and the RTL once disagreed or failed.
 ODD_BODIES = {
@@ -153,6 +158,8 @@ ODD_BODIES = {
     "mul-seed-1-phase": one_node_doc(MUL_SEED, [[4]], [[1]]),
     "input-seed": one_node_doc(INPUT_SEED, [[4], [1]], [[1]]),
     "fold-in-lambda": one_node_doc(FOLD_IN_LAMBDA, [[3], [4]], [[3]]),
+    "const-in-map": one_node_doc(CONST_IN_MAP, [[3]], [[3]]),
+    "let-seed-2x2": one_node_doc(LET_SEED, [[2, 2]], [[0, 1]]),
 }
 
 
@@ -179,6 +186,44 @@ def datapath_ops(design, node: str) -> dict[str, int]:
         wire_op(a.value) for a in design.modules[module].assigns
         if re.search(r"_w\d+$", a.target)
     ))
+
+
+def eval_rtl(e, env: dict) -> int:
+    """The value of the combinational ``rtl.ir`` expression ``e`` over the
+    net values in ``env``; the caller masks it to the target's width."""
+    if isinstance(e, RRef):
+        return env[e.name]
+    if isinstance(e, RLit):
+        return e.value
+    if isinstance(e, RSlice):
+        return (env[e.base] >> e.lo) & ((1 << (e.hi - e.lo + 1)) - 1)
+    if isinstance(e, RMux):
+        return eval_rtl(e.then if eval_rtl(e.cond, env) else e.orelse, env)
+    a, b = eval_rtl(e.left, env), eval_rtl(e.right, env)
+    return {"+": a + b, "-": a - b, "*": a * b, "<": int(a < b), "==": int(a == b),
+            "&": a & b, "|": a | b}[e.op]
+
+
+def run_fold_datapath(module, pattern: list[int], tokens: list[int], junk: int = 3) -> int:
+    """Clock a one-input fold datapath through one firing of ``pattern`` and
+    return its ``out0`` after the last phase.
+
+    In every phase the input bus shows the next unread tokens, padded with
+    ``junk`` past the end of the stream, as a FIFO's ``dout`` does, also in
+    a phase that reads nothing.  The accumulator starts from ``junk``: a
+    firing must not depend on what an earlier one left behind."""
+    widths = {p.name: p.width for p in module.ports}
+    widths.update((n.name, n.width) for n in module.nets)
+    lanes, width = max(pattern), widths["out0"]
+    stream = tokens + [junk] * lanes
+    env, pos = {"acc_q": junk, "firing": 1}, 0
+    for phase, n in enumerate(pattern):
+        env["phase"] = phase
+        env["in0"] = sum(w << (k * width) for k, w in enumerate(stream[pos : pos + lanes]))
+        for a in module.assigns:
+            env[a.target] = eval_rtl(a.value, env) & ((1 << widths[a.target]) - 1)
+        env["acc_q"], pos = env["result"], pos + n
+    return env["out0"]
 
 
 # sha256 over every fixture's sized emission (file names and texts, in
@@ -215,14 +260,33 @@ class TestDatapaths:
                 assert datapath_ops(design, node.name) == ops, (label, node.name)
 
     def test_constant_fold_seed_is_a_literal(self):
-        for label in ("mul-seed-2-phase", "mul-seed-1-phase"):
+        expected = {
+            "mul-seed-2-phase": {"add": 2},
+            "mul-seed-1-phase": {"add": 4},
+            "const-in-map": {"add": 3},
+            "let-seed-2x2": {"add": 2},
+        }
+        for label, ops in expected.items():
             report = estimate_resources(build_graph(ODD_BODIES[label]))
             assert report.dsp_count == 0, label
-            assert "mul" not in report.per_node["c"]["ops"], label
+            assert report.per_node["c"]["ops"] == ops, label
 
-    @pytest.mark.parametrize("label", ["input-seed", "fold-in-lambda"])
+    @pytest.mark.parametrize(
+        "label", ["input-seed", "fold-in-lambda", "const-in-map", "let-seed-2x2"]
+    )
     def test_unrolled_bodies_stay_equivalent(self, label):
         assert equivalence_check(build_graph(ODD_BODIES[label]), 3, iterations=2).ok
+
+    @pytest.mark.parametrize("pattern", [[2, 0, 2], [2, 2, 0], [0, 2, 2]])
+    @pytest.mark.parametrize("op", ["add", "sub", "min"])
+    @pytest.mark.parametrize("head", ["foldl1", "foldl"])
+    def test_fold_holds_through_idle_phases(self, head, op, pattern):
+        seed = " 7" if head == "foldl" else ""
+        body = f"({head} (lambda (a b) ({op} a b)){seed} (input 0))"
+        g = build_graph(one_node_doc(body, [pattern], [[0, 0, 1]]))
+        tokens = [9, 7, 8, 6]
+        got = run_fold_datapath(lower_design(g).modules["c_datapath"], pattern, tokens)
+        assert got == eval_expr(g.nodes["c"].body, [tuple(tokens)], 8)
 
     def test_sized_emission_is_pinned(self):
         for name in names():
