@@ -178,6 +178,22 @@ def cmd_emit(args) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    """argparse type for an iteration count no smaller than ``minimum``, so
+    a bad count is a usage error (exit 2) rather than a library error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patflow",
@@ -198,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="run the cycle-accurate schedule")
     p.add_argument("graph")
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--iterations", type=_at_least(1), default=None)
     p.add_argument("--gate-offset", type=int, default=0,
                    help="perturb every firing threshold (for experiments)")
     p.add_argument("--gantt", action="store_true", help="append an activity chart")
@@ -212,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--random", type=int, metavar="N",
                       help="N random-stimulus equivalence trials")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=1)
+    p.add_argument("--iterations", type=_at_least(0), default=1)
     p.add_argument("--gate-offset", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
@@ -221,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--sized", action="store_true",
                    help="size FIFOs from a schedule run instead of the per-firing default")
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--iterations", type=_at_least(1), default=None)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("emit", help="write Verilog modules and a manifest")
@@ -229,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--sized", action="store_true",
                    help="size FIFOs from a schedule run instead of the per-firing default")
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--iterations", type=_at_least(1), default=None)
     p.set_defaults(func=cmd_emit)
     return parser
 

@@ -41,6 +41,30 @@ Everything the tables are built from (topological order, adjacency,
 repetition vector and gate tables) comes from the graph's
 :class:`~patflow.prepared.PreparedGraph`, computed once per graph; a new
 machine only applies ``gate_offset`` and allocates run-time state.
+
+Periodic steady state
+---------------------
+Self-timed execution of a consistent graph turns periodic after a short
+transient, so long runs do not step every cycle.  At a cycle boundary the
+machine's state is each node's phase plus each buffered edge's occupancy
+(no tokens are in flight then); the next cycle depends on nothing else
+except which nodes still owe firings.  The machine probes that state each
+time an *anchor*, a node owing the fewest firings, completes a firing, and
+finds the first repeat with one saved state (Brent's cycle detection).  A
+repeat between cycles ``t1`` and ``t2`` is a period ``P = t2 - t1`` in
+which node ``i`` completes ``d_i`` firings.  The window already passed
+every gate, overflow and deadlock check, so it is replayed ``K`` times
+without stepping: the traces repeat their window and the starts shift by
+multiples of ``P``.  ``K`` stops short of the cycle budget and of any
+node's last owed firing::
+
+    K = min((limit - t2) // P, min over d_i > 0 of (owed_i - fired_i - 1) // d_i)
+
+with ``fired_i`` counted at ``t2``; the rest of the run, the drain, is
+stepped as before.  Outputs, errors and their messages are identical to a
+fully stepped run.  The replayed cycles hold no occupancy the stepped ones
+did not, so the FIFO peaks (:attr:`Schedule.fifo_peaks`) come from the
+stepped cycles alone.
 """
 
 from __future__ import annotations
@@ -72,6 +96,7 @@ class Schedule:
     horizon: int
     per_edge_occupancy: dict[str, list[int]]
     last_sink_cycle: int | None
+    fifo_peaks: dict[str, int]
 
     @property
     def first_start(self) -> int | None:
@@ -118,13 +143,19 @@ class _NodeRT:
 class _EdgeRT:
     """Run-time state of one buffered edge (an edge into a non-sink node)."""
 
-    __slots__ = ("spec", "occupancy", "trace", "underflow")
+    __slots__ = ("spec", "occupancy", "trace", "underflow", "peak")
 
     def __init__(self, spec):
         self.spec = spec
         self.occupancy = 0
         self.trace: list[int] = []
         self.underflow = False
+        self.peak = 0  # the trace's maximum before a skip
+
+
+# The earliest repeat shows at the anchor's second completed firing, and a
+# skip must then leave the anchor's last owed firing to the drain.
+_MIN_PROBE_OWED = 4
 
 
 class Machine:
@@ -138,6 +169,15 @@ class Machine:
     ``gate_offset`` applied and clamped at 0.  :meth:`run` is a single loop
     over these rows.  Completion is a count of the nodes that still owe
     firings, so testing it costs O(1) per cycle.
+
+    :meth:`run` also skips the periodic steady state (see the module
+    docstring).  A probe costs O(1) per firing the anchor completes: the
+    loop compares one edge's occupancy with its value in the saved state,
+    and builds the full O(V+E) state only when they match, or when the
+    probe count reaches a power of two and the state is saved anew.  An
+    anchor owing fewer than ``_MIN_PROBE_OWED`` firings cannot leave room
+    for a skip and is not probed at all.  ``skipped`` counts the cycles
+    replayed rather than stepped.
 
     A run records firing starts and per-cycle occupancy traces; token
     values play no part in any firing decision, so
@@ -218,6 +258,11 @@ class Machine:
 
         self.last_sink_cycle: int | None = None
         self.cycles = 0
+        self.skipped = 0
+        self._saved: tuple | None = None
+        # Where stepping resumed after a skip; the trace before it was
+        # scanned for its peak when the skip was made.
+        self._resume = 0
 
     # -- stepping ------------------------------------------------------------
 
@@ -230,6 +275,18 @@ class Machine:
         # until the end of the cycle, so none are in flight at this test.
         remaining = sum(1 for nrt in self.nodes.values() if nrt.owed)
         pending: list[tuple[_EdgeRT, int]] = []
+        # Probe n comes after the anchor's n-th completed firing.  Among the
+        # nodes owing the fewest firings the anchor is the last in
+        # topological order, which fires at the pace of the graph rather
+        # than at that of its own inputs.  A node that never fires stands in
+        # when no skip could fit.
+        anchor = min(reversed(self.nodes.values()), key=lambda nrt: nrt.owed, default=None)
+        if anchor is None or anchor.owed < _MIN_PROBE_OWED:
+            anchor = _NodeRT(None, 0, [])
+        seen = 0
+        save_at = 1  # Brent: the state is saved anew at powers of two
+        fp = next(iter(self.edges.values()), None) or _EdgeRT(None)
+        fp_saved = None  # ``fp``'s occupancy in the saved state
         t = 0
         while remaining:
             if t >= limit:
@@ -300,13 +357,77 @@ class Machine:
                     f"no progress at cycle {t}; waiting nodes {blocked}, occupancy {occ}"
                 )
             t += 1
+            if anchor.fired != seen:
+                seen = anchor.fired
+                if seen == save_at or fp.occupancy == fp_saved:
+                    skip = self._probe(t, seen == save_at)
+                    if skip is not None:
+                        t += skip
+                        anchor, seen = _NodeRT(None, 0, []), 0
+                    elif seen == save_at:
+                        save_at *= 2
+                        fp_saved = fp.occupancy
         self.cycles = t
         return self
 
+    def _probe(self, t: int, save: bool) -> int | None:
+        """Compare the state at cycle ``t`` with the saved one.
+
+        On a repeat, makes the skip and returns the cycles skipped, 0 when
+        no whole window fits; otherwise returns None, after saving the
+        state if ``save``.
+        """
+        nodes = self.nodes.values()
+        key = (*[nrt.cur for nrt in nodes], *[ert.occupancy for ert in self.edges.values()])
+        saved = self._saved
+        if saved is not None and key == saved[0]:
+            return self._skip(saved[1], saved[2], saved[3], t)
+        if save:
+            self._saved = (key, t, [nrt.fired for nrt in nodes], [len(nrt.starts) for nrt in nodes])
+        return None
+
+    def _skip(self, t1: int, fired: list[int], nstarts: list[int], t2: int) -> int:
+        """Replay the window ``[t1, t2)`` as often as the budget and the
+        owed firings allow; return the number of cycles skipped."""
+        period = t2 - t1
+        k = (self.horizon_limit - t2) // period
+        for nrt, f in zip(self.nodes.values(), fired):
+            d = nrt.fired - f
+            if d:
+                k = min(k, (nrt.owed - nrt.fired - 1) // d)
+        if k < 1:
+            return 0
+        span = k * period
+        for ert in self.edges.values():
+            trace = ert.trace
+            ert.peak = max(trace, default=0)
+            trace += trace[t1:t2] * k
+        # Shifted starts come from one list of cycle numbers, so nodes share
+        # the int objects rather than each allocating its own.
+        cycles = list(range(t2, t2 + span))
+        for nrt, f, n in zip(self.nodes.values(), fired, nstarts):
+            window = nrt.starts[n:]
+            shifted = [0] * (k * len(window))
+            for i, s in enumerate(window):
+                shifted[i :: len(window)] = cycles[s - t1 :: period]
+            nrt.starts += shifted
+            nrt.fired += k * (nrt.fired - f)
+        if self.last_sink_cycle is not None and self.last_sink_cycle >= t1:
+            self.last_sink_cycle += span
+        self.skipped = span
+        self._resume = t2 + span
+        return span
+
     # -- exports -------------------------------------------------------------
 
-    def traces(self) -> dict[str, list[int]]:
-        return {eid: list(rt.trace) for eid, rt in self.edges.items()}
+    def fifo_peaks(self) -> dict[str, int]:
+        """Peak occupancy per buffered edge.  The replayed cycles repeat
+        stepped ones, so only the stepped cycles are scanned."""
+        r = self._resume
+        return {
+            eid: max(rt.peak, max(rt.trace[r:] if r else rt.trace, default=0))
+            for eid, rt in self.edges.items()
+        }
 
     def underflows(self) -> list[str]:
         return [eid for eid, rt in self.edges.items() if rt.underflow]
@@ -351,21 +472,22 @@ def simulate_schedule(
     return Schedule(
         graph=g.name,
         iterations=iterations,
-        firing_starts={k: list(v) for k, v in m.starts.items()},
+        firing_starts=m.starts,
         horizon=m.cycles,
-        per_edge_occupancy=m.traces(),
+        per_edge_occupancy={eid: rt.trace for eid, rt in m.edges.items()},
         last_sink_cycle=m.last_sink_cycle,
+        fifo_peaks=m.fifo_peaks(),
     )
 
 
 def size_fifos(s: Schedule, g: Graph) -> dict[str, int]:
-    """Peak observed occupancy per non-sink edge.
+    """Peak observed occupancy per non-sink edge, as the machine reported it.
 
     Run the schedule for at least two iterations before trusting these as
     steady-state capacities; allocation additionally never drops below one
     full firing of the consumer (see :func:`patflow.lowering.lower_edges`).
     """
-    return {eid: max(trace, default=0) for eid, trace in s.per_edge_occupancy.items()}
+    return dict(s.fifo_peaks)
 
 
 def timing_report(s: Schedule, g: Graph) -> TimingReport:
@@ -410,9 +532,6 @@ def schedule_to_json(s: Schedule) -> dict:
         "iterations": s.iterations,
         "horizon": s.horizon,
         "firing_starts": {k: list(v) for k, v in s.firing_starts.items()},
-        "fifo_peaks": {
-            eid: max(trace, default=0)
-            for eid, trace in s.per_edge_occupancy.items()
-        },
+        "fifo_peaks": dict(s.fifo_peaks),
         "last_sink_cycle": s.last_sink_cycle,
     }

@@ -294,7 +294,7 @@ def _replay(
         arrivals=merged,
         edge_arrivals=edge_arrivals,
         cycles=m.cycles,
-        firing_starts={k: list(v) for k, v in m.starts.items()},
+        firing_starts=m.starts,
         underflow_edges=m.underflows(),
         # In the order the nodes first fired, as a clocked run records them.
         fold_trace=dict(sorted(fold_trace.items(), key=lambda kv: m.starts[kv[0]][0])),

@@ -104,6 +104,12 @@ class TestSchedule:
         assert main(["schedule", f"{FIX}/alg1-worked.json", "--gate-offset", "1"]) == 1
         assert "no progress" in capsys.readouterr().err
 
+    def test_zero_iterations_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", f"{FIX}/fig2.json", "--iterations", "0"])
+        assert exc.value.code == 2
+        assert "--iterations: must be >= 1, got 0" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -131,6 +137,12 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "3 mismatches" in out
         assert "underflows: ['zw.0->fl.0']" in out
+
+    def test_negative_iterations_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", f"{FIX}/fig2.json", "--random", "2", "--iterations", "-1"])
+        assert exc.value.code == 2
+        assert "--iterations: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_mode_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -170,6 +182,12 @@ class TestEstimate:
         assert parsed["dsp_count"] == 10
         assert parsed["memory_bits"] == 720
 
+    def test_sized_zero_iterations_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", f"{FIX}/fig2.json", "--sized", "--iterations", "0"])
+        assert exc.value.code == 2
+        assert "--iterations: must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestEmit:
     def test_writes_design(self, tmp_path, capsys):
@@ -188,6 +206,22 @@ class TestEmit:
         main(["emit", f"{FIX}/fig2.json", "--out", str(b)])
         for pa in a.iterdir():
             assert pa.read_bytes() == (b / pa.name).read_bytes(), pa.name
+
+    def test_sized_zero_iterations_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "rtl"
+        with pytest.raises(SystemExit) as exc:
+            main(["emit", f"{FIX}/fig2.json", "--sized", "--iterations", "0",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--iterations: must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_iterations_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["emit", f"{FIX}/fig2.json", "--sized", "--iterations", "two",
+                  "--out", str(tmp_path / "rtl")])
+        assert exc.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

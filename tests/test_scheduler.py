@@ -2,21 +2,31 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 
 from patflow import (
     NodeKind,
+    build_graph,
     render_gantt,
     schedule_to_json,
     simulate_schedule,
     size_fifos,
     timing_report,
 )
+from patflow import schedule as schedule_mod
 from patflow.errors import Deadlock, FifoOverflow, HorizonExceeded
 from patflow.fixtures import load_graph, names
 from patflow.schedule import Machine
+from patflow.valuesim import random_stimulus, simulate_clocked
+
+DESIGNS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "designs.py"
 
 
 def replay_occupancy(g, s) -> dict[str, list[int]]:
@@ -180,7 +190,7 @@ class TestScheduleBehavior:
     def test_occupancy_trace_matches_replay(self):
         for name in names():
             g = load_graph(name)
-            for iterations in (1, 3):
+            for iterations in (1, 3, 50, 200):
                 s = simulate_schedule(g, iterations)
                 assert s.per_edge_occupancy == replay_occupancy(g, s), (name, iterations)
 
@@ -258,3 +268,249 @@ class TestRendering:
         assert parsed["firing_starts"] == {"p": [0, 2, 4], "c": [4]}
         assert parsed["last_sink_cycle"] == 6
         assert parsed["fifo_peaks"] == {"p.0->c.0": 2}
+
+
+# ---------------------------------------------------------------------------
+# Long runs: the periodic steady state is replayed, not stepped
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _designs():
+    """The benchmark's design generator, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_designs", DESIGNS_PY)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up while it loads
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@functools.lru_cache(maxsize=None)
+def long_run_graph(name: str):
+    """A fixture, or ``<family>-<size>``: that generated design at seed 0."""
+    if name in names():
+        return load_graph(name)
+    family, size = name.rsplit("-", 1)
+    return build_graph(_designs().generate(family, int(size), 0).doc)
+
+
+def schedule_digest(g, s) -> str:
+    """First 16 hex digits of the sha256 of everything a schedule reports."""
+    blob = json.dumps(
+        [s.firing_starts, s.per_edge_occupancy, s.horizon, s.last_sink_cycle,
+         size_fifos(s, g), schedule_to_json(s)],
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def stepped(monkeypatch):
+    """Turn the steady-state skip off, so runs step every cycle."""
+    monkeypatch.setattr(schedule_mod, "_MIN_PROBE_OWED", float("inf"))
+
+
+def machine_outcome(g, iterations, **kw):
+    """Everything a run records, or the error it raised."""
+    m = Machine(g, iterations, **kw)
+    try:
+        m.run()
+    except (Deadlock, FifoOverflow, HorizonExceeded) as exc:
+        return m, (type(exc).__name__, str(exc))
+    traces = {eid: rt.trace for eid, rt in m.edges.items()}
+    return m, (m.starts, traces, m.cycles, m.last_sink_cycle, m.underflows(), m.fifo_peaks())
+
+
+LONG_RUN_ITERATIONS = (1, 2, 7, 100, 1000)
+
+# Recorded with a machine that stepped every cycle.
+LONG_RUN_SHA256 = {
+    "alg1-worked": (
+        "d1b5bfc31ab5a40c", "b20b12750b5c7355", "9566411f88055eb2",
+        "c77c7bd6e94ddb85", "34935431207de3eb",
+    ),
+    "dotp-1010": (
+        "95a608aaacf7b94b", "ba6325f133e6292b", "3da2bd9a74bdc732",
+        "36e993f20c11c026", "3c974caeda3854e2",
+    ),
+    "dotp-1x20": (
+        "adb8e5fb09070551", "be49b3011c358818", "16e0ac1bbf262148",
+        "f10511e2c8b046fe", "6e1edb8f37aee315",
+    ),
+    "dotp-20": (
+        "6ba826ae74c46b01", "6fb9482d141e3028", "edbaf794894ccfe8",
+        "40b2de8f949baf6f", "73f7d2238b9a77fe",
+    ),
+    "dotp-2261": (
+        "9221600a95d6ab71", "1450877250335605", "3c794be462f9f534",
+        "b72ad8544789f4f0", "31c34f457bf090b7",
+    ),
+    "dotp-5555": (
+        "7fc14c60abfaec8a", "d2e19b521238576f", "a3dd2b7e60e2e647",
+        "299ad6354d7ed65c", "5009e5104067d547",
+    ),
+    "fig2": (
+        "7b23a6b4b041b501", "5cbf543b43f96e2c", "0493677ab4cd4d86",
+        "50b73b40284ece96", "eb558ab2e47dc6e5",
+    ),
+    "fold-pipeline": (
+        "d8997f2c659b6bef", "1179d2a68e463a3d", "312c690d69ba9e66",
+        "c5364cf02425261b", "063300c3e2d825b8",
+    ),
+    "moments": (
+        "31e7382cdb85583c", "704bd203b57577aa", "593e08bf78aaeeee",
+        "3f1dc34d444b9f5e", "d058d1a3fe90ae02",
+    ),
+    "transform-stage": (
+        "ae67f722b014e701", "c83602626118477d", "dcaa959216436c3c",
+        "67cb9717205f84f4", "7fa0244a04864619",
+    ),
+    "chain-10": (
+        "3eda2ebcc94fa8ee", "701d080b08fff49a", "897fabb7006abbeb",
+        "b539734bb4749f7f", "65ea6aebee9dc77c",
+    ),
+    "chain-25": (
+        "b117ebfa3b201315", "f1d150e842501af3", "44bc3805170f8fd6",
+        "d30f5c2835337603", "811b8b3700f59cde",
+    ),
+    "fanout-10": (
+        "74666a5abb62af6a", "410ccbe492a87310", "b1da76f97967859a",
+        "da5250da936bda70", "47badc922aa8d660",
+    ),
+    "fanout-25": (
+        "f4389cabb350b14c", "82e81a6b072a4594", "cdab43a522473cdf",
+        "07ca8a2a3b1a81cb", "a7534563262528db",
+    ),
+    "tuple-10": (
+        "6b318ce2fbdfea15", "b02acdabc31b572f", "28b0fc173fb0433b",
+        "b8c5427141d116a1", "3303801f68d8d336",
+    ),
+    "tuple-25": (
+        "cc15f4a0f7d5b326", "ebc188393d6ed673", "26673d434d324479",
+        "788baf9600c3d776", "85881d1266226f3a",
+    ),
+    "folds-10": (
+        "cab2b822d90627cf", "d28543b7bbdd49a5", "1cceafb75b14dc88",
+        "51d863d30e8bfced", "46da10d59b996559",
+    ),
+    "folds-25": (
+        "f901e5f992fb31b0", "56d49cd6774775e4", "7f3742b47a92dc0a",
+        "414cc7e89deb3254", "6eea454ff1424552",
+    ),
+    "mismatch-10": (
+        "a286aed837918ffa", "1a50417fcf3e79a8", "7d7c6a3c8f30bea8",
+        "2cf63b14dd1d2913", "384d54b28cff2e6c",
+    ),
+    "mismatch-25": (
+        "5df91a7725380746", "546d5831f0b95b6f", "d9ac93e0c9103bd7",
+        "cc11baeb9f349006", "23f05a38497ccb7c",
+    ),
+}
+
+
+class TestLongRuns:
+    @pytest.mark.parametrize("name", sorted(LONG_RUN_SHA256))
+    def test_pinned_schedules(self, name):
+        g = long_run_graph(name)
+        for iterations, pinned in zip(LONG_RUN_ITERATIONS, LONG_RUN_SHA256[name]):
+            s = simulate_schedule(g, iterations)
+            assert schedule_digest(g, s) == pinned, (name, iterations)
+            assert s.fifo_peaks == {
+                eid: max(trace) for eid, trace in s.per_edge_occupancy.items()
+            }, (name, iterations)
+
+    @pytest.mark.parametrize("name", ["fig2", "dotp-1x20", "chain-25", "mismatch-25"])
+    def test_long_runs_skip_most_cycles(self, name):
+        m = Machine(long_run_graph(name), 1000).run()
+        assert m.skipped > 0.9 * m.cycles
+
+    def test_short_runs_are_not_probed(self):
+        m = Machine(load_graph("fig2"), 1).run()
+        assert m.skipped == 0
+
+    def test_design_that_never_repeats_is_stepped(self):
+        # The source outpaces its consumer, so the FIFO grows without bound
+        # and no state comes back.
+        g = build_graph({
+            "meta": {"name": "unbounded", "iterations": 1},
+            "nodes": [
+                {"name": "s", "kind": "source", "width": 8, "outputs": [[1]]},
+                {"name": "c", "kind": "compute", "width": 8, "inputs": [[1, 0]],
+                 "outputs": [[1, 0]], "expr": "(map (lambda (x) (add x 1)) (input 0))"},
+                {"name": "o", "kind": "sink", "width": 8, "inputs": [[1, 0]]},
+            ],
+            "edges": [{"from": "s.0", "to": "c.0"}, {"from": "c.0", "to": "o.0"}],
+        })
+        m = Machine(g, 500).run()
+        assert m.skipped == 0
+        assert m.fifo_peaks() == {"s.0->c.0": 250}
+        s = simulate_schedule(g, 500)
+        assert s.per_edge_occupancy == replay_occupancy(g, s)
+
+    def test_horizon_inside_skipped_span(self, monkeypatch):
+        g = load_graph("fig2")                    # 1201 cycles at 200 iterations
+        for horizon in (100, 600, 1200):
+            m = Machine(g, 200, horizon=horizon)
+            with pytest.raises(HorizonExceeded, match=f"^no completion within {horizon} cycles$"):
+                m.run()
+            assert m.skipped > 0
+        stepped(monkeypatch)
+        with pytest.raises(HorizonExceeded, match="within 600 cycles"):
+            Machine(g, 200, horizon=600).run()
+
+    @pytest.mark.parametrize("name", ["dotp-2261", "transform-stage", "mismatch-10", "folds-10"])
+    def test_capacity_one_below_peak_overflows(self, name):
+        g = long_run_graph(name)
+        peaks = simulate_schedule(g, 200).fifo_peaks
+        m = Machine(g, 200, capacities=peaks).run()
+        assert m.skipped > 0
+        stim = random_stimulus(g, 200, seed=0)
+        simulate_clocked(g, stim, capacities=peaks)
+        # The check reads each FIFO at the end of the cycle.  A source's
+        # tokens pass through in the cycle they are made, so only FIFOs fed
+        # by compute nodes hold their traced peak then.
+        registered = [e.id for e in g.edges if e.id in peaks
+                      and g.nodes[e.producer].kind is NodeKind.COMPUTE]
+        assert registered
+        for eid in registered:
+            peak = peaks[eid]
+            with pytest.raises(FifoOverflow, match=f"^edge '{eid}' holds {peak} tokens, "
+                                                   f"sized for {peak - 1}$"):
+                simulate_clocked(g, stim, capacities={**peaks, eid: peak - 1})
+
+    def test_loosened_gates_underflow_on_long_run(self, monkeypatch):
+        g = load_graph("dotp-1x20")
+        m, outcome = machine_outcome(g, 100, gate_offset=-1)
+        assert m.skipped > 0
+        assert m.underflows() == ["zw.0->fl.0"]
+        stepped(monkeypatch)
+        m_stepped, reference = machine_outcome(g, 100, gate_offset=-1)
+        assert m_stepped.skipped == 0
+        assert outcome == reference
+
+    def test_folds_with_several_components(self):
+        g = long_run_graph("folds-25")
+        parent = {n: n for n in g.nodes}
+
+        def root(n):
+            while parent[n] != n:
+                n = parent[n]
+            return n
+
+        for e in g.edges:
+            parent[root(e.producer)] = root(e.consumer)
+        assert len({root(n) for n in g.nodes}) > 1
+        assert Machine(g, 1000).run().skipped > 0
+        s = simulate_schedule(g, 1000)
+        assert schedule_digest(g, s) == LONG_RUN_SHA256["folds-25"][-1]
+
+    @pytest.mark.parametrize("name", sorted(names()) + [
+        "chain-10", "fanout-10", "tuple-10", "folds-10", "mismatch-10"])
+    def test_skip_matches_stepping(self, name, monkeypatch):
+        g = long_run_graph(name)
+        s = simulate_schedule(g, 60)
+        cases = [dict(gate_offset=off) for off in (-3, -1, 0, 1)]
+        cases += [dict(capacities={**s.fifo_peaks, eid: p - 1})
+                  for eid, p in s.fifo_peaks.items() if p]
+        cases += [dict(horizon=h) for h in (s.horizon // 2, s.horizon - 1, s.horizon)]
+        fast = [machine_outcome(g, 60, **kw)[1] for kw in cases]
+        stepped(monkeypatch)
+        assert [machine_outcome(g, 60, **kw)[1] for kw in cases] == fast
