@@ -52,8 +52,6 @@ from .exprs import (
     format_expr,
     infer_shape,
     parse_expr,
-    scalarize,
-    substitute,
 )
 from .graphs import (
     EdgeSpec,
@@ -114,7 +112,7 @@ __all__ = [
     "divisor_refinements",
     # expressions
     "parse_expr", "format_expr", "eval_expr", "compile_expr", "infer_shape",
-    "scalarize", "substitute", "Shape", "Scalar", "Vector", "TupleShape",
+    "Shape", "Scalar", "Vector", "TupleShape",
     # graphs
     "Graph", "NodeSpec", "EdgeSpec", "NodeKind", "build_graph",
     "validate_graph", "compute_repetition_vector",

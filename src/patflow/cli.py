@@ -179,8 +179,9 @@ def cmd_emit(args) -> int:
 
 
 def _at_least(minimum: int):
-    """argparse type for an iteration count no smaller than ``minimum``, so
-    a bad count is a usage error (exit 2) rather than a library error."""
+    """argparse type for a count (of iterations or trials) no smaller than
+    ``minimum``, so a bad count is a usage error (exit 2) rather than a
+    library error."""
 
     def parse(text: str) -> int:
         try:
@@ -225,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--stimulus", help="JSON file: source name -> list of firing vectors")
-    mode.add_argument("--random", type=int, metavar="N",
+    mode.add_argument("--random", type=_at_least(1), metavar="N",
                       help="N random-stimulus equivalence trials")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=_at_least(0), default=1)

@@ -52,8 +52,6 @@ __all__ = [
     "eval_expr",
     "compile_expr",
     "apply_prim",
-    "scalarize",
-    "substitute",
 ]
 
 PRIM_OPS = ("add", "mul", "sub", "min", "max", "compare")
@@ -709,87 +707,3 @@ def _compile_lambda(fn: Lambda, mask: int):
         return body(inputs, inner)
 
     return call
-
-
-# ---------------------------------------------------------------------------
-# Elementwise scalarization
-#
-# An expression is *elementwise* when output element k depends only on the
-# k-th element of each input vector.  Such bodies can be streamed phase by
-# phase without extra state, and unrolled into independent hardware lanes.
-
-
-def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
-    """Replace free variables by expressions (capture is prevented by
-    shadowing removal: inner bindings drop the substitution)."""
-    if isinstance(e, Var):
-        return env.get(e.name, e)
-    if isinstance(e, (InputRef, Const)):
-        return e
-    if isinstance(e, PrimOp):
-        return PrimOp(e.op, tuple(substitute(a, env) for a in e.args))
-    if isinstance(e, Lambda):
-        inner = {k: v for k, v in env.items() if k not in e.params}
-        return Lambda(e.params, substitute(e.body, inner))
-    if isinstance(e, Map):
-        return Map(substitute(e.fn, env), substitute(e.vec, env))
-    if isinstance(e, ZipWith):
-        return ZipWith(substitute(e.fn, env), substitute(e.left, env), substitute(e.right, env))
-    if isinstance(e, Foldl):
-        return Foldl(substitute(e.fn, env), substitute(e.init, env), substitute(e.vec, env))
-    if isinstance(e, Foldl1):
-        return Foldl1(substitute(e.fn, env), substitute(e.vec, env))
-    if isinstance(e, Let):
-        out = []
-        inner = dict(env)
-        for name, bound in e.bindings:
-            out.append((name, substitute(bound, inner)))
-            inner.pop(name, None)
-        return Let(tuple(out), substitute(e.body, inner))
-    if isinstance(e, Tuple):
-        return Tuple(tuple(substitute(i, env) for i in e.items))
-    if isinstance(e, Proj):
-        return Proj(substitute(e.tup, env), e.index)
-    raise UnsupportedExpr(f"cannot substitute into {type(e).__name__}")
-
-
-def scalarize(e: Expr) -> list[Expr]:
-    """Reduce an elementwise body to per-output-port scalar expressions.
-
-    In the result, ``InputRef(i)`` denotes *the current element* of input
-    ``i`` rather than the whole vector.  A top-level ``tuple`` yields one
-    expression per output port.
-
-    Raises
-    ------
-    UnsupportedExpr
-        If the body is not elementwise (contains a fold, or mixes element
-        indices).
-    """
-    if isinstance(e, Tuple):
-        return [_scalarize_one(i) for i in e.items]
-    return [_scalarize_one(e)]
-
-
-def _scalarize_one(e: Expr) -> Expr:
-    if isinstance(e, (InputRef, Const, Var)):
-        return e
-    if isinstance(e, PrimOp):
-        return PrimOp(e.op, tuple(_scalarize_one(a) for a in e.args))
-    if isinstance(e, Map):
-        elem = _scalarize_one(e.vec)
-        return _scalarize_one(substitute(e.fn.body, {e.fn.params[0]: elem}))
-    if isinstance(e, ZipWith):
-        a = _scalarize_one(e.left)
-        b = _scalarize_one(e.right)
-        return _scalarize_one(
-            substitute(e.fn.body, {e.fn.params[0]: a, e.fn.params[1]: b})
-        )
-    if isinstance(e, Let):
-        env = {}
-        for name, bound in e.bindings:
-            env[name] = substitute(_scalarize_one(bound), env)
-        return _scalarize_one(substitute(e.body, env))
-    raise UnsupportedExpr(
-        f"{type(e).__name__} is not elementwise; it cannot be streamed phase by phase"
-    )

@@ -41,7 +41,6 @@ from .errors import (
     DocumentError,
     DuplicatePort,
     InconsistentRates,
-    PatflowError,
     ShapeMismatch as ShapeMismatchError,
     UnknownEdge,
     UnknownNode,
@@ -51,14 +50,15 @@ from .exprs import (
     Foldl,
     Foldl1,
     InputRef,
+    Proj,
     Scalar,
     Shape,
+    Tuple,
     TupleShape,
     Vector,
     children,
     infer_shape,
     parse_expr,
-    scalarize,
 )
 from .patterns import AccessPattern, PatternSet, validate_pattern
 
@@ -425,6 +425,18 @@ def _referenced_inputs(e: Expr, acc: set[int]) -> None:
         _referenced_inputs(c, acc)
 
 
+def _first_not_elementwise(e: Expr, root: bool = True) -> Expr | None:
+    """The first fold, ``proj`` or below-root ``tuple`` in ``e``, or None
+    when ``e`` is elementwise (output element k reads element k only)."""
+    if isinstance(e, (Foldl, Foldl1, Proj)) or (isinstance(e, Tuple) and not root):
+        return e
+    for c in children(e):
+        found = _first_not_elementwise(c, False)
+        if found is not None:
+            return found
+    return None
+
+
 def _validate_compute_body(node: NodeSpec, out: list[Diagnostic]) -> None:
     body = node.body
     assert body is not None
@@ -507,10 +519,11 @@ def _validate_compute_body(node: NodeSpec, out: list[Diagnostic]) -> None:
         )
         return
 
-    try:
-        scalarize(body)
-    except PatflowError as exc:
-        _diag(out, "NotStreamable", node.name, str(exc))
+    blocker = _first_not_elementwise(body)
+    if blocker is not None:
+        what = type(blocker).__name__
+        _diag(out, "NotStreamable", node.name,
+              f"{what} is not elementwise; it cannot be streamed phase by phase")
         return
 
     # Elementwise streaming assumes output element k is computed in the same

@@ -19,8 +19,11 @@ instances per phase.
 :func:`lower_hof_node` unrolls each body once, into the netlists of its
 plan: one operator instance per primitive application, where an operator on
 two literals folds into a literal, so any constant subexpression, a
-``foldl`` seed included, costs no operator.  The RTL renders one wire per
-instance and the estimator counts them, so both see the same hardware.
+``foldl`` seed included, costs no operator.  Each lane of an elementwise
+node unrolls the body itself over one word of every input, so a ``let``-
+or lambda-bound value is one instance per lane, as it is one instance in a
+single-phase body.  The RTL renders one wire per instance and the estimator
+counts them, so both see the same hardware.
 Evaluation stays on :func:`~patflow.exprs.compile_expr`, the functional
 reference the equivalence check compares against.
 
@@ -42,7 +45,7 @@ becomes a memory array.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -62,7 +65,6 @@ from .exprs import (
     ZipWith,
     InputRef,
     apply_prim,
-    scalarize,
 )
 from .graphs import EdgeSpec, Graph, NodeKind, NodeSpec, root_fold
 from .patterns import (
@@ -129,23 +131,22 @@ class DatapathPlan:
         Node name.
     mode : str
         ``"fold"`` (multi-phase root fold with accumulator),
-        ``"elementwise"`` (per-lane scalar logic, streamed per phase), or
-        ``"general"`` (single-phase body, fully unrolled).
+        ``"elementwise"`` (one copy of the body per lane, streamed per
+        phase), or ``"general"`` (single-phase body, fully unrolled).
     lanes : int
         Parallel copies of the per-element logic (the patterns' shared n).
     phases : int
         Firing length in cycles.
     netlists : tuple of Netlist
-        Elementwise: one per output port and lane, port-major.  Fold: the
-        chain of ``lanes`` lambda applications, after the first application
-        on its own if the fold is unseeded.  General: the whole body.
+        Elementwise: one per output port and lane, port-major, over word
+        ``lane`` of every input.  Fold: the chain of ``lanes`` lambda
+        applications, after the first application on its own if the fold is
+        unseeded.  General: the whole body.
     accumulator_width : int or None
         Width of the fold accumulator register, if one exists.
     fold_fn, fold_init, fold_input :
         For fold nodes: the lambda, the seed value (None = seed from the
         first element), and the reduced input port.
-    scalar_exprs : tuple
-        For elementwise nodes: one scalar expression per output port.
     """
 
     node: str
@@ -157,7 +158,6 @@ class DatapathPlan:
     fold_fn: Lambda | None = None
     fold_init: int | None = None
     fold_input: int = 0
-    scalar_exprs: tuple[Expr, ...] = field(default_factory=tuple)
 
     @property
     def op_counts(self) -> dict[str, int]:
@@ -294,8 +294,8 @@ def lower_hof_node(node: NodeSpec) -> DatapathPlan:
 
     The body is unrolled here, once, into the netlists the RTL renders and
     ``op_counts`` counts: ``lanes`` applications of a fold's lambda,
-    ``lanes`` copies of each elementwise scalar expression, or the whole
-    single-phase body.
+    ``lanes`` copies of each elementwise output item (the root ``tuple``'s
+    items, or the body), or the whole single-phase body.
 
     Raises
     ------
@@ -337,13 +337,13 @@ def lower_hof_node(node: NodeSpec) -> DatapathPlan:
             netlists.append(rec.take(acc))
             return plan(mode="fold", netlists=tuple(netlists), accumulator_width=node.width,
                         fold_fn=fn, fold_init=init, fold_input=vec.index)
-        exprs = tuple(scalarize(node.body))
+        items = node.body.items if isinstance(node.body, Tuple) else (node.body,)
         netlists = tuple(
-            rec.take(unroll(s, {}, [(i, lane) for i in range(len(in_values))], rec))
-            for s in exprs
+            rec.take(unroll(item, {}, [[(i, lane)] for i in range(len(in_values))], rec))
+            for item in items
             for lane in range(lanes)
         )
-        return plan(mode="elementwise", netlists=netlists, scalar_exprs=exprs)
+        return plan(mode="elementwise", netlists=netlists)
 
     result = unroll(node.body, {}, _input_words(node), rec)
     values = result if len(out_values) > 1 else [result]

@@ -107,21 +107,15 @@ class PreparedGraph:
         return {n.name: compile_expr(n.body, n.width) for n in self.g.computes}
 
     @cached_property
-    def phase_fns(self) -> dict:
-        """The compiled per-phase logic of each streamed compute node.
-
-        A fold node maps to ``step(acc, token) -> acc``, its lambda; an
-        elementwise node to one compiled scalar expression per output port,
-        called with the current element of each input.
-        """
-        out = {}
-        for name, plan in self.plans.items():
-            width = self.g.nodes[name].width
-            if plan.mode == "fold":
-                out[name] = _fold_step(plan.fold_fn, width)
-            elif plan.mode == "elementwise":
-                out[name] = tuple(compile_expr(s, width) for s in plan.scalar_exprs)
-        return out
+    def fold_steps(self) -> dict:
+        """The compiled lambda of each multi-phase fold node, as
+        ``step(acc, token) -> acc``, by node name."""
+        nodes = self.g.nodes
+        return {
+            name: _fold_step(plan.fold_fn, nodes[name].width)
+            for name, plan in self.plans.items()
+            if plan.mode == "fold"
+        }
 
     def firing_outputs(self, name: str, vectors: list[tuple[int, ...]]) -> list[list[int]]:
         """Evaluate one whole firing of compute node ``name`` on one vector

@@ -221,7 +221,7 @@ def _datapath_module(mod_name: str, node: NodeSpec, plan: DatapathPlan) -> RtlMo
     if plan.mode == "fold":
         _fold_datapath(m, node, plan, width)
     elif plan.mode == "elementwise":
-        for k in range(len(plan.scalar_exprs)):
+        for k in range(len(node.patterns.outputs)):
             words = [
                 _render(m, plan.netlists[k * plan.lanes + lane], f"o{k}_l{lane}", width)[0][0]
                 for lane in range(plan.lanes)

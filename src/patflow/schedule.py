@@ -344,11 +344,15 @@ class Machine:
             for ert, c in pending:
                 ert.occupancy += c
             pending.clear()
+            # The consumer's sample (what ``size_fifos`` sizes) already holds
+            # a source's tokens of this cycle, before the consumer takes its
+            # share; tokens written at the end of the cycle are in
+            # ``occupancy``.
             for ert, cap in checked:
-                if ert.occupancy > cap:
+                held = max(ert.trace[-1], ert.occupancy)
+                if held > cap:
                     raise FifoOverflow(
-                        f"edge '{ert.spec.id}' holds {ert.occupancy} tokens, "
-                        f"sized for {cap}"
+                        f"edge '{ert.spec.id}' holds {held} tokens, sized for {cap}"
                     )
             if not stepped:
                 blocked = [n for n, rt in self.nodes.items() if rt.fired < rt.owed]

@@ -15,8 +15,11 @@ Two executions of the same graph:
 Both read the graph's :class:`~patflow.prepared.PreparedGraph`: rates,
 adjacency and compiled node bodies are derived once per graph, not once per
 run.  A whole firing is evaluated by one helper,
-:meth:`~patflow.prepared.PreparedGraph.firing_outputs`, which the replay
-also uses for single-phase nodes.  Both check the stimulus the same way.
+:meth:`~patflow.prepared.PreparedGraph.firing_outputs`.  The replay uses it
+for every compute node except a multi-phase fold, which steps its lambda
+phase by phase: an elementwise firing is evaluated once, on its whole
+zero-padded input, and each output port is cut into its phases' tokens.
+Both check the stimulus the same way.
 
 :func:`equivalence_check` runs both on random stimulus and compares the
 token streams delivered to each sink input.  With ``gate_offset=0`` the two
@@ -222,16 +225,14 @@ def simulate_clocked(
     iterations = _stimulus_iterations(g, stimulus, iterations)
     # Plans and node logic are derived before the run, so a body that
     # cannot be planned or compiled fails ahead of any scheduling error.
-    fns = g.prepared.phase_fns
+    g.prepared.fold_steps, g.prepared.bodies
     m = Machine(
         g, iterations, gate_offset=gate_offset, horizon=horizon, capacities=capacities
     ).run()
-    return _replay(g, m, stimulus, fns)
+    return _replay(g, m, stimulus)
 
 
-def _replay(
-    g: Graph, m: Machine, stimulus: dict[str, list[list[int]]], fns: dict
-) -> SimResult:
+def _replay(g: Graph, m: Machine, stimulus: dict[str, list[list[int]]]) -> SimResult:
     """Concrete values along the firings of a finished counts-only run.
 
     Nodes are replayed in topological order, one firing after another.  At
@@ -278,7 +279,7 @@ def _replay(
                         cur += n
                 cursors[i] = cur
                 bufs.append(buf)
-            phases = _firing_phases(prep, spec, fns, bufs, stimulus, k, fold_trace)
+            phases = _firing_phases(prep, spec, bufs, stimulus, k, fold_trace)
             for ph, vals in enumerate(phases):
                 for (pp, stream, sinks), v in zip(outs, vals):
                     if pp[ph]:
@@ -304,17 +305,15 @@ def _replay(
 def _firing_phases(
     prep: PreparedGraph,
     spec: NodeSpec,
-    fns: dict,
     bufs: list[list[int]],
     stimulus: dict[str, list[list[int]]],
     k: int,
     fold_trace: dict[str, list[int]],
 ) -> list[list[list[int]]]:
     """Output tokens per phase and port of ``spec``'s firing ``k``, given
-    its whole input per port in ``bufs``.  A fold appends its accumulator
-    after every phase to ``fold_trace``."""
+    its whole input per port in ``bufs``.  A fold steps its lambda phase by
+    phase and appends its accumulator after every phase to ``fold_trace``."""
     in_prefix, out_prefix = prep.offsets[spec.name]
-    counts = [p.phases for p in spec.patterns.outputs]
     phases = range(spec.length)
     if spec.kind is NodeKind.SOURCE:
         # The firing vector covers all output ports, port-major.
@@ -325,8 +324,9 @@ def _firing_phases(
             for ph in phases
         ]
     plan = prep.plans[spec.name]
-    fn = fns.get(spec.name)
     if plan.mode == "fold":
+        fn = prep.fold_steps[spec.name]
+        counts = [p.phases for p in spec.patterns.outputs]
         acc, seeded = (plan.fold_init, True) if plan.fold_init is not None else (None, False)
         offs = in_prefix[plan.fold_input]
         buf = bufs[plan.fold_input]
@@ -341,16 +341,11 @@ def _firing_phases(
             trace.append(acc if acc is not None else 0)
             out.append([[acc] * c[ph] for c in counts])
         return out
-    if plan.mode == "elementwise":
-        return [
-            [
-                [scalar([b[j] for b in bufs]) for j in range(off[ph], off[ph + 1])]
-                for scalar, off in zip(fn, out_prefix)
-            ]
-            for ph in phases
-        ]
-    # general: single phase, everything is available at once
-    return [prep.firing_outputs(spec.name, [tuple(b) for b in bufs])]
+    # A general node fires in one phase, and an elementwise node's output
+    # element k depends on input element k alone, so both evaluate the
+    # whole zero-padded firing at once.
+    outs = prep.firing_outputs(spec.name, [tuple(b) for b in bufs])
+    return [[v[off[ph] : off[ph + 1]] for v, off in zip(outs, out_prefix)] for ph in phases]
 
 
 def equivalence_check(
@@ -367,8 +362,11 @@ def equivalence_check(
     Every sink input edge must deliver the exact same token stream in both
     executions; each failing trial contributes one mismatch and, up to
     ``max_counterexamples`` times, a counterexample record with the
-    stimulus and both streams.
+    stimulus and both streams.  Raises :class:`ValueError` when ``trials``
+    is negative.
     """
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     rng = random.Random(seed)
     report = EquivalenceReport(trials=trials, mismatches=0, gate_offset=gate_offset)
     sink_edges = [

@@ -11,13 +11,22 @@ threshold tables: it walks the consumer's timeline cycle by cycle and
 linearly searches for the smallest buffered token count that avoids
 underflow.  It shares no code and no algebra with the closed form under
 test, which is what makes the exhaustive comparison meaningful.
+
+``generated_graph`` builds a design of the benchmark's generator
+(``perfbench/designs.py``), loaded from its file.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
+import pathlib
+import sys
 
 from patflow import Graph, build_graph
+
+DESIGNS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "designs.py"
 
 # One line per acceptance criterion, filled in by tests/test_acceptance.py
 # and echoed after the run so the verdicts survive output capture.
@@ -71,6 +80,21 @@ def dotp_document(phases: list[int], *, width: int = 18, name: str | None = None
 def make_dotp(phases: list[int], *, width: int = 18) -> Graph:
     """Build the dot-product graph for one access-pattern refinement."""
     return build_graph(dotp_document(phases, width=width))
+
+
+@functools.lru_cache(maxsize=None)
+def _designs():
+    """The benchmark's design generator, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_designs", DESIGNS_PY)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up while it loads
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def generated_graph(family: str, size: int, seed: int = 0) -> Graph:
+    """The benchmark generator's ``family`` design of ``size`` nodes."""
+    return build_graph(_designs().generate(family, size, seed).doc)
 
 
 def _survives(buffered: int, future_pp: tuple[int, ...], cp: tuple[int, ...],

@@ -144,6 +144,13 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "--iterations: must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["-1", "0"])
+    def test_no_trials_is_usage_error(self, trials, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", f"{FIX}/fig2.json", "--random", trials])
+        assert exc.value.code == 2
+        assert f"--random: must be >= 1, got {trials}" in capsys.readouterr().err
+
     def test_mode_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", f"{FIX}/fold-pipeline.json"])

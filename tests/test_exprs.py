@@ -18,8 +18,6 @@ from patflow import (
     format_expr,
     infer_shape,
     parse_expr,
-    scalarize,
-    substitute,
 )
 from patflow.exprs import Const, Lambda, PrimOp, Var, apply_prim, children
 
@@ -247,60 +245,6 @@ class TestEval:
         assert apply_prim("min", a, b, mask) == min(a, b)
         assert apply_prim("max", a, b, mask) == max(a, b)
         assert apply_prim("compare", a, b, mask) == int(a < b)
-
-
-# ---------------------------------------------------------------------------
-# Substitution and scalarization
-# ---------------------------------------------------------------------------
-
-class TestSubstitute:
-    def test_replaces_free_variable(self):
-        e = parse_expr("(add x 1)")
-        assert format_expr(substitute(e, {"x": Const(5)})) == "(add 5 1)"
-
-    def test_lambda_parameter_shadows(self):
-        e = parse_expr("(map (lambda (x) (add x 1)) (input 0))")
-        out = substitute(e, {"x": Const(9)})
-        assert format_expr(out) == "(map (lambda (x) (add x 1)) (input 0))"
-
-    def test_let_binding_shadows_after_definition(self):
-        e = parse_expr("(let ((x (add x 1))) (mul x 2))")
-        out = substitute(e, {"x": Const(5)})
-        # the initializer sees the outer x; the body sees the bound one
-        assert format_expr(out) == "(let ((x (add 5 1))) (mul x 2))"
-
-
-class TestScalarize:
-    def test_map_becomes_per_element_expr(self):
-        exprs = scalarize(parse_expr("(map (lambda (a) (add a 7)) (input 0))"))
-        assert [format_expr(x) for x in exprs] == ["(add (input 0) 7)"]
-
-    def test_zipwith_becomes_two_operand_expr(self):
-        exprs = scalarize(parse_expr("(zipwith (lambda (a b) (mul a b)) (input 0) (input 1))"))
-        assert [format_expr(x) for x in exprs] == ["(mul (input 0) (input 1))"]
-
-    def test_tuple_yields_one_expr_per_port(self):
-        exprs = scalarize(parse_expr(
-            "(tuple (map (lambda (a) (add a 1)) (input 0))"
-            " (map (lambda (a) (mul a 2)) (input 0)))"
-        ))
-        assert [format_expr(x) for x in exprs] == [
-            "(add (input 0) 1)",
-            "(mul (input 0) 2)",
-        ]
-
-    def test_fold_is_not_elementwise(self):
-        with pytest.raises(UnsupportedExpr, match="not elementwise"):
-            scalarize(parse_expr("(foldl1 (lambda (a b) (add a b)) (input 0))"))
-
-    def test_scalarized_semantics_match(self):
-        src = "(map (lambda (a) (min (mul a a) 99)) (input 0))"
-        vec = parse_expr(src)
-        (scalar,) = scalarize(vec)
-        data = (3, 7, 12)
-        whole = eval_expr(vec, [data], 8)
-        lanes = tuple(eval_expr(scalar, [x], 8) for x in data)
-        assert whole == lanes
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,31 @@ class TestValidation:
         d["edges"].append({"from": "k.0", "to": "c.1"})
         assert "NotStreamable" in codes(d)
 
+    @pytest.mark.parametrize(
+        "expr, kind",
+        [
+            ("(proj (tuple (map (lambda (x) (add x 1)) (input 0)) (input 0)) 0)", "Proj"),
+            ("(let ((t (tuple (input 0) (input 0)))) (proj t 1))", "Tuple"),
+        ],
+    )
+    def test_multi_phase_body_must_be_elementwise(self, expr, kind):
+        # well-typed, but a projection of a tuple has no per-lane form
+        d = {
+            "meta": {"name": "proj", "iterations": 1},
+            "nodes": [
+                {"name": "s", "kind": "source", "width": 8, "outputs": [[1, 1]]},
+                {"name": "c", "kind": "compute", "width": 8, "expr": expr,
+                 "inputs": [[1, 1]], "outputs": [[1, 1]]},
+                {"name": "o", "kind": "sink", "width": 8, "inputs": [[1, 1]]},
+            ],
+            "edges": [{"from": "s.0", "to": "c.0"}, {"from": "c.0", "to": "o.0"}],
+        }
+        (diag,) = validate_graph(build_graph(d))
+        assert diag.code == "NotStreamable"
+        assert diag.message == (
+            f"{kind} is not elementwise; it cannot be streamed phase by phase"
+        )
+
     def test_elementwise_phase_value_mismatch(self):
         d = copy.deepcopy(load("dotp-1010"))
         d["nodes"][2]["inputs"] = [[10, 10], [5, 5]]

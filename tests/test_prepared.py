@@ -64,7 +64,7 @@ class TestComputedOnce:
         simulate_schedule(g, 3)
         assert "lower_hof_node" not in calls
         assert "bodies" not in vars(g.prepared)
-        assert "phase_fns" not in vars(g.prepared)
+        assert "fold_steps" not in vars(g.prepared)
 
     def test_lowering_passes_share_gates_and_plans(self, calls):
         g = load_graph("moments")

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -27,6 +29,7 @@ from patflow.rtl import (
     Instance,
     Port,
     RBin,
+    RConcat,
     RLit,
     RMux,
     RRef,
@@ -38,6 +41,8 @@ from patflow.rtl import (
     lower_design,
     write_design,
 )
+
+from conftest import generated_graph
 
 
 def expected_module_count(g) -> int:
@@ -151,8 +156,17 @@ FOLD_IN_LAMBDA = (
 )
 CONST_IN_MAP = "(map (lambda (x) (add x (mul 2 3))) (input 0))"
 LET_SEED = "(foldl (lambda (a b) (add a b)) (let ((k 3)) (add k k)) (input 0))"
+# A computed value used twice: one instance per lane, not one per use.
+LET_REUSE = (
+    "(let ((y (map (lambda (x) (mul x x)) (input 0))))"
+    " (zipwith (lambda (a b) (add a b)) y y))"
+)
+MAP_OF_ZIP = (
+    "(map (lambda (x) (mul x x)) (zipwith (lambda (a b) (add a b)) (input 0) (input 1)))"
+)
 
-# Bodies on which the estimate and the RTL once disagreed or failed.
+# Bodies on which the estimate and the RTL once disagreed, failed, or
+# instantiated a reused value once per use.
 ODD_BODIES = {
     "mul-seed-2-phase": one_node_doc(MUL_SEED, [[2, 2]], [[0, 1]]),
     "mul-seed-1-phase": one_node_doc(MUL_SEED, [[4]], [[1]]),
@@ -160,6 +174,8 @@ ODD_BODIES = {
     "fold-in-lambda": one_node_doc(FOLD_IN_LAMBDA, [[3], [4]], [[3]]),
     "const-in-map": one_node_doc(CONST_IN_MAP, [[3]], [[3]]),
     "let-seed-2x2": one_node_doc(LET_SEED, [[2, 2]], [[0, 1]]),
+    "let-reuse-1x1": one_node_doc(LET_REUSE, [[1, 1]], [[1, 1]]),
+    "map-of-zip-1x1": one_node_doc(MAP_OF_ZIP, [[1, 1], [1, 1]], [[1, 1]]),
 }
 
 
@@ -176,21 +192,27 @@ def wire_op(value) -> str:
     return "compare"
 
 
-def datapath_ops(design, node: str) -> dict[str, int]:
-    """Operator wires by primitive in ``node``'s datapath module."""
+def datapath_module(design, node: str) -> RtlModule:
+    """``node``'s datapath module."""
     (module,) = [
         m["module"] for m in design.manifest["modules"]
         if m["role"] == "datapath" and m["subject"] == node
     ]
+    return design.modules[module]
+
+
+def datapath_ops(design, node: str) -> dict[str, int]:
+    """Operator wires by primitive in ``node``'s datapath module."""
     return dict(Counter(
-        wire_op(a.value) for a in design.modules[module].assigns
+        wire_op(a.value) for a in datapath_module(design, node).assigns
         if re.search(r"_w\d+$", a.target)
     ))
 
 
-def eval_rtl(e, env: dict) -> int:
+def eval_rtl(e, env: dict, widths: dict | None = None) -> int:
     """The value of the combinational ``rtl.ir`` expression ``e`` over the
-    net values in ``env``; the caller masks it to the target's width."""
+    net values in ``env``; the caller masks it to the target's width.  A
+    concatenation needs the ``widths`` of the nets it joins."""
     if isinstance(e, RRef):
         return env[e.name]
     if isinstance(e, RLit):
@@ -198,10 +220,47 @@ def eval_rtl(e, env: dict) -> int:
     if isinstance(e, RSlice):
         return (env[e.base] >> e.lo) & ((1 << (e.hi - e.lo + 1)) - 1)
     if isinstance(e, RMux):
-        return eval_rtl(e.then if eval_rtl(e.cond, env) else e.orelse, env)
-    a, b = eval_rtl(e.left, env), eval_rtl(e.right, env)
+        return eval_rtl(e.then if eval_rtl(e.cond, env, widths) else e.orelse, env, widths)
+    if isinstance(e, RConcat):
+        value = 0
+        for part in e.parts:  # most significant first
+            if isinstance(part, RRef):
+                w = widths[part.name]
+            else:
+                w = part.width if isinstance(part, RLit) else part.hi - part.lo + 1
+            value = (value << w) | eval_rtl(part, env, widths)
+        return value
+    a, b = eval_rtl(e.left, env, widths), eval_rtl(e.right, env, widths)
     return {"+": a + b, "-": a - b, "*": a * b, "<": int(a < b), "==": int(a == b),
             "&": a & b, "|": a | b}[e.op]
+
+
+def settle(module, env: dict) -> dict:
+    """Evaluate ``module``'s assigns in order over ``env``, masking each net
+    to its width; return ``env``."""
+    widths = {p.name: p.width for p in module.ports}
+    widths.update((n.name, n.width) for n in module.nets)
+    for a in module.assigns:
+        env[a.target] = eval_rtl(a.value, env, widths) & ((1 << widths[a.target]) - 1)
+    return env
+
+
+def firing_through_datapath(node, module, vectors: list[tuple[int, ...]]) -> list[list[int]]:
+    """Drive one firing of an elementwise or single-phase ``node`` through its
+    datapath ``module`` and return its tokens per output port.  In each
+    phase an input bus shows that phase's words of the port's vector."""
+    width, mask = node.width, (1 << node.width) - 1
+    offsets = [list(accumulate(p.phases, initial=0)) for p in node.patterns.inputs]
+    out = [[] for _ in node.patterns.outputs]
+    for phase in range(node.length):
+        env = {"phase": phase, "firing": 1}
+        for i, (v, off) in enumerate(zip(vectors, offsets)):
+            words = v[off[phase] : off[phase + 1]]
+            env[f"in{i}"] = sum(w << (k * width) for k, w in enumerate(words))
+        settle(module, env)
+        for k, p in enumerate(node.patterns.outputs):
+            out[k] += [(env[f"out{k}"] >> (j * width)) & mask for j in range(p.phases[phase])]
+    return out
 
 
 def run_fold_datapath(module, pattern: list[int], tokens: list[int], junk: int = 3) -> int:
@@ -212,16 +271,13 @@ def run_fold_datapath(module, pattern: list[int], tokens: list[int], junk: int =
     ``junk`` past the end of the stream, as a FIFO's ``dout`` does, also in
     a phase that reads nothing.  The accumulator starts from ``junk``: a
     firing must not depend on what an earlier one left behind."""
-    widths = {p.name: p.width for p in module.ports}
-    widths.update((n.name, n.width) for n in module.nets)
-    lanes, width = max(pattern), widths["out0"]
+    lanes, width = max(pattern), next(p.width for p in module.ports if p.name == "out0")
     stream = tokens + [junk] * lanes
     env, pos = {"acc_q": junk, "firing": 1}, 0
     for phase, n in enumerate(pattern):
         env["phase"] = phase
         env["in0"] = sum(w << (k * width) for k, w in enumerate(stream[pos : pos + lanes]))
-        for a in module.assigns:
-            env[a.target] = eval_rtl(a.value, env) & ((1 << widths[a.target]) - 1)
+        settle(module, env)
         env["acc_q"], pos = env["result"], pos + n
     return env["out0"]
 
@@ -272,10 +328,53 @@ class TestDatapaths:
             assert report.per_node["c"]["ops"] == ops, label
 
     @pytest.mark.parametrize(
-        "label", ["input-seed", "fold-in-lambda", "const-in-map", "let-seed-2x2"]
+        "label",
+        ["input-seed", "fold-in-lambda", "const-in-map", "let-seed-2x2",
+         "let-reuse-1x1", "map-of-zip-1x1"],
     )
     def test_unrolled_bodies_stay_equivalent(self, label):
         assert equivalence_check(build_graph(ODD_BODIES[label]), 3, iterations=2).ok
+
+    @pytest.mark.parametrize("pattern, muls", [([2], 2), ([1, 1], 1), ([2, 2], 2)])
+    def test_let_bound_value_is_one_instance_per_lane(self, pattern, muls):
+        g = build_graph(one_node_doc(LET_REUSE, [pattern], [pattern]))
+        report = estimate_resources(g)
+        assert report.dsp_count == muls
+        assert report.per_node["c"]["ops"] == {"mul": muls, "add": muls}
+        assert sum(text.count("*") for text in emit_verilog(g).values()) == muls
+
+    def test_lambda_bound_value_is_one_instance_per_lane(self):
+        report = estimate_resources(build_graph(ODD_BODIES["map-of-zip-1x1"]))
+        assert report.per_node["c"]["ops"] == {"add": 1, "mul": 1}
+
+    def test_datapaths_compute_the_body(self):
+        graphs = {name: load_graph(name) for name in names()}
+        graphs.update((label, build_graph(doc)) for label, doc in ODD_BODIES.items())
+        graphs.update(
+            (family, generated_graph(family, 10))
+            for family in ("chain", "fanout", "tuple", "folds", "mismatch")
+        )
+        rng = random.Random(0)
+        checked = Counter()
+        for label, g in graphs.items():
+            design = lower_design(g)
+            for node in g.computes:
+                mode = g.prepared.plans[node.name].mode
+                if mode == "fold":
+                    continue
+                module = datapath_module(design, node.name)
+                for _ in range(3):
+                    vectors = [
+                        tuple(rng.randrange(1 << node.width) for _ in range(p.total))
+                        for p in node.patterns.inputs
+                    ]
+                    result = eval_expr(node.body, vectors, node.width)
+                    ports = result if len(node.patterns.outputs) > 1 else (result,)
+                    expected = [list(v) if isinstance(v, tuple) else [v] for v in ports]
+                    got = firing_through_datapath(node, module, vectors)
+                    assert got == expected, (label, node.name, vectors)
+                checked[mode] += 1
+        assert checked["elementwise"] and checked["general"]
 
     @pytest.mark.parametrize("pattern", [[2, 0, 2], [2, 2, 0], [0, 2, 2]])
     @pytest.mark.parametrize("op", ["add", "sub", "min"])

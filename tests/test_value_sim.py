@@ -209,6 +209,11 @@ class TestEquivalence:
         assert len(rep.counterexamples) == 1
         assert rep.mismatches == 5
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            equivalence_check(load_graph("fig2"), -1)
+        assert equivalence_check(load_graph("fig2"), 0).trials == 0
+
     def test_trials_with_multiple_iterations(self):
         rep = equivalence_check(load_graph("fold-pipeline"), 5, seed=9, iterations=3)
         assert rep.ok
