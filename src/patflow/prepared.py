@@ -25,6 +25,7 @@ from .exprs import compile_expr
 from .graphs import EdgeSpec, Graph, NodeKind, compute_repetition_vector
 from .lowering import DatapathPlan, edge_gate_table, lower_hof_node
 from .patterns import FiringThresholds
+from .schedule import StepTables
 
 __all__ = ["PreparedGraph"]
 
@@ -46,6 +47,7 @@ class PreparedGraph:
             self.outs.setdefault((e.producer, e.producer_port), []).append(e)
         for edges in self.ins.values():
             edges.sort(key=lambda e: e.consumer_port)
+        self._steps: dict[int, StepTables] = {}
 
     @cached_property
     def topo(self) -> list[str]:
@@ -116,6 +118,14 @@ class PreparedGraph:
             for name, plan in self.plans.items()
             if plan.mode == "fold"
         }
+
+    def step_tables(self, gate_offset: int) -> StepTables:
+        """The scheduler's :class:`~patflow.schedule.StepTables` at
+        ``gate_offset``, built by the first machine that asks."""
+        tables = self._steps.get(gate_offset)
+        if tables is None:
+            tables = self._steps[gate_offset] = StepTables(self.g, gate_offset)
+        return tables
 
     def firing_outputs(self, name: str, vectors: list[tuple[int, ...]]) -> list[list[int]]:
         """Evaluate one whole firing of compute node ``name`` on one vector

@@ -9,7 +9,7 @@ Two executions of the same graph:
   :mod:`patflow.schedule`, which fixes every firing exactly as the
   generated hardware would take it, and then replays concrete values along
   those firings: node by node, each consumer takes as many real tokens as
-  the recorded occupancy trace says were waiting in its FIFO, and pads the
+  the recorded occupancy says were waiting in its FIFO, and pads the
   rest of an underflowing read with zeros.
 
 Both read the graph's :class:`~patflow.prepared.PreparedGraph`: rates,
@@ -236,10 +236,11 @@ def _replay(g: Graph, m: Machine, stimulus: dict[str, list[list[int]]]) -> SimRe
     """Concrete values along the firings of a finished counts-only run.
 
     Nodes are replayed in topological order, one firing after another.  At
-    firing start ``s`` and phase ``ph`` a consumer takes ``min(c,
-    trace[s + ph])`` real tokens from the head of its producer's stream,
-    ``c`` being its input pattern's count, and pads the rest with zeros:
-    the occupancy trace says how many tokens were waiting in the FIFO.
+    firing start ``s`` and phase ``ph`` a consumer takes ``min(c, occ(s +
+    ph))`` real tokens from the head of its producer's stream, ``c`` being
+    its input pattern's count, and pads the rest with zeros: the edge's
+    occupancy (read through :meth:`~patflow.schedule.Occupancy.reader`)
+    says how many tokens were waiting in the FIFO.
     Tokens delivered to a sink are stamped with the cycle ``s + ph``.
     """
     prep = g.prepared
@@ -253,7 +254,7 @@ def _replay(g: Graph, m: Machine, stimulus: dict[str, list[list[int]]]) -> SimRe
         if spec.kind is NodeKind.SINK:
             continue
         ins = [
-            (streams[e.producer, e.producer_port], m.edges[e.id].trace, e.cp.phases)
+            (streams[e.producer, e.producer_port], m.occupancy.reader(e.id), e.cp.phases)
             for e in prep.ins[name]
         ]
         cursors = [0] * len(ins)
@@ -268,12 +269,12 @@ def _replay(g: Graph, m: Machine, stimulus: dict[str, list[list[int]]]) -> SimRe
             outs.append((p.phases, stream, sinks))
         for k, s in enumerate(m.starts[name]):
             bufs = []
-            for i, (stream, trace, cp) in enumerate(ins):
+            for i, (stream, occupancy, cp) in enumerate(ins):
                 cur = cursors[i]
                 buf: list[int] = []
                 for ph, c in enumerate(cp):
                     if c:
-                        n = min(c, trace[s + ph])
+                        n = min(c, occupancy(s + ph))
                         buf += stream[cur : cur + n]
                         buf += [0] * (c - n)
                         cur += n

@@ -11,6 +11,7 @@ import pytest
 from patflow import (
     NodeKind,
     build_graph,
+    equivalence_check,
     render_gantt,
     schedule_to_json,
     simulate_schedule,
@@ -317,8 +318,7 @@ def machine_outcome(g, iterations, **kw):
         m.run()
     except (Deadlock, FifoOverflow, HorizonExceeded) as exc:
         return m, (type(exc).__name__, str(exc))
-    traces = {eid: rt.trace for eid, rt in m.edges.items()}
-    return m, (m.starts, traces, m.cycles, m.last_sink_cycle, m.underflows(), m.fifo_peaks())
+    return m, (m.starts, m.occupancy.expand(), m.cycles, m.last_sink_cycle, m.underflows(), m.fifo_peaks())
 
 
 LONG_RUN_ITERATIONS = (1, 2, 7, 100, 1000)
@@ -515,3 +515,185 @@ class TestLongRuns:
         fast = [machine_outcome(g, 60, **kw)[1] for kw in cases]
         stepped(monkeypatch)
         assert [machine_outcome(g, 60, **kw)[1] for kw in cases] == fast
+
+
+# ---------------------------------------------------------------------------
+# Deep runs: the transient is most of the horizon
+# ---------------------------------------------------------------------------
+
+DEEP_RUN_CASES = [(it, off) for it in (1, 2, 10) for off in (-1, 0, 1)]
+
+
+def error_digest(exc) -> str:
+    """The error's type and the first 16 hex digits of its message's sha256."""
+    return f"{type(exc).__name__}:{hashlib.sha256(str(exc).encode()).hexdigest()[:16]}"
+
+
+def run_digest(g, iterations, **kw) -> str:
+    """``schedule_digest`` of a run, or ``error_digest`` of what it raised."""
+    try:
+        return schedule_digest(g, simulate_schedule(g, iterations, **kw))
+    except (Deadlock, FifoOverflow, HorizonExceeded) as exc:
+        return error_digest(exc)
+
+
+def machine_error(g, iterations, **kw) -> str:
+    try:
+        Machine(g, iterations, **kw).run()
+    except (Deadlock, FifoOverflow, HorizonExceeded) as exc:
+        return error_digest(exc)
+    return "ok"
+
+
+# Recorded with the machine that visited every node in every cycle, per
+# design: one digest per DEEP_RUN_CASES entry.
+DEEP_RUN_SHA256 = {
+    "chain-100": (
+        "55bb6db348c4cf03", "84133699e0a5edaa", "Deadlock:7b07b50d2a88461c",
+        "1b692a1363e84368", "8468a3b7efaae103", "Deadlock:2c6f5e5c7348ead5",
+        "f4f14a30e015da2b", "d8967fdabb16ce7e", "Deadlock:390ce41ee68dd750",
+    ),
+    "chain-400": (
+        "e0347304371cec61", "a0f985fc37f070b8", "Deadlock:9f4785e9673f7466",
+        "e655095efcdb61d8", "67ab98ad6922ca68", "Deadlock:03555d2570264687",
+        "ad926afb467acc7a", "a146f51898052a79", "Deadlock:6a71297c85431625",
+    ),
+    "fanout-100": (
+        "ff510b8d32793517", "9cc726e2221d1a48", "Deadlock:b4f2ce2ce4ac58bc",
+        "4a88bfdd3817e63c", "952da347798d8253", "Deadlock:0b594c6f24c382fc",
+        "ee407539957b9fac", "31df1dbd56d91b90", "Deadlock:d656635ecb37d82d",
+    ),
+    "fanout-400": (
+        "55af24cb099a6320", "0d5389b25b806676", "Deadlock:48573dff3e33c10b",
+        "6b3c8d57abae9d5a", "aa053286248479ab", "Deadlock:dd6d0592d23926c2",
+        "4a67ba94b5e27ac8", "47acd3696644dd5b", "Deadlock:d185da3e10495582",
+    ),
+    "mismatch-100": (
+        "d570ddf846862777", "be39b09299c43d94", "Deadlock:d0f3deef988ee074",
+        "aac60791fd511d9c", "5eca60f9be5d802d", "Deadlock:ec98e59821bd7ca2",
+        "294eb74f574c2d39", "fa138b9c3b8c33ea", "Deadlock:593425958a0a99c3",
+    ),
+    "mismatch-400": (
+        "46705e8d1a390095", "e3956411c9066560", "Deadlock:ae4c720ed94313ed",
+        "0017fb420e8ee676", "4d8758844524deaa", "Deadlock:29eb1b3b76c53a37",
+        "e1e84840d9ffb91b", "92da9ac81130c3cf", "Deadlock:8764fc751d1fc9d6",
+    ),
+}
+
+# Per design: the horizon one cycle short at 2 and at 10 iterations, then
+# every FIFO sized one below its peak at once (2 iterations), and for the
+# 100-node designs a digest of the errors with each FIFO alone one below.
+DEEP_ERROR_SHA256 = {
+    "chain-100": (
+        "HorizonExceeded:27c3bb510f46f350", "HorizonExceeded:f659843406d07f02",
+        "FifoOverflow:e77b3dceaf352298", "c98904ffa674f666",
+    ),
+    "chain-400": (
+        "HorizonExceeded:bbd18d2b589dbb9e", "HorizonExceeded:d3247b52068f2405",
+        "FifoOverflow:e77b3dceaf352298",
+    ),
+    "fanout-100": (
+        "HorizonExceeded:85633815522149e3", "HorizonExceeded:5f7c4b134b001492",
+        "FifoOverflow:0e01d3d75b5bac9a", "89f661443a68580d",
+    ),
+    "fanout-400": (
+        "HorizonExceeded:97eb443db9302a7a", "HorizonExceeded:a9471d0ec1c64321",
+        "FifoOverflow:ad267295a6caff15",
+    ),
+    "mismatch-100": (
+        "HorizonExceeded:369bfe65881f0eb1", "HorizonExceeded:636ca9415043ac78",
+        "FifoOverflow:100295ccb59b6953", "48062ab042ef8bff",
+    ),
+    "mismatch-400": (
+        "HorizonExceeded:1bd085e663b1cd17", "HorizonExceeded:bc5c63b9ba106dfb",
+        "FifoOverflow:ad267295a6caff15",
+    ),
+}
+
+
+class TestDeepRuns:
+    @pytest.mark.parametrize("name", sorted(DEEP_RUN_SHA256))
+    def test_pinned_runs(self, name):
+        g = long_run_graph(name)
+        got = [run_digest(g, it, gate_offset=off) for it, off in DEEP_RUN_CASES]
+        assert got == list(DEEP_RUN_SHA256[name])
+
+    @pytest.mark.parametrize("name", sorted(DEEP_ERROR_SHA256))
+    def test_pinned_errors(self, name):
+        g = long_run_graph(name)
+        got = []
+        for it in (2, 10):
+            got.append(machine_error(g, it, horizon=simulate_schedule(g, it).horizon - 1))
+        peaks = {eid: p for eid, p in simulate_schedule(g, 2).fifo_peaks.items() if p}
+        got.append(machine_error(g, 2, capacities={eid: p - 1 for eid, p in peaks.items()}))
+        if name.endswith("-100"):
+            each = [machine_error(g, 2, capacities={eid: p - 1}) for eid, p in peaks.items()]
+            assert all(e.startswith("FifoOverflow:") for e in each)
+            got.append(hashlib.sha256(json.dumps(each).encode()).hexdigest()[:16])
+        assert got == list(DEEP_ERROR_SHA256[name])
+
+
+# ---------------------------------------------------------------------------
+# Event-driven stepping
+# ---------------------------------------------------------------------------
+
+# A one-phase source trickling one token per cycle into a map that takes
+# three: only the source's supply, not a change of its phase, tells the
+# waiting map to look again.
+TRICKLE_DOC = {
+    "meta": {"name": "trickle", "iterations": 1},
+    "nodes": [
+        {"name": "s", "kind": "source", "width": 8, "outputs": [[1]]},
+        {"name": "c", "kind": "compute", "width": 8, "inputs": [[3]], "outputs": [[3]],
+         "expr": "(map (lambda (x) (add x 1)) (input 0))"},
+        {"name": "o", "kind": "sink", "width": 8, "inputs": [[3]]},
+    ],
+    "edges": [{"from": "s.0", "to": "c.0"}, {"from": "c.0", "to": "o.0"}],
+}
+
+
+class TestEventDriven:
+    def test_source_supply_wakes_consumer(self):
+        s = simulate_schedule(build_graph(TRICKLE_DOC), 2)
+        assert s.firing_starts == {"s": [0, 1, 2, 3, 4, 5], "c": [2, 5]}
+        assert s.per_edge_occupancy == {"s.0->c.0": [1, 2, 3, 1, 2, 3]}
+
+    @pytest.mark.parametrize("name", ["chain-400", "mismatch-400"])
+    def test_visits_track_busy_nodes(self, name):
+        # A visit either steps a node (one of its busy cycles) or re-checks
+        # an idle one: every node once in cycle 0, a node once after each
+        # firing, and a consumer once per step of a producer it reads.
+        g = long_run_graph(name)
+        m = Machine(g, 2).run()
+        busy = {n: len(s) * g.nodes[n].length for n, s in m.starts.items()}
+        rechecks = len(busy) + sum(len(s) for s in m.starts.values()) + sum(
+            busy[e.producer] for e in g.edges if e.consumer in busy)
+        assert m.visits <= sum(busy.values()) + rechecks
+        # Visiting every node in every cycle would be far above that bound.
+        assert m.cycles * len(busy) > 10 * (sum(busy.values()) + rechecks)
+
+    def test_step_tables_built_once_per_offset(self):
+        g = load_graph("dotp-1x20")
+        assert not g.prepared._steps  # building and validating build none
+        a, b = Machine(g, 1), Machine(g, 3)
+        assert a.tables is b.tables
+        equivalence_check(g, 3, iterations=2, gate_offset=-1)
+        assert sorted(g.prepared._steps) == [-1, 0]
+
+    def test_occupancy_expanded_on_first_read(self):
+        g = load_graph("dotp-1010")
+        s = simulate_schedule(g, 100)
+        assert "per_edge_occupancy" not in vars(s)
+        occ = s.per_edge_occupancy
+        assert type(occ) is dict and all(type(v) is list for v in occ.values())
+        assert s.per_edge_occupancy is occ
+        assert json.loads(json.dumps(occ)) == occ == replay_occupancy(g, s)
+        assert all(len(v) == s.horizon for v in occ.values())
+
+    def test_reader_matches_expansion_across_a_skip(self):
+        g = long_run_graph("mismatch-25")
+        m = Machine(g, 100).run()
+        assert m.skipped
+        for eid, trace in m.occupancy.expand().items():
+            at = m.occupancy.reader(eid)
+            assert [at(t) for t in range(m.cycles)] == trace, eid
