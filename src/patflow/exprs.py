@@ -52,6 +52,7 @@ __all__ = [
     "eval_expr",
     "compile_expr",
     "apply_prim",
+    "PRIMS",
 ]
 
 PRIM_OPS = ("add", "mul", "sub", "min", "max", "compare")
@@ -486,7 +487,9 @@ class _TupleVal:
     items: tuple
 
 
-_PRIMS = {
+# Each primitive as ``f(a, b, mask)``, for every evaluator of expressions
+# and of their unrolled netlists.
+PRIMS = {
     "add": lambda a, b, mask: (a + b) & mask,
     "mul": lambda a, b, mask: (a * b) & mask,
     "sub": lambda a, b, mask: (a - b) & mask,
@@ -501,7 +504,7 @@ _NO_ENV: dict = {}
 
 def apply_prim(op: str, a: int, b: int, mask: int) -> int:
     """Apply one scalar primitive with wrap-around at ``mask``."""
-    fn = _PRIMS.get(op)
+    fn = PRIMS.get(op)
     if fn is None:
         raise UnsupportedExpr(f"unknown primitive '{op}'")
     return fn(a, b, mask)
@@ -577,7 +580,7 @@ def _compile(e: Expr, mask: int):
         a = _compile_scalar(e.args[0], mask, f"{e.op} operand 0")
         b = _compile_scalar(e.args[1], mask, f"{e.op} operand 1")
         # An unknown primitive raises once its operands are evaluated.
-        prim = _PRIMS.get(e.op) or partial(apply_prim, e.op)
+        prim = PRIMS.get(e.op) or partial(apply_prim, e.op)
         return lambda inputs, env=_NO_ENV: prim(a(inputs, env), b(inputs, env), mask)
     if isinstance(e, Map):
         vec = _compile_vector(e.vec, mask, "map argument")

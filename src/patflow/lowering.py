@@ -23,9 +23,10 @@ two literals folds into a literal, so any constant subexpression, a
 node unrolls the body itself over one word of every input, so a ``let``-
 or lambda-bound value is one instance per lane, as it is one instance in a
 single-phase body.  The RTL renders one wire per instance and the estimator
-counts them, so both see the same hardware.
-Evaluation stays on :func:`~patflow.exprs.compile_expr`, the functional
-reference the equivalence check compares against.
+counts them, so both see the same hardware.  :func:`compile_datapath`
+turns the same netlists into the code the clocked simulator runs, phase by
+phase, so the equivalence check compares this unrolled form with the
+functional reference, :func:`~patflow.exprs.compile_expr`.
 
 Edges
 -----
@@ -64,6 +65,7 @@ from .exprs import (
     Var,
     ZipWith,
     InputRef,
+    PRIMS,
     apply_prim,
 )
 from .graphs import EdgeSpec, Graph, NodeKind, NodeSpec, root_fold
@@ -80,6 +82,7 @@ __all__ = [
     "Netlist",
     "DatapathPlan",
     "lower_hof_node",
+    "compile_datapath",
     "seed_literal",
     "unroll",
     "EdgeLowering",
@@ -144,9 +147,9 @@ class DatapathPlan:
         unseeded.  General: the whole body.
     accumulator_width : int or None
         Width of the fold accumulator register, if one exists.
-    fold_fn, fold_init, fold_input :
-        For fold nodes: the lambda, the seed value (None = seed from the
-        first element), and the reduced input port.
+    fold_init, fold_input :
+        For fold nodes: the seed value (None = seed from the first
+        element) and the reduced input port.
     """
 
     node: str
@@ -155,7 +158,6 @@ class DatapathPlan:
     phases: int
     netlists: tuple[Netlist, ...]
     accumulator_width: int | None = None
-    fold_fn: Lambda | None = None
     fold_init: int | None = None
     fold_input: int = 0
 
@@ -336,7 +338,7 @@ def lower_hof_node(node: NodeSpec) -> DatapathPlan:
                 acc = _apply_lambda(fn, [acc, tok], {}, [], rec)
             netlists.append(rec.take(acc))
             return plan(mode="fold", netlists=tuple(netlists), accumulator_width=node.width,
-                        fold_fn=fn, fold_init=init, fold_input=vec.index)
+                        fold_init=init, fold_input=vec.index)
         items = node.body.items if isinstance(node.body, Tuple) else (node.body,)
         netlists = tuple(
             rec.take(unroll(item, {}, [[(i, lane)] for i in range(len(in_values))], rec))
@@ -348,6 +350,57 @@ def lower_hof_node(node: NodeSpec) -> DatapathPlan:
     result = unroll(node.body, {}, _input_words(node), rec)
     values = result if len(out_values) > 1 else [result]
     return plan(mode="general", netlists=(rec.take(*values),))
+
+
+def compile_datapath(node: NodeSpec, plan: DatapathPlan):
+    """One phase of ``node``'s datapath as ``phase(ph, x, acc_q) -> (outs, acc)``.
+
+    ``x`` holds, per input port, the words its bus shows in phase ``ph``;
+    ``outs`` the words per output port, and ``acc`` the accumulator after
+    the phase (``acc_q`` itself outside a fold).  Each operator instance of
+    the plan's netlists is one line of generated code applying its
+    :data:`~patflow.exprs.PRIMS` entry.  As the RTL's fold datapath does, a
+    fold starts from its seed (or its first token) in its first phase that
+    reads tokens, and holds ``acc_q`` through a phase that reads none.
+    """
+    mask = (1 << node.width) - 1
+    lines = ["def phase(ph, x, acc_q):"]
+
+    def render(n: int, net: Netlist) -> list[list[str]]:
+        def operand(v) -> str:
+            if isinstance(v, Wire):
+                return f"w{n}_{v.index}"
+            return f"x[{v[0]}][{v[1]}]" if isinstance(v, tuple) else str(v)
+
+        lines.extend(
+            f"w{n}_{i} = {op}({operand(a)}, {operand(b)}, {mask})"
+            for i, (op, a, b) in enumerate(net.ops)
+        )
+        return [[operand(w) for w in words] for words in net.outs]
+
+    acc, hold, reads = "acc_q", "()", node.patterns.all_patterns[0].phases
+    if plan.mode == "fold":
+        reads, hold = node.patterns.inputs[plan.fold_input].phases, "[[acc_q]]"
+        first = next(ph for ph, v in enumerate(reads) if v)
+        if plan.fold_init is None:
+            ((bypassed,),) = render(0, plan.netlists[0])
+            lines.append(f"stage0 = x[{plan.fold_input}][0] if ph == {first} else {bypassed}")
+        else:
+            lines.append(f"carry = {plan.fold_init} if ph == {first} else acc_q")
+        ((acc,),) = outs = render(len(plan.netlists) - 1, plan.netlists[-1])
+    elif plan.mode == "elementwise":
+        words = [render(n, net)[0][0] for n, net in enumerate(plan.netlists)]
+        outs = [words[k : k + plan.lanes] for k in range(0, len(words), plan.lanes)]
+    else:
+        reads, outs = (1,), render(0, plan.netlists[0])
+    idle = tuple(ph for ph, v in enumerate(reads) if not v)
+    if idle:
+        lines.insert(1, f"if ph in {idle}: return {hold}, acc_q")
+    ports = ", ".join(f"[{', '.join(port)}]" for port in outs)
+    lines.append(f"return [{ports}], {acc}")
+    namespace = dict(PRIMS)
+    exec(compile("\n    ".join(lines), f"<datapath {node.name}>", "exec"), namespace)
+    return namespace["phase"]
 
 
 # ---------------------------------------------------------------------------

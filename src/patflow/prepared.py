@@ -2,28 +2,29 @@
 
 Scheduling, value simulation, the equivalence check, lowering, estimation
 and RTL emission all need the same facts about a graph: its adjacency,
-topological order, repetition vector, gate tables, per-phase token
-offsets, datapath plans and compiled node bodies.  :class:`PreparedGraph`
+topological order, repetition vector, gate tables, datapath plans, the
+datapaths compiled from those plans (what a clocked run evaluates) and the
+compiled node bodies (the functional reference).  :class:`PreparedGraph`
 computes each of them once, on first use, and keeps it;
-:attr:`patflow.graphs.Graph.prepared` holds one per graph.  Graphs are immutable after :func:`~patflow.graphs.build_graph`,
-which is what makes the cache safe.
+:attr:`patflow.graphs.Graph.prepared` holds one per graph.  Graphs are
+immutable after :func:`~patflow.graphs.build_graph`, which is what makes
+the cache safe.
 
 Adjacency is built when the view is; everything else waits for its first
 reader, so a counts-only schedule never plans datapaths or compiles
-expressions.  A computation that raises (``CycleDetected``,
-``InconsistentRates``, ``UnsupportedExpr``) keeps nothing and raises again
-on the next use.
+expressions, and a clocked run compiles no body.  A computation that
+raises (``CycleDetected``, ``InconsistentRates``, ``UnsupportedExpr``)
+keeps nothing and raises again on the next use.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
 
 from .errors import CycleDetected
 from .exprs import compile_expr
 from .graphs import EdgeSpec, Graph, NodeKind, compute_repetition_vector
-from .lowering import DatapathPlan, edge_gate_table, lower_hof_node
+from .lowering import DatapathPlan, compile_datapath, edge_gate_table, lower_hof_node
 from .patterns import FiringThresholds
 from .schedule import StepTables
 
@@ -89,15 +90,6 @@ class PreparedGraph:
         return {e.id: edge_gate_table(self.g, e) for e in self.g.edges}
 
     @cached_property
-    def offsets(self) -> dict[str, tuple[list[list[int]], list[list[int]]]]:
-        """Per node, the token offset at the start of each phase (and the
-        total after the last), per input port and per output port."""
-        return {
-            n.name: (_offsets(n.patterns.inputs), _offsets(n.patterns.outputs))
-            for n in self.g.nodes.values()
-        }
-
-    @cached_property
     def plans(self) -> dict[str, DatapathPlan]:
         """The :class:`~patflow.lowering.DatapathPlan` of every compute node."""
         return {n.name: lower_hof_node(n) for n in self.g.computes}
@@ -109,15 +101,11 @@ class PreparedGraph:
         return {n.name: compile_expr(n.body, n.width) for n in self.g.computes}
 
     @cached_property
-    def fold_steps(self) -> dict:
-        """The compiled lambda of each multi-phase fold node, as
-        ``step(acc, token) -> acc``, by node name."""
+    def datapaths(self) -> dict:
+        """One phase of every compute node's datapath, compiled from its plan
+        (see :func:`~patflow.lowering.compile_datapath`)."""
         nodes = self.g.nodes
-        return {
-            name: _fold_step(plan.fold_fn, nodes[name].width)
-            for name, plan in self.plans.items()
-            if plan.mode == "fold"
-        }
+        return {name: compile_datapath(nodes[name], plan) for name, plan in self.plans.items()}
 
     def step_tables(self, gate_offset: int) -> StepTables:
         """The scheduler's :class:`~patflow.schedule.StepTables` at
@@ -126,29 +114,3 @@ class PreparedGraph:
         if tables is None:
             tables = self._steps[gate_offset] = StepTables(self.g, gate_offset)
         return tables
-
-    def firing_outputs(self, name: str, vectors: list[tuple[int, ...]]) -> list[list[int]]:
-        """Evaluate one whole firing of compute node ``name`` on one vector
-        per input port; return its tokens per output port."""
-        result = self.bodies[name](vectors)
-        ports = len(self.g.nodes[name].patterns.outputs)
-        values = list(result) if ports > 1 else [result]
-        out = []
-        for port in range(ports):
-            v = values[port]
-            out.append(list(v) if isinstance(v, tuple) else [v])
-        return out
-
-
-def _offsets(patterns) -> list[list[int]]:
-    return [[0, *accumulate(p.phases)] for p in patterns]
-
-
-def _fold_step(fn, width: int):
-    body = compile_expr(fn.body, width)
-    acc_name, tok_name = fn.params
-
-    def step(acc, tok):
-        return body((), {acc_name: acc, tok_name: tok})
-
-    return step

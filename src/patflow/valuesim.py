@@ -12,31 +12,33 @@ Two executions of the same graph:
   the recorded occupancy says were waiting in its FIFO, and pads the
   rest of an underflowing read with zeros.
 
-Both read the graph's :class:`~patflow.prepared.PreparedGraph`: rates,
-adjacency and compiled node bodies are derived once per graph, not once per
-run.  A whole firing is evaluated by one helper,
-:meth:`~patflow.prepared.PreparedGraph.firing_outputs`.  The replay uses it
-for every compute node except a multi-phase fold, which steps its lambda
-phase by phase: an elementwise firing is evaluated once, on its whole
-zero-padded input, and each output port is cut into its phases' tokens.
-Both check the stimulus the same way.
+The two evaluate a node in different forms, both derived once per graph
+on its :class:`~patflow.prepared.PreparedGraph`.  The functional side runs
+the compiled body (:func:`~patflow.exprs.compile_expr`) on whole firings.
+The replay runs the node's datapath phase by phase: the netlists of its
+plan, which the RTL renders and the estimator counts, compiled by
+:func:`~patflow.lowering.compile_datapath`.  Both check the stimulus the
+same way.
 
 :func:`equivalence_check` runs both on random stimulus and compares the
-token streams delivered to each sink input.  With ``gate_offset=0`` the two
-must agree on every legal graph; a negative offset corrupts the firing
-thresholds and lets tests confirm that the comparison actually detects
-premature firings.
+token streams delivered to each sink input, so it checks the unrolled
+hardware form against the functional meaning: a dropped lane, a wrong
+constant fold or a mis-seeded fold shows as a mismatch, as does a token
+moved at the wrong time.  With ``gate_offset=0`` the two must agree on
+every legal graph; a negative offset corrupts the firing thresholds and
+lets tests confirm that the comparison actually detects premature firings.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import ShapeMismatch
-from .graphs import Graph, NodeKind, NodeSpec
-from .prepared import PreparedGraph
+from .graphs import Graph, NodeKind
 from .schedule import Machine
 
 __all__ = [
@@ -84,14 +86,23 @@ def _stimulus_iterations(
 ) -> int:
     """The iteration count the stimulus holds, checked against
     ``iterations`` when that is given (default 1 for a graph without
-    sources).  Every firing vector must hold one firing's tokens, and only
-    sources take stimulus."""
+    sources).  Every firing vector must be a list of one firing's tokens,
+    each fitting the source's width, and only sources take stimulus."""
+    if not isinstance(stimulus, Mapping):
+        raise ShapeMismatch(
+            f"stimulus must map source names to firing vectors, got {type(stimulus).__name__}"
+        )
     reps = g.prepared.reps
     counts = set()
     for src in g.sources:
         vecs = stimulus.get(src.name)
         if vecs is None:
             raise ShapeMismatch(f"stimulus missing source '{src.name}'")
+        if not isinstance(vecs, list):
+            raise ShapeMismatch(
+                f"source '{src.name}': expected a list of firing vectors, "
+                f"got {type(vecs).__name__}"
+            )
         r = reps[src.name]
         if len(vecs) % r:
             raise ShapeMismatch(
@@ -114,12 +125,24 @@ def _stimulus_iterations(
         raise ValueError("iterations must be >= 0")
     for src in g.sources:
         per_firing = sum(p.total for p in src.patterns.outputs)
+        bound = 1 << src.width
         for k, v in enumerate(stimulus[src.name]):
+            if not isinstance(v, list):
+                raise ShapeMismatch(
+                    f"source '{src.name}' firing {k}: expected a list of "
+                    f"{per_firing} tokens, got {type(v).__name__}"
+                )
             if len(v) != per_firing:
                 raise ShapeMismatch(
                     f"source '{src.name}' firing {k}: expected {per_firing} "
                     f"tokens, got {len(v)}"
                 )
+            for j, tok in enumerate(v):
+                if type(tok) is not int or not 0 <= tok < bound:
+                    raise ShapeMismatch(
+                        f"source '{src.name}' firing {k} token {j}: expected an "
+                        f"integer in [0, {bound}), got {tok!r}"
+                    )
     extra = set(stimulus) - {s.name for s in g.sources}
     if extra:
         raise ShapeMismatch(f"stimulus for non-source nodes: {sorted(extra)}")
@@ -160,21 +183,21 @@ def _combinational_streams(
             [streams[e.id] for e in prep.outs.get((name, port), ())]
             for port in range(len(spec.patterns.outputs))
         ]
+        bases = list(accumulate((p.total for p in spec.patterns.outputs), initial=0))
         for k in range(firings):
             if spec.kind is NodeKind.SOURCE:
+                # The firing vector covers all output ports, port-major.
                 vec = stimulus[name][k]
-                per_port: list[list[int]] = []
-                base = 0
-                for p in spec.patterns.outputs:
-                    per_port.append(list(vec[base : base + p.total]))
-                    base += p.total
+                per_port = [vec[b:e] for b, e in zip(bases, bases[1:])]
             else:
                 vectors = []
                 for i, (s, need) in enumerate(ins):
                     vectors.append(tuple(s[cursors[i] : cursors[i] + need]))
                     cursors[i] += need
-                per_port = prep.firing_outputs(name, vectors)
+                result = prep.bodies[name](vectors)
+                per_port = result if len(outs) > 1 else (result,)
             for port, vals in enumerate(per_port):
+                vals = (vals,) if isinstance(vals, int) else vals
                 for s in outs[port]:
                     s.extend(vals)
     return streams
@@ -192,7 +215,7 @@ def eval_combinational(
     port order.  The iteration count is inferred from the stimulus depth
     when not given.
     """
-    stimulus = stimulus or {}
+    stimulus = {} if stimulus is None else stimulus
     iterations = _stimulus_iterations(g, stimulus, iterations)
     streams = _combinational_streams(g, stimulus, iterations)
     out: dict[str, list[int]] = {}
@@ -221,11 +244,11 @@ def simulate_clocked(
     raises on) underflows, which can only happen under a non-zero
     ``gate_offset``.
     """
-    stimulus = stimulus or {}
+    stimulus = {} if stimulus is None else stimulus
     iterations = _stimulus_iterations(g, stimulus, iterations)
-    # Plans and node logic are derived before the run, so a body that
-    # cannot be planned or compiled fails ahead of any scheduling error.
-    g.prepared.fold_steps, g.prepared.bodies
+    # Datapaths are planned before the run, so a body that cannot be
+    # planned fails ahead of any scheduling error.
+    g.prepared.datapaths
     m = Machine(
         g, iterations, gate_offset=gate_offset, horizon=horizon, capacities=capacities
     ).run()
@@ -235,13 +258,16 @@ def simulate_clocked(
 def _replay(g: Graph, m: Machine, stimulus: dict[str, list[list[int]]]) -> SimResult:
     """Concrete values along the firings of a finished counts-only run.
 
-    Nodes are replayed in topological order, one firing after another.  At
-    firing start ``s`` and phase ``ph`` a consumer takes ``min(c, occ(s +
-    ph))`` real tokens from the head of its producer's stream, ``c`` being
-    its input pattern's count, and pads the rest with zeros: the edge's
-    occupancy (read through :meth:`~patflow.schedule.Occupancy.reader`)
-    says how many tokens were waiting in the FIFO.
-    Tokens delivered to a sink are stamped with the cycle ``s + ph``.
+    Nodes are replayed in topological order, one firing after another and
+    one phase after another.  At firing start ``s`` and phase ``ph`` a
+    consumer takes ``min(c, occ(s + ph))`` real tokens from the head of its
+    producer's stream, ``c`` being its input pattern's count, and pads the
+    rest with zeros: the edge's occupancy (read through
+    :meth:`~patflow.schedule.Occupancy.reader`) says how many tokens were
+    waiting in the FIFO.  Those words go through the node's compiled
+    datapath (:attr:`~patflow.prepared.PreparedGraph.datapaths`); a source
+    passes on its stimulus.  Tokens delivered to a sink are stamped with
+    the cycle ``s + ph``.
     """
     prep = g.prepared
     streams: dict[tuple[str, int], list[int]] = {}
@@ -253,11 +279,6 @@ def _replay(g: Graph, m: Machine, stimulus: dict[str, list[list[int]]]) -> SimRe
         spec = g.nodes[name]
         if spec.kind is NodeKind.SINK:
             continue
-        ins = [
-            (streams[e.producer, e.producer_port], m.occupancy.reader(e.id), e.cp.phases)
-            for e in prep.ins[name]
-        ]
-        cursors = [0] * len(ins)
         outs = []
         for port, p in enumerate(spec.patterns.outputs):
             stream = streams[name, port] = []
@@ -267,22 +288,41 @@ def _replay(g: Graph, m: Machine, stimulus: dict[str, list[list[int]]]) -> SimRe
                 if e.id in edge_arrivals
             ]
             outs.append((p.phases, stream, sinks))
-        for k, s in enumerate(m.starts[name]):
-            bufs = []
-            for i, (stream, occupancy, cp) in enumerate(ins):
-                cur = cursors[i]
-                buf: list[int] = []
-                for ph, c in enumerate(cp):
-                    if c:
-                        n = min(c, occupancy(s + ph))
-                        buf += stream[cur : cur + n]
-                        buf += [0] * (c - n)
-                        cur += n
-                cursors[i] = cur
-                bufs.append(buf)
-            phases = _firing_phases(prep, spec, bufs, stimulus, k, fold_trace)
-            for ph, vals in enumerate(phases):
-                for (pp, stream, sinks), v in zip(outs, vals):
+        if spec.kind is NodeKind.SOURCE:
+            # The firing vectors are port-major, and all of them are waiting
+            # from the start.
+            bases = accumulate((p.total for p in spec.patterns.outputs), initial=0)
+            ins = [
+                ([t for v in stimulus[name] for t in v[b : b + p.total]],
+                 lambda cycle: sys.maxsize, p.phases)
+                for b, p in zip(bases, spec.patterns.outputs)
+            ]
+            phase, seed, trace = _pass_through, 0, None
+        else:
+            ins = [
+                (streams[e.producer, e.producer_port], m.occupancy.reader(e.id), e.cp.phases)
+                for e in prep.ins[name]
+            ]
+            plan, phase = prep.plans[name], prep.datapaths[name]
+            # A fold's accumulator shows its seed (0 without one) until a
+            # phase reads tokens.
+            seed = plan.fold_init or 0
+            fired_fold = plan.mode == "fold" and m.starts[name]
+            trace = fold_trace.setdefault(name, []) if fired_fold else None
+        cursors = [0] * len(ins)
+        for s in m.starts[name]:
+            acc = seed
+            for ph in range(spec.length):
+                bus = []
+                for i, (stream, occupancy, cp) in enumerate(ins):
+                    c, cur = cp[ph], cursors[i]
+                    n = min(c, occupancy(s + ph)) if c else 0
+                    bus.append(stream[cur : cur + n] + [0] * (c - n))
+                    cursors[i] = cur + n
+                words, acc = phase(ph, bus, acc)
+                if trace is not None:
+                    trace.append(acc)
+                for (pp, stream, sinks), v in zip(outs, words):
                     if pp[ph]:
                         stream += v
                         for arrivals in sinks:
@@ -303,50 +343,9 @@ def _replay(g: Graph, m: Machine, stimulus: dict[str, list[list[int]]]) -> SimRe
     )
 
 
-def _firing_phases(
-    prep: PreparedGraph,
-    spec: NodeSpec,
-    bufs: list[list[int]],
-    stimulus: dict[str, list[list[int]]],
-    k: int,
-    fold_trace: dict[str, list[int]],
-) -> list[list[list[int]]]:
-    """Output tokens per phase and port of ``spec``'s firing ``k``, given
-    its whole input per port in ``bufs``.  A fold steps its lambda phase by
-    phase and appends its accumulator after every phase to ``fold_trace``."""
-    in_prefix, out_prefix = prep.offsets[spec.name]
-    phases = range(spec.length)
-    if spec.kind is NodeKind.SOURCE:
-        # The firing vector covers all output ports, port-major.
-        vec = stimulus[spec.name][k]
-        bases = [0, *accumulate(p.total for p in spec.patterns.outputs)]
-        return [
-            [vec[b + off[ph] : b + off[ph + 1]] for b, off in zip(bases, out_prefix)]
-            for ph in phases
-        ]
-    plan = prep.plans[spec.name]
-    if plan.mode == "fold":
-        fn = prep.fold_steps[spec.name]
-        counts = [p.phases for p in spec.patterns.outputs]
-        acc, seeded = (plan.fold_init, True) if plan.fold_init is not None else (None, False)
-        offs = in_prefix[plan.fold_input]
-        buf = bufs[plan.fold_input]
-        trace = fold_trace.setdefault(spec.name, [])
-        out = []
-        for ph in phases:
-            for tok in buf[offs[ph] : offs[ph + 1]]:
-                if not seeded:
-                    acc, seeded = tok, True
-                else:
-                    acc = fn(acc, tok)
-            trace.append(acc if acc is not None else 0)
-            out.append([[acc] * c[ph] for c in counts])
-        return out
-    # A general node fires in one phase, and an elementwise node's output
-    # element k depends on input element k alone, so both evaluate the
-    # whole zero-padded firing at once.
-    outs = prep.firing_outputs(spec.name, [tuple(b) for b in bufs])
-    return [[v[off[ph] : off[ph + 1]] for v, off in zip(outs, out_prefix)] for ph in phases]
+def _pass_through(ph: int, words: list[list[int]], acc: int):
+    """A source's phase: its stimulus words, port by port."""
+    return words, acc
 
 
 def equivalence_check(

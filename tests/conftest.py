@@ -13,7 +13,8 @@ underflow.  It shares no code and no algebra with the closed form under
 test, which is what makes the exhaustive comparison meaningful.
 
 ``generated_graph`` builds a design of the benchmark's generator
-(``perfbench/designs.py``), loaded from its file.
+(``perfbench/designs.py``), loaded from its file; ``one_node_doc`` wraps one
+compute node between sources and a sink.
 """
 
 from __future__ import annotations
@@ -139,3 +140,18 @@ def zero_n_patterns(max_len: int, max_n: int) -> list[tuple[int, ...]]:
             for n in range(1, max_n + 1):
                 out.add(tuple(bit * n for bit in mask))
     return sorted(out)
+
+
+def one_node_doc(expr: str, inputs: list, outputs: list) -> dict:
+    """One source per input port feeding compute node ``c``, whose single
+    output port feeds a sink."""
+    nodes = [
+        {"name": f"s{i}", "kind": "source", "width": 8, "outputs": [p]}
+        for i, p in enumerate(inputs)
+    ]
+    nodes.append({"name": "c", "kind": "compute", "width": 8, "expr": expr,
+                  "inputs": inputs, "outputs": outputs})
+    nodes.append({"name": "o", "kind": "sink", "width": 8, "inputs": outputs})
+    edges = [{"from": f"s{i}.0", "to": f"c.{i}"} for i in range(len(inputs))]
+    edges.append({"from": "c.0", "to": "o.0"})
+    return {"meta": {"name": "one", "iterations": 1}, "nodes": nodes, "edges": edges}

@@ -171,6 +171,15 @@ class TestSimulate:
                      "--stimulus", str(stim)]) == 1
         assert "expected 6 tokens, got 1" in capsys.readouterr().err
 
+    def test_stimulus_that_is_not_a_mapping_exit_one(self, tmp_path, capsys):
+        stim = tmp_path / "stim.json"
+        stim.write_text(json.dumps([[1, 2, 3, 4, 5, 6]]))
+        assert main(["simulate", f"{FIX}/fold-pipeline.json",
+                     "--stimulus", str(stim)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stimulus must map source names")
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # estimate / emit

@@ -64,7 +64,12 @@ class TestComputedOnce:
         simulate_schedule(g, 3)
         assert "lower_hof_node" not in calls
         assert "bodies" not in vars(g.prepared)
-        assert "fold_steps" not in vars(g.prepared)
+        assert "datapaths" not in vars(g.prepared)
+        # A clocked run evaluates the planned datapaths, not the bodies.
+        g = load_graph("dotp-1x20")
+        simulate_clocked(g, random_stimulus(g, 3, seed=0))
+        assert "bodies" not in vars(g.prepared)
+        assert set(vars(g.prepared)["datapaths"]) == {"zw", "fl"}
 
     def test_lowering_passes_share_gates_and_plans(self, calls):
         g = load_graph("moments")

@@ -42,7 +42,7 @@ from patflow.rtl import (
     write_design,
 )
 
-from conftest import generated_graph
+from conftest import generated_graph, one_node_doc
 
 
 def expected_module_count(g) -> int:
@@ -133,21 +133,6 @@ class TestEdgeModules:
 # ---------------------------------------------------------------------------
 # Datapath structure
 # ---------------------------------------------------------------------------
-
-def one_node_doc(expr: str, inputs: list, outputs: list) -> dict:
-    """One source per input port feeding compute node ``c``, whose single
-    output port feeds a sink."""
-    nodes = [
-        {"name": f"s{i}", "kind": "source", "width": 8, "outputs": [p]}
-        for i, p in enumerate(inputs)
-    ]
-    nodes.append({"name": "c", "kind": "compute", "width": 8, "expr": expr,
-                  "inputs": inputs, "outputs": outputs})
-    nodes.append({"name": "o", "kind": "sink", "width": 8, "inputs": outputs})
-    edges = [{"from": f"s{i}.0", "to": f"c.{i}"} for i in range(len(inputs))]
-    edges.append({"from": "c.0", "to": "o.0"})
-    return {"meta": {"name": "one", "iterations": 1}, "nodes": nodes, "edges": edges}
-
 
 MUL_SEED = "(foldl (lambda (a b) (add a b)) (mul 2 3) (input 0))"
 INPUT_SEED = "(foldl (lambda (a b) (add a b)) (input 1) (input 0))"
@@ -327,11 +312,7 @@ class TestDatapaths:
             assert report.dsp_count == 0, label
             assert report.per_node["c"]["ops"] == ops, label
 
-    @pytest.mark.parametrize(
-        "label",
-        ["input-seed", "fold-in-lambda", "const-in-map", "let-seed-2x2",
-         "let-reuse-1x1", "map-of-zip-1x1"],
-    )
+    @pytest.mark.parametrize("label", list(ODD_BODIES))
     def test_unrolled_bodies_stay_equivalent(self, label):
         assert equivalence_check(build_graph(ODD_BODIES[label]), 3, iterations=2).ok
 
@@ -386,6 +367,7 @@ class TestDatapaths:
         tokens = [9, 7, 8, 6]
         got = run_fold_datapath(lower_design(g).modules["c_datapath"], pattern, tokens)
         assert got == eval_expr(g.nodes["c"].body, [tuple(tokens)], 8)
+        assert equivalence_check(g, 3, iterations=2).ok
 
     def test_sized_emission_is_pinned(self):
         for name in names():

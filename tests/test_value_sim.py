@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import patflow.prepared
+from patflow import lowering
 from patflow import (
+    build_graph,
     equivalence_check,
     eval_combinational,
     random_stimulus,
@@ -18,6 +22,8 @@ from patflow import (
 )
 from patflow.errors import FifoOverflow, PatflowError, ShapeMismatch
 from patflow.fixtures import load_graph, names
+
+from conftest import one_node_doc
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +109,19 @@ class TestStimulus:
             ({"xs": [[1] * 6], "ys": [[1] * 6, [2] * 6]}, "iteration count"),
             ({"xs": [[1] * 6], "ys": [[1] * 6], "zw": [[1]]}, "non-source"),
             ({"xs": [[1] * 7], "ys": [[1] * 6]}, "expected 6 tokens, got 7"),
+            ([[1] * 6], "stimulus must map source names to firing vectors, got list"),
+            ([], "stimulus must map source names to firing vectors, got list"),
+            ({"xs": [[1] * 6], "ys": 5}, "source 'ys': expected a list of firing vectors"),
+            ({"xs": [[1] * 6], "ys": [(1,) * 6]},
+             "source 'ys' firing 0: expected a list of 6 tokens, got tuple"),
+            ({"xs": [[1] * 6], "ys": ["a"]},
+             "source 'ys' firing 0: expected a list of 6 tokens, got str"),
+            ({"xs": [[1] * 6, [1, 1, "a", 1, 1, 1]], "ys": [[1] * 6] * 2},
+             r"source 'xs' firing 1 token 2: expected an integer in \[0, 256\), got 'a'"),
+            ({"xs": [[1] * 6], "ys": [[1] * 5 + [1.0]]}, "firing 0 token 5: .* got 1.0"),
+            ({"xs": [[1] * 6], "ys": [[True] * 6]}, "firing 0 token 0: .* got True"),
+            ({"xs": [[256] + [1] * 5], "ys": [[1] * 6]}, "firing 0 token 0: .* got 256"),
+            ({"xs": [[1] * 6], "ys": [[1, -1] * 3]}, "firing 0 token 1: .* got -1"),
         ],
     )
     def test_malformed_stimulus(self, stim, message):
@@ -221,6 +240,54 @@ class TestEquivalence:
     def test_report_records_gate_offset(self):
         rep = equivalence_check(load_graph("fig2"), 3, seed=0, gate_offset=0)
         assert rep.gate_offset == 0
+
+
+# ---------------------------------------------------------------------------
+# Unroll mutants: the clocked run evaluates the planned netlists, so a wrong
+# unroll shows as a mismatch against the functional reference.
+# ---------------------------------------------------------------------------
+
+MIN_MAP = "(map (lambda (x) (min x 7)) (input 0))"
+CONST_IN_MAP = "(map (lambda (x) (add x (mul 2 3))) (input 0))"
+
+
+def swap_min_for_max(monkeypatch):
+    prim = lowering._Recorder.prim
+    monkeypatch.setattr(lowering._Recorder, "prim",
+                        lambda rec, op, a, b: prim(rec, "max" if op == "min" else op, a, b))
+
+
+def drop_last_lane(monkeypatch):
+    plan = patflow.prepared.lower_hof_node
+
+    def lane_zero_twice(node):
+        p = plan(node)
+        nets = list(p.netlists)
+        for k in range(0, len(nets), p.lanes):
+            nets[k + p.lanes - 1] = nets[k]
+        return replace(p, netlists=tuple(nets))
+
+    monkeypatch.setattr(patflow.prepared, "lower_hof_node", lane_zero_twice)
+
+
+def misfold_constants(monkeypatch):
+    fold = lowering.apply_prim
+    monkeypatch.setattr(lowering, "apply_prim", lambda op, a, b, mask: fold(op, a, b, mask) ^ 1)
+
+
+class TestUnrollMutants:
+    @pytest.mark.parametrize(
+        "mutate, body",
+        [(swap_min_for_max, MIN_MAP), (drop_last_lane, MIN_MAP),
+         (misfold_constants, CONST_IN_MAP)],
+    )
+    def test_wrong_unroll_is_caught(self, monkeypatch, mutate, body):
+        doc = one_node_doc(body, [[2, 2]], [[2, 2]])
+        assert equivalence_check(build_graph(doc), 50).ok
+        mutate(monkeypatch)
+        g = build_graph(doc)
+        assert g.prepared.plans["c"].mode == "elementwise"
+        assert equivalence_check(g, 50).mismatches
 
 
 # Digest of every report ``_report_digest`` makes, recorded from the
