@@ -113,7 +113,8 @@ def cmd_simulate(args) -> int:
         reference = eval_combinational(g, stim)
         ok = True
         for sink, values in sorted(reference.items()):
-            got = result.values(sink)
+            # In port order, as the reference concatenates a sink's inputs.
+            got = [v for e in g.in_edges(sink) for _, v in result.edge_arrivals[e.id]]
             marker = "" if got == values else "  <-- MISMATCH"
             if got != values:
                 ok = False

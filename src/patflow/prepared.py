@@ -13,8 +13,16 @@ the cache safe.
 Adjacency is built when the view is; everything else waits for its first
 reader, so a counts-only schedule never plans datapaths or compiles
 expressions, and a clocked run compiles no body.  A computation that
-raises (``CycleDetected``, ``InconsistentRates``, ``UnsupportedExpr``)
-keeps nothing and raises again on the next use.
+raises (``CycleDetected``, ``InconsistentRates``, ``UnsupportedExpr``,
+``Deadlock``) keeps nothing and raises again on the next use.
+
+Two facts depend on a run's configuration as well as on the graph, and are
+kept per configuration: the scheduler's step tables per gate offset, and
+the :class:`~patflow.schedule.TokenPlan` of a clocked run per iteration
+count and gate offset, of which only the ``MAX_TOKEN_PLANS`` most recently
+used are kept.  A plan is fixed by the graph alone, since token values
+never decide a firing, so equivalence trials at one configuration run the
+counts-only machine once.
 """
 
 from __future__ import annotations
@@ -26,9 +34,12 @@ from .exprs import compile_expr
 from .graphs import EdgeSpec, Graph, NodeKind, compute_repetition_vector
 from .lowering import DatapathPlan, compile_datapath, edge_gate_table, lower_hof_node
 from .patterns import FiringThresholds
-from .schedule import StepTables
+from .schedule import Machine, StepTables, TokenPlan
 
 __all__ = ["PreparedGraph"]
+
+# Token plans kept per graph, the most recently used ones.
+MAX_TOKEN_PLANS = 4
 
 
 class PreparedGraph:
@@ -49,6 +60,7 @@ class PreparedGraph:
         for edges in self.ins.values():
             edges.sort(key=lambda e: e.consumer_port)
         self._steps: dict[int, StepTables] = {}
+        self._plans: dict[tuple[int, int], TokenPlan] = {}
 
     @cached_property
     def topo(self) -> list[str]:
@@ -114,3 +126,17 @@ class PreparedGraph:
         if tables is None:
             tables = self._steps[gate_offset] = StepTables(self.g, gate_offset)
         return tables
+
+    def token_plan(self, iterations: int, gate_offset: int) -> TokenPlan:
+        """The :class:`~patflow.schedule.TokenPlan` of a run of
+        ``iterations`` at ``gate_offset`` with the default cycle budget and
+        no capacity checks.  The ``MAX_TOKEN_PLANS`` most recently used are
+        kept; a run that raises keeps nothing."""
+        key = (iterations, gate_offset)
+        plan = self._plans.pop(key, None)
+        if plan is None:
+            plan = TokenPlan(Machine(self.g, iterations, gate_offset=gate_offset).run())
+            if len(self._plans) >= MAX_TOKEN_PLANS:
+                del self._plans[next(iter(self._plans))]
+        self._plans[key] = plan
+        return plan

@@ -9,8 +9,12 @@ Two executions of the same graph:
   :mod:`patflow.schedule`, which fixes every firing exactly as the
   generated hardware would take it, and then replays concrete values along
   those firings: node by node, each consumer takes as many real tokens as
-  the recorded occupancy says were waiting in its FIFO, and pads the
-  rest of an underflowing read with zeros.
+  were waiting in its FIFO, and pads the rest of an underflowing read with
+  zeros.  What the replay needs of the run, the firing starts and the real
+  tokens of every read, is its :class:`~patflow.schedule.TokenPlan`.
+  Token values never decide a firing, so the plan holds for every
+  stimulus, and the graph keeps it per iteration count and gate offset:
+  repeated trials at one configuration run the machine once.
 
 The two evaluate a node in different forms, both derived once per graph
 on its :class:`~patflow.prepared.PreparedGraph`.  The functional side runs
@@ -32,14 +36,13 @@ lets tests confirm that the comparison actually detects premature firings.
 from __future__ import annotations
 
 import random
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .errors import ShapeMismatch
 from .graphs import Graph, NodeKind
-from .schedule import Machine
+from .schedule import Machine, TokenPlan
 
 __all__ = [
     "SimResult",
@@ -239,6 +242,12 @@ def simulate_clocked(
     """Cycle-accurate run with concrete token values: the counts-only
     machine fixes every firing, then the values are replayed along them.
 
+    The run's :class:`~patflow.schedule.TokenPlan` depends only on
+    ``iterations`` and ``gate_offset``, so the graph keeps recent plans
+    (:meth:`~patflow.prepared.PreparedGraph.token_plan`) and a repeated
+    configuration runs no machine.  A call with ``horizon`` or
+    ``capacities`` runs its own machine and keeps nothing.
+
     Raises :class:`~patflow.errors.FifoOverflow` when ``capacities`` are
     supplied and any FIFO exceeds its allocation; records (rather than
     raises on) underflows, which can only happen under a non-zero
@@ -249,84 +258,87 @@ def simulate_clocked(
     # Datapaths are planned before the run, so a body that cannot be
     # planned fails ahead of any scheduling error.
     g.prepared.datapaths
-    m = Machine(
-        g, iterations, gate_offset=gate_offset, horizon=horizon, capacities=capacities
-    ).run()
-    return _replay(g, m, stimulus)
+    if horizon is None and capacities is None:
+        plan = g.prepared.token_plan(iterations, gate_offset)
+    else:
+        plan = TokenPlan(Machine(
+            g, iterations, gate_offset=gate_offset, horizon=horizon, capacities=capacities
+        ).run())
+    return _replay(g, plan, stimulus)
 
 
-def _replay(g: Graph, m: Machine, stimulus: dict[str, list[list[int]]]) -> SimResult:
-    """Concrete values along the firings of a finished counts-only run.
+def _replay(g: Graph, plan: TokenPlan, stimulus: dict[str, list[list[int]]]) -> SimResult:
+    """Concrete values along the firings of a token plan.
 
-    Nodes are replayed in topological order, one firing after another and
-    one phase after another.  At firing start ``s`` and phase ``ph`` a
-    consumer takes ``min(c, occ(s + ph))`` real tokens from the head of its
-    producer's stream, ``c`` being its input pattern's count, and pads the
-    rest with zeros: the edge's occupancy (read through
-    :meth:`~patflow.schedule.Occupancy.reader`) says how many tokens were
-    waiting in the FIFO.  Those words go through the node's compiled
-    datapath (:attr:`~patflow.prepared.PreparedGraph.datapaths`); a source
-    passes on its stimulus.  Tokens delivered to a sink are stamped with
-    the cycle ``s + ph``.
+    Nodes are replayed in topological order, each in three steps.  Gather:
+    every (firing, phase) takes, from the head of each input's stream, as
+    many real tokens as the plan says were waiting in its FIFO, padded with
+    zeros to the phase's count; a source's input is its stimulus, all of
+    it waiting from the start.  Evaluate: a compute node runs its compiled
+    datapath (:attr:`~patflow.prepared.PreparedGraph.datapaths`) on each
+    phase's words in turn, while a source's words are its outputs.
+    Scatter: the words of the phases that write a port make its stream,
+    and tokens delivered to a sink are stamped with the cycle ``s + ph`` of
+    firing start ``s`` and phase ``ph``.
     """
     prep = g.prepared
+    nodes = g.nodes
     streams: dict[tuple[str, int], list[int]] = {}
     edge_arrivals: dict[str, list[tuple[int, int]]] = {
-        e.id: [] for e in g.edges if g.nodes[e.consumer].kind is NodeKind.SINK
+        e.id: [] for e in g.edges if nodes[e.consumer].kind is NodeKind.SINK
     }
     fold_trace: dict[str, list[int]] = {}
-    for name in prep.topo:
-        spec = g.nodes[name]
-        if spec.kind is NodeKind.SINK:
-            continue
-        outs = []
-        for port, p in enumerate(spec.patterns.outputs):
-            stream = streams[name, port] = []
-            sinks = [
-                edge_arrivals[e.id]
-                for e in prep.outs.get((name, port), ())
-                if e.id in edge_arrivals
-            ]
-            outs.append((p.phases, stream, sinks))
+    for name, reads in plan.reads.items():
+        spec = nodes[name]
+        starts = plan.starts[name]
+        phases = range(spec.length)
         if spec.kind is NodeKind.SOURCE:
-            # The firing vectors are port-major, and all of them are waiting
-            # from the start.
+            # The firing vectors are port-major.
             bases = accumulate((p.total for p in spec.patterns.outputs), initial=0)
             ins = [
-                ([t for v in stimulus[name] for t in v[b : b + p.total]],
-                 lambda cycle: sys.maxsize, p.phases)
+                ([t for v in stimulus[name] for t in v[b : b + p.total]], None, p.phases)
                 for b, p in zip(bases, spec.patterns.outputs)
             ]
-            phase, seed, trace = _pass_through, 0, None
         else:
             ins = [
-                (streams[e.producer, e.producer_port], m.occupancy.reader(e.id), e.cp.phases)
-                for e in prep.ins[name]
+                (streams[e.producer, e.producer_port], counts, e.cp.phases)
+                for e, counts in zip(prep.ins[name], reads)
             ]
-            plan, phase = prep.plans[name], prep.datapaths[name]
+        gathered = []
+        for stream, counts, cp in ins:
+            asked = cp * len(starts)
+            ends = list(accumulate(asked if counts is None else counts, initial=0))
+            chunks = [stream[a:b] for a, b in zip(ends, ends[1:])]
+            if counts is not None:
+                chunks = [w + [0] * (c - len(w)) for w, c in zip(chunks, asked)]
+            gathered.append(chunks)
+        buses = zip(*gathered) if ins else repeat((), len(starts) * len(phases))
+        if spec.kind is NodeKind.SOURCE:
+            outs = list(buses)
+        else:
+            dp, phase = prep.plans[name], prep.datapaths[name]
             # A fold's accumulator shows its seed (0 without one) until a
             # phase reads tokens.
-            seed = plan.fold_init or 0
-            fired_fold = plan.mode == "fold" and m.starts[name]
-            trace = fold_trace.setdefault(name, []) if fired_fold else None
-        cursors = [0] * len(ins)
-        for s in m.starts[name]:
-            acc = seed
-            for ph in range(spec.length):
-                bus = []
-                for i, (stream, occupancy, cp) in enumerate(ins):
-                    c, cur = cp[ph], cursors[i]
-                    n = min(c, occupancy(s + ph)) if c else 0
-                    bus.append(stream[cur : cur + n] + [0] * (c - n))
-                    cursors[i] = cur + n
-                words, acc = phase(ph, bus, acc)
-                if trace is not None:
-                    trace.append(acc)
-                for (pp, stream, sinks), v in zip(outs, words):
-                    if pp[ph]:
-                        stream += v
-                        for arrivals in sinks:
-                            arrivals.extend((s + ph, x) for x in v)
+            seed = dp.fold_init or 0
+            trace = fold_trace.setdefault(name, []) if dp.mode == "fold" and starts else None
+            outs = []
+            for _ in starts:
+                acc = seed
+                for ph in phases:
+                    words, acc = phase(ph, next(buses), acc)
+                    outs.append(words)
+                    if trace is not None:
+                        trace.append(acc)
+        stamps = None
+        for port, p in enumerate(spec.patterns.outputs):
+            written = p.phases * len(starts)
+            streams[name, port] = [x for w, c in zip(outs, written) if c for x in w[port]]
+            for e in prep.outs.get((name, port), ()):
+                if e.id in edge_arrivals:
+                    stamps = stamps or [s + ph for s in starts for ph in phases]
+                    edge_arrivals[e.id] = [
+                        (t, x) for w, c, t in zip(outs, written, stamps) if c for x in w[port]
+                    ]
 
     merged: dict[str, list[tuple[int, int]]] = {}
     for sink in g.sinks:
@@ -335,17 +347,13 @@ def _replay(g: Graph, m: Machine, stimulus: dict[str, list[list[int]]]) -> SimRe
     return SimResult(
         arrivals=merged,
         edge_arrivals=edge_arrivals,
-        cycles=m.cycles,
-        firing_starts=m.starts,
-        underflow_edges=m.underflows(),
+        cycles=plan.cycles,
+        # Copies: the plan may be kept and read again.
+        firing_starts={name: starts.copy() for name, starts in plan.starts.items()},
+        underflow_edges=plan.underflows.copy(),
         # In the order the nodes first fired, as a clocked run records them.
-        fold_trace=dict(sorted(fold_trace.items(), key=lambda kv: m.starts[kv[0]][0])),
+        fold_trace=dict(sorted(fold_trace.items(), key=lambda kv: plan.starts[kv[0]][0])),
     )
-
-
-def _pass_through(ph: int, words: list[list[int]], acc: int):
-    """A source's phase: its stimulus words, port by port."""
-    return words, acc
 
 
 def equivalence_check(

@@ -126,6 +126,43 @@ class TestSimulate:
         assert "out: [91] (expected [91])" in out
         assert "cycles: 4" in out
 
+    def test_stimulus_into_a_two_port_sink(self, tmp_path, capsys):
+        # Both ports deliver a token per cycle, so the arrivals interleave
+        # the ports while the reference lists them port by port.
+        doc = {
+            "meta": {"name": "two-port", "iterations": 1},
+            "nodes": [
+                {"name": "a", "kind": "source", "width": 8, "outputs": [[1, 1]]},
+                {"name": "b", "kind": "source", "width": 8, "outputs": [[1, 1]]},
+                {"name": "ma", "kind": "compute", "width": 8, "inputs": [[1, 1]],
+                 "outputs": [[1, 1]],
+                 "expr": "(map (lambda (x) (add x 1)) (input 0))"},
+                {"name": "out", "kind": "sink", "width": 8,
+                 "inputs": [[1, 1], [1, 1]]},
+            ],
+            "edges": [
+                {"from": "a.0", "to": "ma.0"},
+                {"from": "ma.0", "to": "out.0"},
+                {"from": "b.0", "to": "out.1"},
+            ],
+        }
+        stim = tmp_path / "stim.json"
+        stim.write_text(json.dumps({"a": [[1, 2]], "b": [[10, 20]]}))
+        assert main(["simulate", write_doc(tmp_path, doc), "--stimulus", str(stim)]) == 0
+        out = capsys.readouterr().out
+        assert "out: [2, 3, 10, 20] (expected [2, 3, 10, 20])\n" in out
+        assert "MISMATCH" not in out
+        assert "arrivals out: [(0, 2), (0, 10), (1, 3), (1, 20)]" in out
+
+    def test_stimulus_with_loosened_gates_exit_one(self, tmp_path, capsys):
+        stim = tmp_path / "stim.json"
+        stim.write_text(json.dumps({"xs": [list(range(1, 21))], "ys": [[1] * 20]}))
+        assert main(["simulate", f"{FIX}/dotp-1x20.json", "--stimulus", str(stim),
+                     "--gate-offset", "-1"]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH" in out
+        assert "underflows: ['zw.0->fl.0']" in out
+
     def test_random_trials(self, capsys):
         assert main(["simulate", f"{FIX}/fold-pipeline.json",
                      "--random", "5", "--seed", "3"]) == 0

@@ -24,7 +24,7 @@ from patflow import (
     simulate_clocked,
     simulate_schedule,
 )
-from patflow.errors import CycleDetected
+from patflow.errors import CycleDetected, Deadlock, FifoOverflow, HorizonExceeded
 from patflow.fixtures import load, load_graph, names
 from patflow.patterns import PatternSet, validate_pattern
 from patflow.rtl import emit_verilog
@@ -114,6 +114,88 @@ class TestComputedOnce:
         a, b = load_graph("fig2"), load_graph("fig2")
         assert a.prepared is a.prepared
         assert a.prepared is not b.prepared
+
+
+class TestTokenPlans:
+    """A clocked run keeps its token plan per (iterations, gate offset), and
+    a kept plan changes no result, check or error."""
+
+    def test_trials_run_one_machine_per_configuration(self, monkeypatch):
+        runs = []
+        machine = patflow.prepared.Machine
+
+        def counted(*args, **kwargs):
+            runs.append(args[1:])
+            return machine(*args, **kwargs)
+
+        monkeypatch.setattr(patflow.prepared, "Machine", counted)
+        g = load_graph("dotp-1x20")
+        equivalence_check(g, 5)
+        equivalence_check(g, 5, iterations=2, gate_offset=-1)
+        equivalence_check(g, 5)
+        assert runs == [(1,), (2,)]
+
+    def test_results_do_not_alias_the_plan(self):
+        g = load_graph("dotp-1x20")
+        stim = random_stimulus(g, 2, seed=5)
+        want = simulate_clocked(load_graph("dotp-1x20"), stim, gate_offset=-1)
+        first = simulate_clocked(g, stim, gate_offset=-1)
+        assert first == want
+        assert first.underflow_edges and first.fold_trace
+        for starts in first.firing_starts.values():
+            starts[0] += 100
+            starts.append(999)
+        first.firing_starts.clear()
+        first.underflow_edges.append("x.0->y.0")
+        for trace in first.fold_trace.values():
+            trace.append(7)
+        first.fold_trace.clear()
+        assert simulate_clocked(g, stim, gate_offset=-1) == want
+
+    @pytest.mark.parametrize("name", names())
+    def test_capacities_overflow_after_a_kept_run(self, name):
+        peaks = simulate_schedule(load_graph(name), 2).fifo_peaks
+        eid = max(peaks, key=peaks.get)
+        caps = {eid: peaks[eid] - 1}
+        g = load_graph(name)
+        stim = random_stimulus(g, 2, seed=1)
+        with pytest.raises(FifoOverflow) as fresh:
+            simulate_clocked(load_graph(name), stim, capacities=caps)
+        simulate_clocked(g, stim)
+        with pytest.raises(FifoOverflow) as kept:
+            simulate_clocked(g, stim, capacities=caps)
+        assert str(kept.value) == str(fresh.value)
+        assert f"sized for {peaks[eid] - 1}" in str(kept.value)
+
+    @pytest.mark.parametrize("name", names())
+    def test_short_horizon_exceeded_after_a_kept_run(self, name):
+        g = load_graph(name)
+        stim = random_stimulus(g, 2, seed=1)
+        cycles = simulate_clocked(g, stim).cycles
+        with pytest.raises(HorizonExceeded) as kept:
+            simulate_clocked(g, stim, horizon=cycles - 1)
+        with pytest.raises(HorizonExceeded) as fresh:
+            simulate_clocked(load_graph(name), stim, horizon=cycles - 1)
+        assert str(kept.value) == str(fresh.value)
+        assert str(kept.value) == f"no completion within {cycles - 1} cycles"
+
+    def test_deadlock_is_raised_again_and_kept_nowhere(self):
+        g = load_graph("alg1-worked")
+        stim = random_stimulus(g, 1, seed=1)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(Deadlock, match="no progress") as got:
+                simulate_clocked(g, stim, gate_offset=1)
+            messages.append(str(got.value))
+        assert messages[0] == messages[1]
+        assert g.prepared._plans == {}
+
+    def test_plans_kept_are_bounded(self):
+        g = load_graph("fig2")
+        for iterations in range(1, 51):
+            simulate_clocked(g, iterations=iterations)
+        keep = patflow.prepared.MAX_TOKEN_PLANS
+        assert list(g.prepared._plans) == [(it, 0) for it in range(51 - keep, 51)]
 
 
 # ---------------------------------------------------------------------------
