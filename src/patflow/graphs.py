@@ -354,13 +354,13 @@ def build_graph(doc: dict) -> Graph:
 
     # Every declared port must be wired: consumers need their data, and a
     # producer port with no edge would silently drop tokens.
+    driven = {(e.producer, e.producer_port) for e in edges}
     for n in nodes.values():
         for port in range(len(n.patterns.inputs)):
             if (n.name, port) not in seen_inputs:
                 raise DanglingEdge(f"input port {n.name}.{port} is not driven")
-        driven = {e.producer_port for e in edges if e.producer == n.name}
         for port in range(len(n.patterns.outputs)):
-            if port not in driven:
+            if (n.name, port) not in driven:
                 raise DanglingEdge(f"output port {n.name}.{port} feeds nothing")
 
     return Graph(name=name, nodes=nodes, edges=edges, iterations=iterations)

@@ -22,6 +22,7 @@ from .ir import (
     RNot,
     RRef,
     RSlice,
+    RtlBody,
     RtlDesign,
     RtlModule,
     SAssign,
@@ -47,6 +48,7 @@ __all__ = [
     "RNot",
     "RRef",
     "RSlice",
+    "RtlBody",
     "RtlDesign",
     "RtlModule",
     "SAssign",

@@ -7,8 +7,8 @@ inventories every module with its role and the edge storage decisions.
 
 from __future__ import annotations
 
-import json
 from io import StringIO
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from ..graphs import Graph
@@ -25,10 +25,11 @@ from .ir import (
     RNot,
     RRef,
     RSlice,
-    RtlDesign,
+    RtlBody,
     RtlModule,
     SAssign,
     SIf,
+    check_design,
 )
 from .lower import lower_design
 
@@ -77,35 +78,40 @@ def _stmt(s, out: StringIO, indent: str) -> None:
         raise TypeError(f"cannot render statement {type(s).__name__}")
 
 
+def _head(m: RtlModule) -> str:
+    """The module's comment lines and its ``module <name> (`` line."""
+    lines = [f"// {line}\n" for line in m.comment.splitlines()]
+    lines.append(f"module {m.name} (\n")
+    return "".join(lines)
+
+
 def render_module(m: RtlModule) -> str:
     """One module as Verilog text."""
+    b = m.body
     out = StringIO()
-    if m.comment:
-        for line in m.comment.splitlines():
-            out.write(f"// {line}\n")
-    out.write(f"module {m.name} (\n")
+    out.write(_head(m))
     decls = [
-        f"  {p.direction} wire {_range(p.width)}{p.name}" for p in m.ports
+        f"  {p.direction} wire {_range(p.width)}{p.name}" for p in b.ports
     ]
     out.write(",\n".join(decls))
     out.write("\n);\n")
-    for p in m.params:
+    for p in b.params:
         out.write(f"  localparam integer {p.name} = {p.value};\n")
-    for n in m.nets:
+    for n in b.nets:
         out.write(f"  wire {_range(n.width)}{n.name};\n")
-    for r in m.regs:
+    for r in b.regs:
         if r.depth is None:
             out.write(f"  reg {_range(r.width)}{r.name};\n")
         else:
             out.write(f"  reg {_range(r.width)}{r.name} [0:{r.depth - 1}];\n")
-    for a in m.assigns:
+    for a in b.assigns:
         out.write(f"  assign {a.target} = {_r(a.value)};\n")
-    for ff in m.always:
+    for ff in b.always:
         out.write("  always @(posedge clk) begin\n")
         for s in ff.body:
             _stmt(s, out, "    ")
         out.write("  end\n")
-    for inst in m.instances:
+    for inst in b.instances:
         out.write(f"  {inst.module} {inst.name} (\n")
         conns = [f"    .{port} ({_r(expr)})" for port, expr in inst.conns]
         out.write(",\n".join(conns))
@@ -114,24 +120,62 @@ def render_module(m: RtlModule) -> str:
     return out.getvalue()
 
 
+# A module and an edge of the manifest, as ``json.dumps(indent=2,
+# sort_keys=True)`` writes them.
+_MODULE_ENTRY = (
+    '    {\n      "file": %s,\n      "module": %s,\n      "role": %s,\n'
+    '      "subject": %s\n    }'
+)
+_EDGE_ENTRY = '    %s: {\n      "capacity": %d,\n      "flavor": %s,\n      "kind": %s\n    }'
+
+
+def _manifest_json(manifest: dict) -> str:
+    """``json.dumps(manifest, indent=2, sort_keys=True) + "\\n"``, written
+    from the manifest's fixed layout without the pure-Python encoder that an
+    indent makes :mod:`json` fall back to."""
+    q = _quote
+    modules = ",\n".join([
+        _MODULE_ENTRY % (q(r["file"]), q(r["module"]), q(r["role"]), q(r["subject"]))
+        for r in manifest["modules"]
+    ])
+    edges = ",\n".join([
+        _EDGE_ENTRY % (q(eid), e["capacity"],
+                       "null" if e["flavor"] is None else q(e["flavor"]), q(e["kind"]))
+        for eid, e in sorted(manifest["edges"].items())
+    ])
+    edges = f"{{\n{edges}\n  }}" if edges else "{}"  # a graph may have no edges
+    return (
+        f'{{\n  "design": {q(manifest["design"])},\n  "edges": {edges},\n'
+        f'  "modules": [\n{modules}\n  ],\n  "top": {q(manifest["top"])}\n}}\n'
+    )
+
+
 def emit_verilog(
     g: Graph, capacities: dict[str, int] | None = None
 ) -> dict[str, str]:
     """All output files for a graph: one ``.v`` per module plus
-    ``manifest.json``.  Keyed by file name; values are complete file texts."""
-    design = lower_design(g, capacities)
-    from .ir import check_design
+    ``manifest.json``.  Keyed by file name; values are complete file texts.
 
+    A body shared by several modules is rendered once; each of them gets
+    its own comment and ``module`` line above that text."""
+    design = lower_design(g, capacities)
     problems = check_design(design)
     if problems:  # pragma: no cover - indicates an internal lowering bug
         raise RuntimeError(
             "internal error: generated RTL failed its own consistency check: "
             + "; ".join(problems)
         )
-    files = {
-        f"{name}.v": render_module(mod) for name, mod in design.modules.items()
-    }
-    files["manifest.json"] = json.dumps(design.manifest, indent=2, sort_keys=True) + "\n"
+    files: dict[str, str] = {}
+    texts: dict[RtlBody, str] = {}  # rendered text below the module line
+    for name, m in design.modules.items():
+        text = texts.get(m.body)
+        if text is None:
+            full = render_module(m)
+            texts[m.body] = full[len(_head(m)):]
+        else:
+            full = _head(m) + text
+        files[f"{name}.v"] = full
+    files["manifest.json"] = _manifest_json(design.manifest)
     return files
 
 

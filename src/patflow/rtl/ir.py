@@ -2,142 +2,209 @@
 assignments, clocked processes and instances.
 
 The expression nodes cover exactly what the lowering emits; rendering
-parenthesizes everything, so operator precedence never matters.
+parenthesizes everything, so operator precedence never matters.  Nodes are
+plain ``__slots__`` classes with structural equality: a design builds tens
+of thousands of them.  A module is a name, a comment and an
+:class:`RtlBody`; modules of one structural class share a frozen body, and
+:func:`check_design` checks each distinct body once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 __all__ = [
     "Port", "Net", "RegDecl", "Param",
     "RExpr", "RRef", "RLit", "RBin", "RNot", "RMux", "RIndex", "RSlice", "RConcat",
     "SAssign", "SIf",
-    "Assign", "AlwaysFF", "Instance", "RtlModule", "RtlDesign",
+    "Assign", "AlwaysFF", "Instance", "RtlBody", "RtlModule", "RtlDesign",
     "check_design",
 ]
 
 
-@dataclass(frozen=True)
-class Port:
-    name: str
-    width: int
-    direction: str  # "input" | "output"
+class _Node:
+    """Structural equality and hashing over a node's ``__slots__``, which
+    list its fields in constructor order.  Nodes are never changed after
+    construction."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Net:
-    name: str
-    width: int
+class Port(_Node):
+    __slots__ = ("name", "width", "direction")
+
+    def __init__(self, name: str, width: int, direction: str):
+        self.name = name
+        self.width = width
+        self.direction = direction  # "input" | "output"
 
 
-@dataclass(frozen=True)
-class RegDecl:
-    name: str
-    width: int
-    depth: int | None = None  # a depth makes this a memory array
+class Net(_Node):
+    __slots__ = ("name", "width")
+
+    def __init__(self, name: str, width: int):
+        self.name = name
+        self.width = width
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    value: int
+class RegDecl(_Node):
+    __slots__ = ("name", "width", "depth")
+
+    def __init__(self, name: str, width: int, depth: int | None = None):
+        self.name = name
+        self.width = width
+        self.depth = depth  # a depth makes this a memory array
 
 
-class RExpr:
+class Param(_Node):
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str, value: int):
+        self.name = name
+        self.value = value
+
+
+class RExpr(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class RRef(RExpr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
 class RLit(RExpr):
-    value: int
-    width: int | None = None
+    __slots__ = ("value", "width")
+
+    def __init__(self, value: int, width: int | None = None):
+        self.value = value
+        self.width = width
 
 
-@dataclass(frozen=True)
 class RBin(RExpr):
-    op: str
-    left: RExpr
-    right: RExpr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: RExpr, right: RExpr):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class RNot(RExpr):
-    operand: RExpr
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: RExpr):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
 class RMux(RExpr):
-    cond: RExpr
-    then: RExpr
-    orelse: RExpr
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: RExpr, then: RExpr, orelse: RExpr):
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
 
 
-@dataclass(frozen=True)
 class RIndex(RExpr):
-    base: str
-    index: RExpr
+    __slots__ = ("base", "index")
+
+    def __init__(self, base: str, index: RExpr):
+        self.base = base
+        self.index = index
 
 
-@dataclass(frozen=True)
 class RSlice(RExpr):
-    base: str
-    hi: int
-    lo: int
+    __slots__ = ("base", "hi", "lo")
+
+    def __init__(self, base: str, hi: int, lo: int):
+        self.base = base
+        self.hi = hi
+        self.lo = lo
 
 
-@dataclass(frozen=True)
 class RConcat(RExpr):
-    parts: tuple[RExpr, ...]  # most significant first
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[RExpr, ...]):
+        self.parts = parts  # most significant first
 
 
-@dataclass(frozen=True)
-class SAssign:
-    target: RExpr  # RRef or RIndex
-    value: RExpr
+class SAssign(_Node):
+    __slots__ = ("target", "value")
+
+    def __init__(self, target: RExpr, value: RExpr):
+        self.target = target  # RRef or RIndex
+        self.value = value
 
 
-@dataclass(frozen=True)
-class SIf:
-    cond: RExpr
-    then: tuple = ()
-    orelse: tuple = ()
+class SIf(_Node):
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: RExpr, then: tuple = (), orelse: tuple = ()):
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
 
 
-@dataclass(frozen=True)
-class Assign:
-    target: str
-    value: RExpr
+class Assign(_Node):
+    __slots__ = ("target", "value")
+
+    def __init__(self, target: str, value: RExpr):
+        self.target = target
+        self.value = value
 
 
-@dataclass(frozen=True)
-class AlwaysFF:
-    body: tuple  # statements, applied at posedge clk
+class AlwaysFF(_Node):
+    __slots__ = ("body",)
+
+    def __init__(self, body: tuple):
+        self.body = body  # statements, applied at posedge clk
 
 
-@dataclass(frozen=True)
-class Instance:
-    module: str
-    name: str
-    conns: tuple[tuple[str, RExpr], ...]
+class Instance(_Node):
+    __slots__ = ("module", "name", "conns")
+
+    def __init__(self, module: str, name: str, conns: tuple[tuple[str, RExpr], ...]):
+        self.module = module
+        self.name = name
+        self.conns = conns
 
 
-@dataclass
-class RtlModule:
-    name: str
-    ports: list[Port] = field(default_factory=list)
-    params: list[Param] = field(default_factory=list)
-    nets: list[Net] = field(default_factory=list)
-    regs: list[RegDecl] = field(default_factory=list)
-    assigns: list[Assign] = field(default_factory=list)
-    always: list[AlwaysFF] = field(default_factory=list)
-    instances: list[Instance] = field(default_factory=list)
-    comment: str = ""
+class RtlBody:
+    """Everything of a module but its name and comment: ports, parameters,
+    declarations, assigns, clocked processes and instances.
+
+    The fields are lists while a body is built.  :meth:`freeze` turns them
+    into tuples; a frozen body may then be shared by several modules, and
+    none of them can change what the others hold.
+    """
+
+    __slots__ = ("ports", "params", "nets", "regs", "assigns", "always", "instances")
+
+    def __init__(self):
+        self.ports: list[Port] = []
+        self.params: list[Param] = []
+        self.nets: list[Net] = []
+        self.regs: list[RegDecl] = []
+        self.assigns: list[Assign] = []
+        self.always: list[AlwaysFF] = []
+        self.instances: list[Instance] = []
 
     def port(self, name: str, width: int, direction: str) -> str:
         self.ports.append(Port(name, width, direction))
@@ -147,26 +214,48 @@ class RtlModule:
         self.nets.append(Net(name, width))
         return name
 
+    def freeze(self) -> RtlBody:
+        for f in self.__slots__:
+            setattr(self, f, tuple(getattr(self, f)))
+        return self
 
-@dataclass
+
+class RtlModule:
+    """A named module: a comment, a ``module <name>`` line and a body,
+    which it may share with modules of the same structure."""
+
+    __slots__ = ("name", "comment", "body")
+
+    def __init__(self, name: str, comment: str = "", body: RtlBody | None = None):
+        self.name = name
+        self.comment = comment
+        self.body = RtlBody() if body is None else body
+
+
 class RtlDesign:
-    name: str
-    top: str
-    modules: dict[str, RtlModule] = field(default_factory=dict)
-    manifest: dict = field(default_factory=dict)
+    """Modules by name, the top module's name and the manifest."""
+
+    __slots__ = ("name", "top", "modules", "manifest")
+
+    def __init__(self, name: str, top: str, modules: dict[str, RtlModule] | None = None,
+                 manifest: dict | None = None):
+        self.name = name
+        self.top = top
+        self.modules = {} if modules is None else modules
+        self.manifest = {} if manifest is None else manifest
 
     def add(self, module: RtlModule) -> RtlModule:
         self.modules[module.name] = module
         return module
 
 
-def _decl_widths(m: RtlModule) -> dict[str, int]:
+def _decl_widths(b: RtlBody) -> dict[str, int]:
     widths: dict[str, int] = {}
-    for p in m.ports:
+    for p in b.ports:
         widths[p.name] = p.width
-    for n in m.nets:
+    for n in b.nets:
         widths[n.name] = n.width
-    for r in m.regs:
+    for r in b.regs:
         if r.depth is None:
             widths[r.name] = r.width
     return widths
@@ -224,70 +313,79 @@ def _statement_names(stmt, acc: set[str]) -> None:
             _statement_names(s, acc)
 
 
+def _body_problems(b: RtlBody, modules: dict[str, RtlModule],
+                   child_ports: dict[RtlBody, dict[str, Port]]) -> list[str]:
+    """The problems of one body, each to be prefixed with the name of a
+    module that has it.  ``child_ports`` caches each instantiated body's
+    ports by name."""
+    problems: list[str] = []
+    seen: set[str] = set()
+    for decl in [p.name for p in b.ports] + [n.name for n in b.nets] + [r.name for r in b.regs]:
+        if decl in seen:
+            problems.append(f": duplicate declaration '{decl}'")
+        seen.add(decl)
+    known = seen | {p.name for p in b.params}
+    used: set[str] = set()
+    for a in b.assigns:
+        used.add(a.target)
+        _referenced_names(a.value, used)
+    for blk in b.always:
+        for stmt in blk.body:
+            _statement_names(stmt, used)
+    for inst in b.instances:
+        for _, expr in inst.conns:
+            _referenced_names(expr, used)
+    for name in sorted(used - known):
+        problems.append(f": reference to undeclared name '{name}'")
+    widths = _decl_widths(b)
+    for inst in b.instances:
+        child = modules.get(inst.module)
+        if child is None:
+            problems.append(
+                f": instance '{inst.name}' references undefined module '{inst.module}'"
+            )
+            continue
+        ports = child_ports.get(child.body)
+        if ports is None:
+            ports = child_ports[child.body] = {p.name: p for p in child.body.ports}
+        connected = set()
+        for port_name, expr in inst.conns:
+            port = ports.get(port_name)
+            if port is None:
+                problems.append(f".{inst.name}: no port '{port_name}' on '{inst.module}'")
+                continue
+            connected.add(port_name)
+            got = _expr_width(expr, widths)
+            if got is not None and got != port.width:
+                problems.append(
+                    f".{inst.name}: port '{port_name}' is {port.width} bits, "
+                    f"connected to {got}"
+                )
+        if len(connected) < len(ports):
+            for missing in sorted(set(ports) - connected):
+                if ports[missing].direction == "input":
+                    problems.append(f".{inst.name}: input '{missing}' unconnected")
+    return problems
+
+
 def check_design(design: RtlDesign) -> list[str]:
     """Structural consistency problems; empty when the design is sound.
 
     Checks that the top module exists, that every instance references a
     defined module, connects only declared ports, drives every input, that
     every referenced name resolves to a declaration, and that connection
-    widths agree wherever both sides are known.
+    widths agree wherever both sides are known.  A body shared by several
+    modules is checked once; each of its problems is reported under every
+    module that has it.
     """
     problems: list[str] = []
     if design.top not in design.modules:
         problems.append(f"top module '{design.top}' is not defined")
+    found: dict[RtlBody, list[str]] = {}
+    child_ports: dict[RtlBody, dict[str, Port]] = {}
     for m in design.modules.values():
-        widths = _decl_widths(m)
-        seen: set[str] = set()
-        declared = (
-            [p.name for p in m.ports]
-            + [n.name for n in m.nets]
-            + [r.name for r in m.regs]
-        )
-        for decl in declared:
-            if decl in seen:
-                problems.append(f"{m.name}: duplicate declaration '{decl}'")
-            seen.add(decl)
-        known = seen | {p.name for p in m.params}
-        used: set[str] = set()
-        for a in m.assigns:
-            used.add(a.target)
-            _referenced_names(a.value, used)
-        for blk in m.always:
-            for stmt in blk.body:
-                _statement_names(stmt, used)
-        for inst in m.instances:
-            for _, expr in inst.conns:
-                _referenced_names(expr, used)
-        for name in sorted(used - known):
-            problems.append(f"{m.name}: reference to undeclared name '{name}'")
-        for inst in m.instances:
-            child = design.modules.get(inst.module)
-            if child is None:
-                problems.append(
-                    f"{m.name}: instance '{inst.name}' references undefined "
-                    f"module '{inst.module}'"
-                )
-                continue
-            child_ports = {p.name: p for p in child.ports}
-            connected = set()
-            for port_name, expr in inst.conns:
-                port = child_ports.get(port_name)
-                if port is None:
-                    problems.append(
-                        f"{m.name}.{inst.name}: no port '{port_name}' on "
-                        f"'{inst.module}'"
-                    )
-                    continue
-                connected.add(port_name)
-                got = _expr_width(expr, widths)
-                if got is not None and got != port.width:
-                    problems.append(
-                        f"{m.name}.{inst.name}: port '{port_name}' is "
-                        f"{port.width} bits, connected to {got}"
-                    )
-            for missing in sorted(set(child_ports) - connected):
-                if child_ports[missing].direction == "input":
-                    problems.append(
-                        f"{m.name}.{inst.name}: input '{missing}' unconnected"
-                    )
+        own = found.get(m.body)
+        if own is None:
+            own = found[m.body] = _body_problems(m.body, design.modules, child_ports)
+        problems += [m.name + p for p in own]
     return problems

@@ -23,6 +23,16 @@ Hardware shape
   ``<src>_firing``/``<src>_phase``/``<src>_p<k>_data`` inputs driven by the
   environment; each sink input port becomes ``data``/``valid`` outputs fed
   straight from the producing datapath.
+
+Shared bodies
+-------------
+Every module but the top is keyed by a structural signature: its role plus
+each value its body is built from (a controller's length; a pipe's pattern
+and width; a FIFO's capacity, width, patterns and write-through; a
+threshold table's capacity, producer length and gate table; a datapath's
+width, patterns and plan).  The first module of a signature builds the
+body and freezes it; later ones get the same :class:`RtlBody` under their
+own name and comment.  The cache lives for one :func:`lower_design` call.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from .ir import (
     RRef,
     RSlice,
     RegDecl,
+    RtlBody,
     RtlDesign,
     RtlModule,
     SAssign,
@@ -103,8 +114,8 @@ _PRIMS = {
 }
 
 
-def _render(m: RtlModule, net: Netlist, prefix: str, width: int, start: int = 0) -> list:
-    """Add one wire per operator instance of ``net`` to ``m``, named
+def _render(body: RtlBody, net: Netlist, prefix: str, width: int, start: int = 0) -> list:
+    """Add one wire per operator instance of ``net`` to ``body``, named
     ``<prefix>_w<i>`` counting from ``start``; return the output words per
     port."""
     wires: list[RExpr] = []
@@ -120,8 +131,8 @@ def _render(m: RtlModule, net: Netlist, prefix: str, width: int, start: int = 0)
         return _word(f"in{port}", k, width)
 
     for i, (op, a, b) in enumerate(net.ops, start):
-        name = m.net(f"{prefix}_w{i}", width)
-        m.assigns.append(Assign(name, _PRIMS[op](operand(a), operand(b), width)))
+        name = body.net(f"{prefix}_w{i}", width)
+        body.assigns.append(Assign(name, _PRIMS[op](operand(a), operand(b), width)))
         wires.append(RRef(name))
     return [[operand(x) for x in words] for words in net.outs]
 
@@ -130,33 +141,28 @@ def _render(m: RtlModule, net: Netlist, prefix: str, width: int, start: int = 0)
 # Per-node modules
 
 
-def _ctrl_module(mod_name: str, node: NodeSpec) -> RtlModule:
-    length = node.length
+def _ctrl_body(body: RtlBody, length: int) -> None:
     pb = counter_bits(length)
-    m = RtlModule(
-        mod_name,
-        comment=f"firing controller for '{node.name}' ({length} phase(s))",
-    )
-    m.port("clk", 1, "input")
-    m.port("rst", 1, "input")
-    m.port("run", 1, "input")
-    m.port("ready", 1, "input")
-    m.port("firing", 1, "output")
-    m.port("phase", pb, "output")
-    m.params += [Param("LEN", length), Param("IDLE", length)]
-    m.regs.append(RegDecl("phase_q", pb))
-    m.net("idle_w", 1)
-    m.net("start", 1)
+    body.port("clk", 1, "input")
+    body.port("rst", 1, "input")
+    body.port("run", 1, "input")
+    body.port("ready", 1, "input")
+    body.port("firing", 1, "output")
+    body.port("phase", pb, "output")
+    body.params += [Param("LEN", length), Param("IDLE", length)]
+    body.regs.append(RegDecl("phase_q", pb))
+    body.net("idle_w", 1)
+    body.net("start", 1)
     idle = RRef("idle_w")
     start = RRef("start")
-    m.assigns += [
+    body.assigns += [
         Assign("idle_w", RBin("==", RRef("phase_q"), RRef("IDLE"))),
         Assign("start", RBin("&", RBin("&", idle, RRef("ready")), RRef("run"))),
         Assign("firing", RBin("|", start, RNot(idle))),
         Assign("phase", RMux(start, RLit(0, pb), RRef("phase_q"))),
     ]
     after_start = RLit(1 if length > 1 else length, pb)
-    m.always.append(
+    body.always.append(
         AlwaysFF(
             (
                 SIf(
@@ -191,7 +197,6 @@ def _ctrl_module(mod_name: str, node: NodeSpec) -> RtlModule:
             )
         )
     )
-    return m
 
 
 def _word(bus: str, k: int, width: int) -> RSlice:
@@ -202,66 +207,61 @@ def _concat_words(words: list[RExpr]) -> RExpr:
     return RConcat(tuple(reversed(words)))
 
 
-def _datapath_module(mod_name: str, node: NodeSpec, plan: DatapathPlan) -> RtlModule:
+def _datapath_body(body: RtlBody, node: NodeSpec, plan: DatapathPlan) -> None:
     width = node.width
     pb = counter_bits(node.length)
-    m = RtlModule(
-        mod_name,
-        comment=f"datapath for '{node.name}' ({plan.mode}, {plan.lanes} lane(s))",
-    )
-    m.port("clk", 1, "input")
-    m.port("rst", 1, "input")
-    m.port("firing", 1, "input")
-    m.port("phase", pb, "input")
+    body.port("clk", 1, "input")
+    body.port("rst", 1, "input")
+    body.port("firing", 1, "input")
+    body.port("phase", pb, "input")
     for i, p in enumerate(node.patterns.inputs):
-        m.port(f"in{i}", p.value * width, "input")
+        body.port(f"in{i}", p.value * width, "input")
     for k, p in enumerate(node.patterns.outputs):
-        m.port(f"out{k}", p.value * width, "output")
+        body.port(f"out{k}", p.value * width, "output")
 
     if plan.mode == "fold":
-        _fold_datapath(m, node, plan, width)
+        _fold_datapath(body, node, plan, width)
     elif plan.mode == "elementwise":
         for k in range(len(node.patterns.outputs)):
             words = [
-                _render(m, plan.netlists[k * plan.lanes + lane], f"o{k}_l{lane}", width)[0][0]
+                _render(body, plan.netlists[k * plan.lanes + lane], f"o{k}_l{lane}", width)[0][0]
                 for lane in range(plan.lanes)
             ]
-            m.assigns.append(Assign(f"out{k}", _concat_words(words)))
+            body.assigns.append(Assign(f"out{k}", _concat_words(words)))
     else:
         (net,) = plan.netlists
-        for k, words in enumerate(_render(m, net, "g", width)):
-            m.assigns.append(Assign(f"out{k}", _concat_words(words)))
-    return m
+        for k, words in enumerate(_render(body, net, "g", width)):
+            body.assigns.append(Assign(f"out{k}", _concat_words(words)))
 
 
-def _fold_datapath(m: RtlModule, node: NodeSpec, plan: DatapathPlan, width: int) -> None:
+def _fold_datapath(body: RtlBody, node: NodeSpec, plan: DatapathPlan, width: int) -> None:
     cp = node.patterns.inputs[plan.fold_input]
     first_phase = next(j for j, v in enumerate(cp.phases) if v)
     at_first = RBin("==", RRef("phase"), RLit(first_phase))
-    m.regs.append(RegDecl("acc_q", width))
+    body.regs.append(RegDecl("acc_q", width))
     start = 0
     if plan.fold_init is not None:
-        m.net("carry", width)
+        body.net("carry", width)
         seed = RLit(plan.fold_init, width)
-        m.assigns.append(Assign("carry", RMux(at_first, seed, RRef("acc_q"))))
+        body.assigns.append(Assign("carry", RMux(at_first, seed, RRef("acc_q"))))
     else:
         # No seed: in the first phase that reads tokens the leading operator
         # is bypassed and the first token starts the chain.
         first = plan.netlists[0]
-        first_op = _render(m, first, "f", width)[0][0]
+        first_op = _render(body, first, "f", width)[0][0]
         tok0 = _word(f"in{plan.fold_input}", 0, width)
-        m.net("stage0", width)
-        m.assigns.append(Assign("stage0", RMux(at_first, tok0, first_op)))
+        body.net("stage0", width)
+        body.assigns.append(Assign("stage0", RMux(at_first, tok0, first_op)))
         start = len(first.ops)
-    acc = _render(m, plan.netlists[-1], "f", width, start)[0][0]
+    acc = _render(body, plan.netlists[-1], "f", width, start)[0][0]
     if 0 in cp.phases:
         # The input bus still shows words in a phase that reads none; the
         # accumulator holds through such a phase.
         acc = RMux(_nz_mux(RRef("phase"), cp), acc, RRef("acc_q"))
-    m.net("result", width)
-    m.assigns.append(Assign("result", acc))
-    m.assigns.append(Assign("out0", RRef("result")))
-    m.always.append(
+    body.net("result", width)
+    body.assigns.append(Assign("result", acc))
+    body.assigns.append(Assign("out0", RRef("result")))
+    body.always.append(
         AlwaysFF(
             (
                 SIf(
@@ -283,7 +283,7 @@ def _fold_datapath(m: RtlModule, node: NodeSpec, plan: DatapathPlan, width: int)
 # Per-edge modules
 
 
-def _fifo_module(mod_name: str, low: EdgeLowering, write_through: bool) -> RtlModule:
+def _fifo_body(body: RtlBody, low: EdgeLowering, write_through: bool) -> None:
     e = low.edge
     width = low.width
     depth = low.capacity
@@ -292,30 +292,23 @@ def _fifo_module(mod_name: str, low: EdgeLowering, write_through: bool) -> RtlMo
     ppb = counter_bits(len(e.pp))
     cpb = counter_bits(len(e.cp))
     ow = counter_bits(depth)
-    m = RtlModule(
-        mod_name,
-        comment=(
-            f"{low.flavor} fifo for edge '{e.id}' "
-            f"(depth {depth}, {'write-through' if write_through else 'registered input'})"
-        ),
-    )
-    m.port("clk", 1, "input")
-    m.port("rst", 1, "input")
-    m.port("wr_en", 1, "input")
-    m.port("wr_phase", ppb, "input")
-    m.port("din", n * width, "input")
-    m.port("rd_en", 1, "input")
-    m.port("rd_phase", cpb, "input")
-    m.port("dout", mm * width, "output")
-    m.port("occupancy", ow, "output")
-    m.params += [
+    body.port("clk", 1, "input")
+    body.port("rst", 1, "input")
+    body.port("wr_en", 1, "input")
+    body.port("wr_phase", ppb, "input")
+    body.port("din", n * width, "input")
+    body.port("rd_en", 1, "input")
+    body.port("rd_phase", cpb, "input")
+    body.port("dout", mm * width, "output")
+    body.port("occupancy", ow, "output")
+    body.params += [
         Param("DEPTH", depth),
         Param("WRITE_THROUGH", 1 if write_through else 0),
     ]
-    m.regs.append(RegDecl("mem", width, depth))
-    m.regs += [RegDecl("wr_q", ow), RegDecl("rd_q", ow), RegDecl("occ_q", ow)]
-    m.net("push", ow)
-    m.net("pop", ow)
+    body.regs.append(RegDecl("mem", width, depth))
+    body.regs += [RegDecl("wr_q", ow), RegDecl("rd_q", ow), RegDecl("occ_q", ow)]
+    body.net("push", ow)
+    body.net("pop", ow)
     push_table = _table_mux(
         RRef("wr_phase"),
         [RLit(v, ow) for v in e.pp.phases],
@@ -326,11 +319,14 @@ def _fifo_module(mod_name: str, low: EdgeLowering, write_through: bool) -> RtlMo
         [RLit(v, ow) for v in e.cp.phases],
         RLit(0, ow),
     )
-    m.assigns += [
+    body.assigns += [
         Assign("push", RMux(RRef("wr_en"), push_table, RLit(0, ow))),
         Assign("pop", RMux(RRef("rd_en"), pop_table, RLit(0, ow))),
         Assign("occupancy", RRef("occ_q")),
     ]
+    # Nodes never change, so one node may appear in several places.
+    din = [_word("din", k, width) for k in range(n)]
+    occ_is = [RBin("==", RRef("occ_q"), RLit(j)) for j in range(mm)]
     words: list[RExpr] = []
     for k in range(mm):
         stored: RExpr = RIndex(
@@ -339,21 +335,17 @@ def _fifo_module(mod_name: str, low: EdgeLowering, write_through: bool) -> RtlMo
         if write_through:
             fresh: RExpr = RLit(0, width)
             for j in range(max(0, k - n + 1), k + 1):
-                fresh = RMux(
-                    RBin("==", RRef("occ_q"), RLit(j)),
-                    _word("din", k - j, width),
-                    fresh,
-                )
+                fresh = RMux(occ_is[j], din[k - j], fresh)
             word: RExpr = RMux(RBin("<", RLit(k), RRef("occ_q")), stored, fresh)
         else:
             word = stored
-        name = m.net(f"dout_w{k}", width)
-        m.assigns.append(Assign(name, word))
+        name = body.net(f"dout_w{k}", width)
+        body.assigns.append(Assign(name, word))
         words.append(RRef(name))
-    m.assigns.append(Assign("dout", _concat_words(words)))
-    body: list = []
+    body.assigns.append(Assign("dout", _concat_words(words)))
+    stmts: list = []
     for k in range(n):
-        body.append(
+        stmts.append(
             SIf(
                 RBin(">", RRef("push"), RLit(k)),
                 (
@@ -362,17 +354,17 @@ def _fifo_module(mod_name: str, low: EdgeLowering, write_through: bool) -> RtlMo
                             "mem",
                             RBin("%", RBin("+", RRef("wr_q"), RLit(k)), RRef("DEPTH")),
                         ),
-                        _word("din", k, width),
+                        din[k],
                     ),
                 ),
             )
         )
-    body += [
+    stmts += [
         SAssign(RRef("wr_q"), RBin("%", RBin("+", RRef("wr_q"), RRef("push")), RRef("DEPTH"))),
         SAssign(RRef("rd_q"), RBin("%", RBin("+", RRef("rd_q"), RRef("pop")), RRef("DEPTH"))),
         SAssign(RRef("occ_q"), RBin("-", RBin("+", RRef("occ_q"), RRef("push")), RRef("pop"))),
     ]
-    m.always.append(
+    body.always.append(
         AlwaysFF(
             (
                 SIf(
@@ -382,67 +374,56 @@ def _fifo_module(mod_name: str, low: EdgeLowering, write_through: bool) -> RtlMo
                         SAssign(RRef("rd_q"), RLit(0, ow)),
                         SAssign(RRef("occ_q"), RLit(0, ow)),
                     ),
-                    tuple(body),
+                    tuple(stmts),
                 ),
             )
         )
     )
-    return m
 
 
-def _fifo_ctrl_module(mod_name: str, low: EdgeLowering) -> RtlModule:
-    e = low.edge
+def _fifo_ctrl_body(body: RtlBody, low: EdgeLowering) -> None:
     gate = low.gate
-    ppb = counter_bits(len(e.pp))
+    ppb = counter_bits(len(low.edge.pp))
     ow = counter_bits(low.capacity)
-    m = RtlModule(
-        mod_name,
-        comment=f"firing threshold table for edge '{e.id}'",
-    )
-    m.port("occupancy", ow, "input")
-    m.port("prod_firing", 1, "input")
-    m.port("prod_phase", ppb, "input")
-    m.port("ready", 1, "output")
+    body.port("occupancy", ow, "input")
+    body.port("prod_firing", 1, "input")
+    body.port("prod_phase", ppb, "input")
+    body.port("ready", 1, "output")
     for j, v in enumerate(gate.per_phase):
-        m.params.append(Param(f"THRESH_P{j}", v))
-    m.params.append(Param("THRESH_IDLE", gate.idle))
+        body.params.append(Param(f"THRESH_P{j}", v))
+    body.params.append(Param("THRESH_IDLE", gate.idle))
     table = _table_mux(
         RRef("prod_phase"),
         [RRef(f"THRESH_P{j}") for j in range(len(gate.per_phase))],
         RRef("THRESH_IDLE"),
     )
-    m.net("need", ow)
-    m.assigns += [
+    body.net("need", ow)
+    body.assigns += [
         Assign("need", RMux(RRef("prod_firing"), table, RRef("THRESH_IDLE"))),
         Assign("ready", RBin(">=", RRef("occupancy"), RRef("need"))),
     ]
-    return m
 
 
-def _pipe_module(mod_name: str, low: EdgeLowering) -> RtlModule:
+def _pipe_body(body: RtlBody, low: EdgeLowering) -> None:
     e = low.edge
     width = low.width
     n = e.pp.value
     ppb = counter_bits(len(e.pp))
-    m = RtlModule(
-        mod_name,
-        comment=f"pipeline register for edge '{e.id}' ({n} token(s) per group)",
-    )
-    m.port("clk", 1, "input")
-    m.port("rst", 1, "input")
-    m.port("stb", 1, "input")
-    m.port("phase", ppb, "input")
-    m.port("din", n * width, "input")
-    m.port("dout", n * width, "output")
-    m.port("valid", 1, "output")
-    m.regs += [RegDecl("data_q", n * width), RegDecl("valid_q", 1)]
-    m.net("wr", 1)
-    m.assigns += [
+    body.port("clk", 1, "input")
+    body.port("rst", 1, "input")
+    body.port("stb", 1, "input")
+    body.port("phase", ppb, "input")
+    body.port("din", n * width, "input")
+    body.port("dout", n * width, "output")
+    body.port("valid", 1, "output")
+    body.regs += [RegDecl("data_q", n * width), RegDecl("valid_q", 1)]
+    body.net("wr", 1)
+    body.assigns += [
         Assign("wr", RBin("&", RRef("stb"), _nz_mux(RRef("phase"), e.pp))),
         Assign("dout", RRef("data_q")),
         Assign("valid", RRef("valid_q")),
     ]
-    m.always.append(
+    body.always.append(
         AlwaysFF(
             (
                 SIf(
@@ -461,7 +442,6 @@ def _pipe_module(mod_name: str, low: EdgeLowering) -> RtlModule:
             )
         )
     )
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +459,10 @@ def _nz_mux(phase: RExpr, pattern) -> RExpr:
 def lower_design(g: Graph, capacities: dict[str, int] | None = None) -> RtlDesign:
     """Build the full RTL design for a validated graph.
 
+    Modules whose bodies depend on the same values share one frozen
+    :class:`~patflow.rtl.ir.RtlBody`, built once; they differ only in name
+    and comment.
+
     Raises :class:`~patflow.errors.NameCollision` when two document names
     need the same RTL identifier.
     """
@@ -492,8 +476,11 @@ def lower_design(g: Graph, capacities: dict[str, int] | None = None) -> RtlDesig
 
     design = RtlDesign(name=g.name or "design", top=f"{design_name}_top")
     roles: list[dict] = []
+    # One body per structural signature: the role plus every value the
+    # body is built from.
+    bodies: dict[tuple, RtlBody] = {}
 
-    def _add(module: RtlModule, role: str, subject: str) -> RtlModule:
+    def _add(module: RtlModule, role: str, subject: str) -> None:
         if module.name in design.modules:
             raise NameCollision(f"duplicate RTL module name '{module.name}'")
         design.add(module)
@@ -501,7 +488,16 @@ def lower_design(g: Graph, capacities: dict[str, int] | None = None) -> RtlDesig
             {"file": f"{module.name}.v", "module": module.name, "role": role,
              "subject": subject}
         )
-        return module
+
+    def _shared(signature: tuple, name: str, comment: str, build, *args) -> RtlModule:
+        """Module ``name`` with the body of ``signature``, made by
+        ``build(body, *args)`` on its first use."""
+        body = bodies.get(signature)
+        if body is None:
+            body = RtlBody()
+            build(body, *args)
+            bodies[signature] = body.freeze()
+        return RtlModule(name, comment, body)
 
     order = g.topo_order()
     for name in order:
@@ -509,18 +505,43 @@ def lower_design(g: Graph, capacities: dict[str, int] | None = None) -> RtlDesig
         if node.kind is not NodeKind.COMPUTE:
             continue
         base = node_rtl[name]
-        _add(_ctrl_module(f"{base}_ctrl", node), "ctrl", name)
-        _add(_datapath_module(f"{base}_datapath", node, plans[name]), "datapath", name)
+        length = node.length
+        _add(_shared(("ctrl", length), f"{base}_ctrl",
+                     f"firing controller for '{name}' ({length} phase(s))",
+                     _ctrl_body, length), "ctrl", name)
+        plan = plans[name]
+        signature = (
+            "datapath", node.width, length,
+            tuple(p.phases for p in node.patterns.inputs),
+            tuple(p.phases for p in node.patterns.outputs),
+            plan.mode, plan.lanes, plan.netlists, plan.fold_init, plan.fold_input,
+        )
+        _add(_shared(signature, f"{base}_datapath",
+                     f"datapath for '{name}' ({plan.mode}, {plan.lanes} lane(s))",
+                     _datapath_body, node, plan), "datapath", name)
 
     for e in g.edges:
         low = lows[e.id]
         base = edge_rtl[e.id]
         if low.kind == "fifo":
             write_through = g.nodes[e.producer].kind is NodeKind.SOURCE
-            _add(_fifo_module(f"{base}_fifo", low, write_through), "fifo", e.id)
-            _add(_fifo_ctrl_module(f"{base}_fifo_ctrl", low), "fifo_ctrl", e.id)
+            cap = low.capacity
+            signature = ("fifo", cap, low.width, e.pp.phases, e.cp.phases, write_through)
+            comment = (
+                f"{low.flavor} fifo for edge '{e.id}' "
+                f"(depth {cap}, {'write-through' if write_through else 'registered input'})"
+            )
+            _add(_shared(signature, f"{base}_fifo", comment,
+                         _fifo_body, low, write_through), "fifo", e.id)
+            signature = ("fifo_ctrl", cap, len(e.pp), low.gate.entries)
+            _add(_shared(signature, f"{base}_fifo_ctrl",
+                         f"firing threshold table for edge '{e.id}'",
+                         _fifo_ctrl_body, low), "fifo_ctrl", e.id)
         elif low.kind == "pipeline":
-            _add(_pipe_module(f"{base}_pipe", low), "pipe", e.id)
+            _add(_shared(("pipe", e.pp.phases, low.width), f"{base}_pipe",
+                         f"pipeline register for edge '{e.id}' "
+                         f"({e.pp.value} token(s) per group)",
+                         _pipe_body, low), "pipe", e.id)
 
     top = _top_module(g, order, design_name, lows, node_rtl, edge_rtl)
     _add(top, "top", g.name or "design")
@@ -548,10 +569,7 @@ def _top_module(
     node_rtl: dict[str, str],
     edge_rtl: dict[str, str],
 ) -> RtlModule:
-    top = RtlModule(
-        f"{design_name}_top",
-        comment=f"top level for '{g.name or 'design'}'",
-    )
+    top = RtlBody()
     top.port("clk", 1, "input")
     top.port("rst", 1, "input")
     top.port("run", 1, "input")
@@ -616,9 +634,9 @@ def _top_module(
             terms.append(
                 RRef(f"{ebase}_ready") if low.kind == "fifo" else RRef(f"{ebase}_valid")
             )
-        ready: RExpr = RLit(1, 1)
-        for t in terms:
-            ready = t if ready == RLit(1, 1) else RBin("&", ready, t)
+        ready: RExpr = terms[0] if terms else RLit(1, 1)
+        for t in terms[1:]:
+            ready = RBin("&", ready, t)
         top.assigns.append(Assign(f"{base}_ready", ready))
         top.instances.append(
             Instance(
@@ -712,4 +730,4 @@ def _top_module(
                     ),
                 )
             )
-    return top
+    return RtlModule(f"{design_name}_top", f"top level for '{g.name or 'design'}'", top)

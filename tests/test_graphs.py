@@ -119,6 +119,22 @@ class TestBuildGraph:
         with pytest.raises(err, match=message):
             build_graph(d)
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["nodes"].insert(0, {"name": "x", "kind": "sink", "width": 8,
+                                             "inputs": [[1]]}),
+             "input port x.0 is not driven"),
+            (lambda d: d["edges"].pop(), "output port c.0 feeds nothing"),
+        ],
+    )
+    def test_unwired_port_messages(self, mutate, message):
+        d = copy.deepcopy(load("fig2"))
+        mutate(d)
+        with pytest.raises(DanglingEdge) as info:
+            build_graph(d)
+        assert str(info.value) == message
+
     def test_source_rejects_expr(self):
         d = copy.deepcopy(load("alg1-worked"))
         d["nodes"][0]["expr"] = "(add 1 2)"

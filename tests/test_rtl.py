@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pathlib
 import random
 import re
 from collections import Counter
@@ -34,15 +35,19 @@ from patflow.rtl import (
     RMux,
     RRef,
     RSlice,
+    RtlBody,
     RtlDesign,
     RtlModule,
     check_design,
     emit_verilog,
     lower_design,
+    render_module,
     write_design,
 )
 
-from conftest import generated_graph, one_node_doc
+from conftest import DESIGNS_PY, generated_graph, one_node_doc
+
+FAMILIES = ("chain", "fanout", "tuple", "folds", "mismatch")
 
 
 def expected_module_count(g) -> int:
@@ -189,7 +194,7 @@ def datapath_module(design, node: str) -> RtlModule:
 def datapath_ops(design, node: str) -> dict[str, int]:
     """Operator wires by primitive in ``node``'s datapath module."""
     return dict(Counter(
-        wire_op(a.value) for a in datapath_module(design, node).assigns
+        wire_op(a.value) for a in datapath_module(design, node).body.assigns
         if re.search(r"_w\d+$", a.target)
     ))
 
@@ -223,9 +228,9 @@ def eval_rtl(e, env: dict, widths: dict | None = None) -> int:
 def settle(module, env: dict) -> dict:
     """Evaluate ``module``'s assigns in order over ``env``, masking each net
     to its width; return ``env``."""
-    widths = {p.name: p.width for p in module.ports}
-    widths.update((n.name, n.width) for n in module.nets)
-    for a in module.assigns:
+    widths = {p.name: p.width for p in module.body.ports}
+    widths.update((n.name, n.width) for n in module.body.nets)
+    for a in module.body.assigns:
         env[a.target] = eval_rtl(a.value, env, widths) & ((1 << widths[a.target]) - 1)
     return env
 
@@ -256,7 +261,7 @@ def run_fold_datapath(module, pattern: list[int], tokens: list[int], junk: int =
     ``junk`` past the end of the stream, as a FIFO's ``dout`` does, also in
     a phase that reads nothing.  The accumulator starts from ``junk``: a
     firing must not depend on what an earlier one left behind."""
-    lanes, width = max(pattern), next(p.width for p in module.ports if p.name == "out0")
+    lanes, width = max(pattern), next(p.width for p in module.body.ports if p.name == "out0")
     stream = tokens + [junk] * lanes
     env, pos = {"acc_q": junk, "firing": 1}, 0
     for phase, n in enumerate(pattern):
@@ -265,6 +270,14 @@ def run_fold_datapath(module, pattern: list[int], tokens: list[int], junk: int =
         settle(module, env)
         env["acc_q"], pos = env["result"], pos + n
     return env["out0"]
+
+
+def files_digest(files: dict[str, str]) -> str:
+    """sha256 over ``name\\0text\\0`` of every file, in sorted name order."""
+    h = hashlib.sha256()
+    for fname in sorted(files):
+        h.update(fname.encode() + b"\0" + files[fname].encode() + b"\0")
+    return h.hexdigest()
 
 
 # sha256 over every fixture's sized emission (file names and texts, in
@@ -331,10 +344,7 @@ class TestDatapaths:
     def test_datapaths_compute_the_body(self):
         graphs = {name: load_graph(name) for name in names()}
         graphs.update((label, build_graph(doc)) for label, doc in ODD_BODIES.items())
-        graphs.update(
-            (family, generated_graph(family, 10))
-            for family in ("chain", "fanout", "tuple", "folds", "mismatch")
-        )
+        graphs.update((family, generated_graph(family, 10)) for family in FAMILIES)
         rng = random.Random(0)
         checked = Counter()
         for label, g in graphs.items():
@@ -373,10 +383,17 @@ class TestDatapaths:
         for name in names():
             g = load_graph(name)
             files = emit_verilog(g, size_fifos(simulate_schedule(g, 2), g))
-            h = hashlib.sha256()
-            for fname in sorted(files):
-                h.update(fname.encode() + b"\0" + files[fname].encode() + b"\0")
-            assert h.hexdigest() == SIZED_EMIT_SHA256[name], name
+            assert files_digest(files) == SIZED_EMIT_SHA256[name], name
+
+    def test_generated_design_emission_matches_benchmark_digests(self):
+        # The benchmark's recorded emit digests of its 100-node oracle
+        # designs; many of their modules share a body.
+        path = pathlib.Path(DESIGNS_PY).with_name("digests.json")
+        recorded = json.loads(path.read_text())["emit"]
+        for family in FAMILIES:
+            g = generated_graph(family, 100)
+            files = emit_verilog(g, size_fifos(simulate_schedule(g, 2), g))
+            assert files_digest(files) == recorded[f"{family}-100-s0"], family
 
     def test_fold_datapath_has_accumulator(self):
         files = emit_verilog(load_graph("dotp-1010"))
@@ -493,29 +510,29 @@ class TestCheckDesign:
 
     def test_duplicate_declaration(self):
         m = RtlModule(name="m")
-        m.ports.append(Port("a", 1, "input"))
-        m.ports.append(Port("a", 2, "output"))
+        m.body.ports.append(Port("a", 1, "input"))
+        m.body.ports.append(Port("a", 2, "output"))
         assert check_design(self._design(m)) == ["m: duplicate declaration 'a'"]
 
     def test_undefined_instance_module(self):
         m = RtlModule(name="m")
-        m.ports.append(Port("clk", 1, "input"))
-        m.instances.append(Instance("ghost", "u0", (("x", RRef("clk")),)))
+        m.body.ports.append(Port("clk", 1, "input"))
+        m.body.instances.append(Instance("ghost", "u0", (("x", RRef("clk")),)))
         assert "undefined module 'ghost'" in check_design(self._design(m))[0]
 
     def test_undeclared_reference(self):
         m = RtlModule(name="m")
-        m.ports.append(Port("y", 4, "output"))
-        m.assigns.append(Assign("y", RRef("nope")))
+        m.body.ports.append(Port("y", 4, "output"))
+        m.body.assigns.append(Assign("y", RRef("nope")))
         assert check_design(self._design(m)) == [
             "m: reference to undeclared name 'nope'"
         ]
 
     def test_unconnected_input_flagged(self):
         child = RtlModule(name="child")
-        child.ports.append(Port("a", 1, "input"))
+        child.body.ports.append(Port("a", 1, "input"))
         parent = RtlModule(name="parent")
-        parent.instances.append(Instance("child", "u0", ()))
+        parent.body.instances.append(Instance("child", "u0", ()))
         d = RtlDesign(name="d", top="parent")
         d.add(parent)
         d.add(child)
@@ -523,14 +540,129 @@ class TestCheckDesign:
 
     def test_width_mismatch_flagged(self):
         child = RtlModule(name="child")
-        child.ports.append(Port("a", 4, "input"))
+        child.body.ports.append(Port("a", 4, "input"))
         parent = RtlModule(name="parent")
-        parent.net("w", 2)
-        parent.instances.append(Instance("child", "u0", (("a", RRef("w")),)))
+        parent.body.net("w", 2)
+        parent.body.instances.append(Instance("child", "u0", (("a", RRef("w")),)))
         d = RtlDesign(name="d", top="parent")
         d.add(parent)
         d.add(child)
         assert check_design(d) == ["parent.u0: port 'a' is 4 bits, connected to 2"]
+
+
+# ---------------------------------------------------------------------------
+# Shared module bodies
+# ---------------------------------------------------------------------------
+
+MAP_ADD1 = "(map (lambda (x) (add x 1)) (input 0))"
+
+
+def sharing_doc() -> dict:
+    """Two source-fed FIFOs and one compute-fed FIFO, all 8 bits wide and 2
+    deep unsized.  ``s1.0->b1.0`` and ``a.0->b2.0`` have equal patterns and
+    differ only in write-through and in their gate tables; ``s0.0->a.0`` and
+    ``s1.0->b1.0`` have equal gate tables."""
+    def compute(name, inputs, outputs):
+        return {"name": name, "kind": "compute", "width": 8, "expr": MAP_ADD1,
+                "inputs": [inputs], "outputs": [outputs]}
+
+    return {
+        "meta": {"name": "share", "iterations": 1},
+        "nodes": [
+            {"name": "s0", "kind": "source", "width": 8, "outputs": [[2, 0]]},
+            {"name": "s1", "kind": "source", "width": 8, "outputs": [[2, 0]]},
+            compute("a", [2, 0], [2, 0]),
+            compute("b1", [1, 1], [1, 1]),
+            compute("b2", [1, 1], [1, 1]),
+            {"name": "o1", "kind": "sink", "width": 8, "inputs": [[1, 1]]},
+            {"name": "o2", "kind": "sink", "width": 8, "inputs": [[1, 1]]},
+        ],
+        "edges": [
+            {"from": "s0.0", "to": "a.0"},
+            {"from": "a.0", "to": "b2.0"},
+            {"from": "s1.0", "to": "b1.0"},
+            {"from": "b1.0", "to": "o1.0"},
+            {"from": "b2.0", "to": "o2.0"},
+        ],
+    }
+
+
+def sharing_graphs() -> dict:
+    """Every fixture and the benchmark families at 100 nodes, sized."""
+    graphs = {name: load_graph(name) for name in names()}
+    graphs.update((family, generated_graph(family, 100)) for family in FAMILIES)
+    return {label: (g, size_fifos(simulate_schedule(g, 2), g)) for label, g in graphs.items()}
+
+
+def unshared_copy(m: RtlModule) -> RtlModule:
+    copy = RtlModule(m.name, m.comment)
+    for field in RtlBody.__slots__:
+        setattr(copy.body, field, list(getattr(m.body, field)))
+    return copy
+
+
+class TestSharedBodies:
+    def test_equal_signatures_share_one_body(self):
+        g = build_graph(sharing_doc())
+        assert validate_graph(g) == []
+        mods = lower_design(g).modules
+        assert mods["a_ctrl"].body is mods["b1_ctrl"].body is mods["b2_ctrl"].body
+        assert mods["b1_datapath"].body is mods["b2_datapath"].body
+        assert mods["s0_0__a_0_fifo_ctrl"].body is mods["s1_0__b1_0_fifo_ctrl"].body
+        assert mods["a_datapath"].body is not mods["b1_datapath"].body
+
+    def test_write_through_and_gate_table_split_bodies(self):
+        g = build_graph(sharing_doc())
+        lows = lower_edges(g)
+        assert lows["s1.0->b1.0"].gate != lows["a.0->b2.0"].gate
+        mods = lower_design(g).modules
+        assert mods["s1_0__b1_0_fifo"].body is not mods["a_0__b2_0_fifo"].body
+        assert mods["s1_0__b1_0_fifo_ctrl"].body is not mods["a_0__b2_0_fifo_ctrl"].body
+
+    def test_capacity_splits_bodies(self):
+        g = build_graph(sharing_doc())
+        mods = lower_design(g, {"s0.0->a.0": 2, "s1.0->b1.0": 3}).modules
+        assert mods["s0_0__a_0_fifo_ctrl"].body is not mods["s1_0__b1_0_fifo_ctrl"].body
+        files = emit_verilog(g, {"s0.0->a.0": 2, "s1.0->b1.0": 3})
+        assert "DEPTH = 3;" in files["s1_0__b1_0_fifo.v"]
+
+    def test_shared_bodies_are_frozen(self):
+        mods = lower_design(build_graph(sharing_doc())).modules
+        with pytest.raises(AttributeError):
+            mods["a_ctrl"].body.assigns.append(Assign("phase", RRef("x")))
+        with pytest.raises(AttributeError):
+            mods["b1_ctrl"].body.net("extra", 1)
+        assert "extra" not in render_module(mods["b2_ctrl"])
+
+    def test_emitted_text_equals_unshared_render(self):
+        for label, (g, caps) in sharing_graphs().items():
+            design = lower_design(g, caps)
+            files = emit_verilog(g, caps)
+            for name, m in design.modules.items():
+                assert files[f"{name}.v"] == render_module(unshared_copy(m)), (label, name)
+
+    def test_manifest_matches_json_dumps(self):
+        kinds = set()
+        graphs = sharing_graphs()
+        graphs["empty"] = (build_graph({"meta": {"name": "empty"}, "nodes": [], "edges": []}), {})
+        for label, (g, caps) in graphs.items():
+            manifest = lower_design(g, caps).manifest
+            kinds |= {e["kind"] for e in manifest["edges"].values()}
+            text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+            assert emit_verilog(g, caps)["manifest.json"] == text, label
+        assert kinds == {"fifo", "pipeline", "sink"}
+
+    def test_broken_shared_body_is_reported_for_every_module(self):
+        design = lower_design(generated_graph("chain", 24))
+        assert check_design(design) == []
+        ctrls = [m for m in design.modules.values() if m.name.endswith("_ctrl")]
+        body = Counter(m.body for m in ctrls).most_common(1)[0][0]
+        sharing = [m.name for m in design.modules.values() if m.body is body]
+        assert len(sharing) >= 2
+        body.assigns += (Assign("phase", RRef("ghost")),)
+        assert check_design(design) == [
+            f"{name}: reference to undeclared name 'ghost'" for name in sharing
+        ]
 
 
 # ---------------------------------------------------------------------------
