@@ -16,13 +16,17 @@ hardware lanes.
 Arithmetic wraps around at the node's element width (unsigned).
 ``compare`` yields 1 when its first operand is strictly less than its
 second, else 0.
+
+Expression and shape nodes are immutable ``__slots__`` records with
+structural equality.  :func:`compile_expr` turns a body into one generated
+Python function, the functional reference that value simulation checks
+the hardware form against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import FrozenInstanceError
 
 from .errors import ExprSyntaxError, ShapeMismatch, UnsupportedExpr
 
@@ -53,6 +57,7 @@ __all__ = [
     "compile_expr",
     "apply_prim",
     "PRIMS",
+    "PRIM_CODE",
 ]
 
 PRIM_OPS = ("add", "mul", "sub", "min", "max", "compare")
@@ -62,117 +67,183 @@ PRIM_OPS = ("add", "mul", "sub", "min", "max", "compare")
 # AST
 
 
-class Expr:
+# Sets a field of a record in its constructor.
+_set = object.__setattr__
+
+
+class _Record:
+    """An immutable record over ``__slots__``, which list its fields in
+    constructor order: structural ``==`` and hash, a
+    ``Name(field=value, ...)`` repr, and no assignment after
+    construction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field '{name}'")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Expr(_Record):
     """Base class for expression nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class InputRef(Expr):
     """The node's input port ``index`` (a statically sized vector)."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
     """An integer literal (scalar)."""
 
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     """A name bound by an enclosing ``lambda`` or ``let``."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class PrimOp(Expr):
     """A scalar primitive applied to scalar operands."""
 
-    op: str
-    args: tuple[Expr, ...]
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: tuple[Expr, ...]):
+        _set(self, "op", op)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Lambda(Expr):
     """A function literal; only valid as a higher-order-function argument."""
 
-    params: tuple[str, ...]
-    body: Expr
+    __slots__ = ("params", "body")
+
+    def __init__(self, params: tuple[str, ...], body: Expr):
+        _set(self, "params", params)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Map(Expr):
-    fn: Lambda
-    vec: Expr
+    __slots__ = ("fn", "vec")
+
+    def __init__(self, fn: Lambda, vec: Expr):
+        _set(self, "fn", fn)
+        _set(self, "vec", vec)
 
 
-@dataclass(frozen=True)
 class ZipWith(Expr):
-    fn: Lambda
-    left: Expr
-    right: Expr
+    __slots__ = ("fn", "left", "right")
+
+    def __init__(self, fn: Lambda, left: Expr, right: Expr):
+        _set(self, "fn", fn)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Foldl(Expr):
-    fn: Lambda
-    init: Expr
-    vec: Expr
+    __slots__ = ("fn", "init", "vec")
+
+    def __init__(self, fn: Lambda, init: Expr, vec: Expr):
+        _set(self, "fn", fn)
+        _set(self, "init", init)
+        _set(self, "vec", vec)
 
 
-@dataclass(frozen=True)
 class Foldl1(Expr):
-    fn: Lambda
-    vec: Expr
+    __slots__ = ("fn", "vec")
+
+    def __init__(self, fn: Lambda, vec: Expr):
+        _set(self, "fn", fn)
+        _set(self, "vec", vec)
 
 
-@dataclass(frozen=True)
 class Let(Expr):
-    bindings: tuple[tuple[str, Expr], ...]
-    body: Expr
+    __slots__ = ("bindings", "body")
+
+    def __init__(self, bindings: tuple[tuple[str, Expr], ...], body: Expr):
+        _set(self, "bindings", bindings)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Tuple(Expr):
-    items: tuple[Expr, ...]
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Expr, ...]):
+        _set(self, "items", items)
 
 
-@dataclass(frozen=True)
 class Proj(Expr):
-    tup: Expr
-    index: int
+    __slots__ = ("tup", "index")
+
+    def __init__(self, tup: Expr, index: int):
+        _set(self, "tup", tup)
+        _set(self, "index", index)
 
 
 # ---------------------------------------------------------------------------
 # Shapes
 
 
-class Shape:
+class Shape(_Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Scalar(Shape):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "scalar"
 
 
-@dataclass(frozen=True)
 class Vector(Shape):
-    length: int
+    __slots__ = ("length",)
+
+    def __init__(self, length: int):
+        _set(self, "length", length)
 
     def __str__(self) -> str:
         return f"vec[{self.length}]"
 
 
-@dataclass(frozen=True)
 class TupleShape(Shape):
-    items: tuple[Shape, ...] = field(default_factory=tuple)
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Shape, ...] = ()):
+        _set(self, "items", items)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(s) for s in self.items) + ")"
@@ -474,31 +545,43 @@ def infer_shape(
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# An expression is compiled once into nested closures ``f(inputs, env)``:
-# ``inputs`` holds one value per input port and ``env`` maps bound names to
-# values.  Runtime values are int (scalar), tuple[int, ...] (vector), and
-# _TupleVal for multi-output bodies.  Every shape check runs when the
-# closure that needs it runs, so a sub-expression that is never evaluated
-# (a lambda mapped over an empty vector, say) never raises.
+# An expression is compiled once into one generated Python function
+# ``f(inputs, env)``: ``inputs`` holds one value per input port and ``env``
+# maps free names to values.  Runtime values are int (scalar),
+# tuple[int, ...] (vector), and _TupleVal for multi-output bodies.  Every
+# operator is one statement into a fresh local, a higher-order function is
+# a loop, and lambda parameters and ``let`` names are locals too.  Each
+# shape check is a statement just before the value it guards is used, so a
+# sub-expression that is never evaluated (a lambda mapped over an empty
+# vector, say) never raises.
 
 
-@dataclass(frozen=True)
-class _TupleVal:
-    items: tuple
+class _TupleVal(_Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        _set(self, "items", items)
 
 
-# Each primitive as ``f(a, b, mask)``, for every evaluator of expressions
-# and of their unrolled netlists.
-PRIMS = {
-    "add": lambda a, b, mask: (a + b) & mask,
-    "mul": lambda a, b, mask: (a * b) & mask,
-    "sub": lambda a, b, mask: (a - b) & mask,
-    "min": lambda a, b, mask: a if a <= b else b,
-    "max": lambda a, b, mask: a if a >= b else b,
-    "compare": lambda a, b, mask: 1 if a < b else 0,
+# Each primitive as a Python expression over the operands ``{a}`` and
+# ``{b}`` and the wrap-around ``{mask}``: what every evaluator that
+# generates code writes inline.
+PRIM_CODE = {
+    "add": "({a} + {b}) & {mask}",
+    "mul": "({a} * {b}) & {mask}",
+    "sub": "({a} - {b}) & {mask}",
+    "min": "{a} if {a} <= {b} else {b}",
+    "max": "{a} if {a} >= {b} else {b}",
+    "compare": "1 if {a} < {b} else 0",
 }
 
-# Closures never modify ``env``; they bind names in a copy.
+# The same primitives as functions ``f(a, b, mask)``.
+PRIMS = {
+    op: eval(f"lambda a, b, mask: {code.format(a='a', b='b', mask='mask')}")
+    for op, code in PRIM_CODE.items()
+}
+
+# Compiled bodies never modify ``env``.
 _NO_ENV: dict = {}
 
 
@@ -528,17 +611,25 @@ def compile_expr(e: Expr, width: int):
     """Compile ``e`` into a function ``f(inputs, env={})``.
 
     ``f`` returns what :func:`eval_expr` returns for the same arguments, and
-    raises the same errors, but walks the expression tree only once, here.
+    raises the same errors, but walks the expression tree only once, here,
+    into the source of one Python function.
     """
-    f = _compile(e, (1 << width) - 1)
-    if not isinstance(e, (Let, Tuple, Proj)):
-        return f  # cannot yield a multi-output value
-
-    def run(inputs, env=_NO_ENV):
-        v = f(inputs, env)
-        return v.items if isinstance(v, _TupleVal) else v
-
-    return run
+    w = _BodyWriter((1 << width) - 1)
+    atom, kind = w.value(e, {})
+    # A multi-output value is returned as the plain tuple of its items.
+    if kind is _TUP:
+        atom = f"{atom}.items"
+    elif kind is None and isinstance(e, (Let, Proj)):
+        atom = f"{atom}.items if {atom}.__class__ is _TupleVal else {atom}"
+    source = "def body(inputs, env=_NO_ENV):\n" + "\n".join(w.lines) + f"\n    return {atom}\n"
+    namespace = {
+        "_NO_ENV": _NO_ENV, "_TupleVal": _TupleVal, "_scalar_val": _scalar_val,
+        "_vector_val": _vector_val, "apply_prim": apply_prim,
+        "ShapeMismatch": ShapeMismatch, "UnsupportedExpr": UnsupportedExpr,
+        **w.consts,
+    }
+    exec(compile(source, "<expr>", "exec"), namespace)
+    return namespace["body"]
 
 
 def eval_expr(e: Expr, inputs: Sequence, width: int, env: dict | None = None):
@@ -559,154 +650,177 @@ def eval_expr(e: Expr, inputs: Sequence, width: int, env: dict | None = None):
     return compile_expr(e, width)(list(inputs), env or _NO_ENV)
 
 
-def _raising(exc: Exception):
-    def f(inputs, env=_NO_ENV):
-        raise exc
+# What the writer knows of a value statically: an int, a tuple of ints or
+# a _TupleVal; ``None`` when it knows nothing.
+_INT, _VEC, _TUP = "int", "vec", "tup"
 
-    return f
-
-
-def _compile(e: Expr, mask: int):
-    if isinstance(e, InputRef):
-        index = e.index
-        return lambda inputs, env=_NO_ENV: inputs[index]
-    if isinstance(e, Const):
-        value = e.value & mask
-        return lambda inputs, env=_NO_ENV: value
-    if isinstance(e, Var):
-        name = e.name
-        return lambda inputs, env=_NO_ENV: env[name]
-    if isinstance(e, PrimOp):
-        a = _compile_scalar(e.args[0], mask, f"{e.op} operand 0")
-        b = _compile_scalar(e.args[1], mask, f"{e.op} operand 1")
-        # An unknown primitive raises once its operands are evaluated.
-        prim = PRIMS.get(e.op) or partial(apply_prim, e.op)
-        return lambda inputs, env=_NO_ENV: prim(a(inputs, env), b(inputs, env), mask)
-    if isinstance(e, Map):
-        vec = _compile_vector(e.vec, mask, "map argument")
-        fn = _compile_lambda(e.fn, mask)
-        return lambda inputs, env=_NO_ENV: tuple(fn(inputs, env, (x,)) for x in vec(inputs, env))
-    if isinstance(e, ZipWith):
-        left = _compile_vector(e.left, mask, "zipwith left")
-        right = _compile_vector(e.right, mask, "zipwith right")
-        fn = _compile_lambda(e.fn, mask)
-
-        def zipwith(inputs, env=_NO_ENV):
-            a = left(inputs, env)
-            b = right(inputs, env)
-            if len(a) != len(b):
-                raise ShapeMismatch(f"zipwith length mismatch: {len(a)} vs {len(b)}")
-            return tuple(fn(inputs, env, xy) for xy in zip(a, b))
-
-        return zipwith
-    if isinstance(e, Foldl):
-        init = _compile_scalar(e.init, mask, "fold init")
-        vec = _compile_vector(e.vec, mask, "fold argument")
-        fn = _compile_lambda(e.fn, mask)
-
-        def foldl(inputs, env=_NO_ENV):
-            acc = init(inputs, env)
-            for x in vec(inputs, env):
-                acc = fn(inputs, env, (acc, x))
-            return acc
-
-        return foldl
-    if isinstance(e, Foldl1):
-        vec = _compile_vector(e.vec, mask, "fold argument")
-        fn = _compile_lambda(e.fn, mask)
-
-        def foldl1(inputs, env=_NO_ENV):
-            v = vec(inputs, env)
-            if not v:
-                raise ShapeMismatch("foldl1 over an empty vector")
-            acc = v[0]
-            for x in v[1:]:
-                acc = fn(inputs, env, (acc, x))
-            return acc
-
-        return foldl1
-    if isinstance(e, Let):
-        bindings = [(name, _compile(bound, mask)) for name, bound in e.bindings]
-        body = _compile(e.body, mask)
-
-        def let(inputs, env=_NO_ENV):
-            inner = dict(env)
-            for name, bound in bindings:
-                inner[name] = bound(inputs, inner)
-            return body(inputs, inner)
-
-        return let
-    if isinstance(e, Tuple):
-        items = [_compile(i, mask) for i in e.items]
-        return lambda inputs, env=_NO_ENV: _TupleVal(tuple(f(inputs, env) for f in items))
-    if isinstance(e, Proj):
-        tup = _compile(e.tup, mask)
-        index = e.index
-
-        def proj(inputs, env=_NO_ENV):
-            t = tup(inputs, env)
-            if not isinstance(t, _TupleVal):
-                raise ShapeMismatch("proj over a non-tuple value")
-            return t.items[index]
-
-        return proj
-    if isinstance(e, Lambda):
-        return _raising(
-            ShapeMismatch("a lambda is only valid as a higher-order-function argument")
-        )
-    return _raising(UnsupportedExpr(f"cannot evaluate {type(e).__name__}"))
+# Loops nested in one generated function before the next one moves into a
+# nested function: CPython allows 20 statically nested blocks per function.
+_MAX_LOOPS = 16
 
 
-def _compile_scalar(e: Expr, mask: int, what: str):
-    """Compile ``e`` with the scalar check of a ``what`` operand applied."""
-    if isinstance(e, (Const, PrimOp)):
-        return _compile(e, mask)  # always an int
-    if isinstance(e, Var):
-        name = e.name
+class _BodyWriter:
+    """Writes the statements of one compiled body.
 
-        def scalar_var(inputs, env=_NO_ENV):
-            v = env[name]
-            return v if v.__class__ is int else _scalar_val(v, what)
+    :meth:`value` emits the statements that compute an expression and
+    returns an atom naming the result, a local or a parenthesized int
+    literal, with its static kind.  Only generated names reach the source:
+    ``t<n>`` locals, ``k<n>`` constants (user names, error texts, odd
+    literals), and the helpers bound in :func:`compile_expr`'s namespace.
+    """
 
-        return scalar_var
-    if isinstance(e, InputRef):
-        index = e.index
+    def __init__(self, mask: int):
+        self.mask = mask
+        self.lines: list[str] = []
+        self.consts: dict[str, object] = {}
+        self.count = 0
+        self.indent = 1
+        self.loops = 0
+        # Locals a scope name refers to.
+        self.named: set[str] = set()
 
-        def scalar_input(inputs, env=_NO_ENV):
-            v = inputs[index]
-            return v if v.__class__ is int else _scalar_val(v, what)
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
 
-        return scalar_input
-    f = _compile(e, mask)
+    def fresh(self) -> str:
+        self.count += 1
+        return f"t{self.count}"
 
-    def scalar(inputs, env=_NO_ENV):
-        v = f(inputs, env)
-        return v if v.__class__ is int else _scalar_val(v, what)
+    def assign(self, expr: str) -> str:
+        t = self.fresh()
+        self.emit(f"{t} = {expr}")
+        return t
 
-    return scalar
+    def const(self, value) -> str:
+        if type(value) is int and value >= 0:
+            return f"({value})"  # parenthesized, so ``(0).__class__`` parses
+        name = f"k{len(self.consts)}"
+        self.consts[name] = value
+        return name
 
+    def owned(self, atom: str) -> bool:
+        """Whether ``atom`` is a local that only its one use reads, which a
+        shape check may then coerce in place."""
+        return atom[0] == "t" and atom not in self.named
 
-def _compile_vector(e: Expr, mask: int, what: str):
-    """Compile ``e`` with the vector check of a ``what`` operand applied."""
-    f = _compile(e, mask)
+    def fail(self, exc: str, message: str) -> tuple[str, None]:
+        self.emit(f"raise {exc}({self.const(message)})")
+        return "None", None
 
-    def vector(inputs, env=_NO_ENV):
-        v = f(inputs, env)
-        return v if v.__class__ is tuple else _vector_val(v, what)
+    def scalar(self, e: Expr, scope: dict, what: str) -> str:
+        """``e``'s value with the scalar check of a ``what`` operand."""
+        atom, kind = self.value(e, scope)
+        if kind is _INT:
+            return atom
+        target = atom if self.owned(atom) else self.fresh()
+        self.emit(f"{target} = {atom} if {atom}.__class__ is int "
+                  f"else _scalar_val({atom}, {self.const(what)})")
+        return target
 
-    return vector
+    def vector(self, e: Expr, scope: dict, what: str) -> tuple[str, str | None]:
+        """``e``'s value with the vector check of a ``what`` operand, and the
+        kind of its elements."""
+        atom, kind = self.value(e, scope)
+        if kind is _VEC:
+            return atom, _INT
+        target = atom if self.owned(atom) else self.fresh()
+        self.emit(f"{target} = {atom} if {atom}.__class__ is tuple "
+                  f"else _vector_val({atom}, {self.const(what)})")
+        return target, None
 
+    def value(self, e: Expr, scope: dict) -> tuple[str, str | None]:
+        """Emit ``e``; ``scope`` maps bound names to ``(atom, kind)``."""
+        if isinstance(e, InputRef):
+            return self.assign(f"inputs[{self.const(e.index)}]"), None
+        if isinstance(e, Const):
+            return self.const(e.value & self.mask), _INT
+        if isinstance(e, Var):
+            if e.name in scope:
+                return scope[e.name]
+            return self.assign(f"env[{self.const(e.name)}]"), None
+        if isinstance(e, PrimOp):
+            a = self.scalar(e.args[0], scope, f"{e.op} operand 0")
+            b = self.scalar(e.args[1], scope, f"{e.op} operand 1")
+            form = PRIM_CODE.get(e.op)
+            if form is None:  # raises once its operands are evaluated
+                return self.assign(f"apply_prim({self.const(e.op)}, {a}, {b}, {self.mask})"), _INT
+            return self.assign(form.format(a=a, b=b, mask=self.mask)), _INT
+        if isinstance(e, (Map, ZipWith, Foldl, Foldl1)):
+            if self.loops < _MAX_LOOPS:
+                return self.hof(e, scope)
+            fn = self.fresh()
+            self.emit(f"def {fn}():")
+            self.indent, loops, self.loops = self.indent + 1, self.loops, 0
+            atom, kind = self.hof(e, scope)
+            self.emit(f"return {atom}")
+            self.indent, self.loops = self.indent - 1, loops
+            return self.assign(f"{fn}()"), kind
+        if isinstance(e, Let):
+            inner = dict(scope)
+            for name, bound in e.bindings:
+                inner[name] = self.value(bound, inner)
+                self.named.add(inner[name][0])
+            return self.value(e.body, inner)
+        if isinstance(e, Tuple):
+            items = "".join(f"{self.value(item, scope)[0]}, " for item in e.items)
+            return self.assign(f"_TupleVal(({items}))"), _TUP
+        if isinstance(e, Proj):
+            t, kind = self.value(e.tup, scope)
+            if kind is not _TUP:
+                self.emit(f"if {t}.__class__ is not _TupleVal: "
+                          f"raise ShapeMismatch({self.const('proj over a non-tuple value')})")
+            return self.assign(f"{t}.items[{self.const(e.index)}]"), None
+        if isinstance(e, Lambda):
+            return self.fail("ShapeMismatch",
+                             "a lambda is only valid as a higher-order-function argument")
+        return self.fail("UnsupportedExpr", f"cannot evaluate {type(e).__name__}")
 
-def _compile_lambda(fn: Lambda, mask: int):
-    """Compile a HOF argument into ``call(inputs, env, args)``: the body's
-    scalar value with the parameters bound to the scalar ``args``."""
-    body = _compile_scalar(fn.body, mask, "lambda body")
-    params = [(name, f"lambda argument '{name}'") for name in fn.params]
-
-    def call(inputs, env, args):
-        inner = dict(env)
-        for (name, what), v in zip(params, args):
-            inner[name] = v if v.__class__ is int else _scalar_val(v, what)
-        return body(inputs, inner)
-
-    return call
+    def hof(self, e: Expr, scope: dict) -> tuple[str, str | None]:
+        """A higher-order function as one loop over its vector(s)."""
+        out, x = self.fresh(), self.fresh()
+        if isinstance(e, Map):
+            vec, kind = self.vector(e.vec, scope, "map argument")
+            self.emit(f"{out} = []")
+            self.emit(f"for {x} in {vec}:")
+            params = [(x, kind)]
+        elif isinstance(e, ZipWith):
+            a, ka = self.vector(e.left, scope, "zipwith left")
+            b, kb = self.vector(e.right, scope, "zipwith right")
+            self.emit(f"if len({a}) != len({b}): raise ShapeMismatch("
+                      f"f\"zipwith length mismatch: {{len({a})}} vs {{len({b})}}\")")
+            y = self.fresh()
+            self.emit(f"{out} = []")
+            self.emit(f"for {x}, {y} in zip({a}, {b}):")
+            params = [(x, ka), (y, kb)]
+        elif isinstance(e, Foldl):
+            init = self.scalar(e.init, scope, "fold init")
+            vec, kind = self.vector(e.vec, scope, "fold argument")
+            self.emit(f"{out} = {init}")
+            self.emit(f"for {x} in {vec}:")
+            params = [(out, _INT), (x, kind)]
+        else:
+            vec, kind = self.vector(e.vec, scope, "fold argument")
+            self.emit(f"if not {vec}: raise ShapeMismatch("
+                      f"{self.const('foldl1 over an empty vector')})")
+            self.emit(f"{out} = {vec}[0]")
+            self.emit(f"for {x} in {vec}[1:]:")
+            params = [(out, kind), (x, kind)]
+        self.indent += 1
+        self.loops += 1
+        # The lambda's parameters, each checked scalar as it is bound.
+        inner = dict(scope)
+        for name, (atom, kind) in zip(e.fn.params, params):
+            if kind is not _INT:
+                what = self.const(f"lambda argument '{name}'")
+                self.emit(f"if {atom}.__class__ is not int: {atom} = _scalar_val({atom}, {what})")
+            inner[name] = (atom, _INT)
+            self.named.add(atom)
+        result = self.scalar(e.fn.body, inner, "lambda body")
+        folds = isinstance(e, (Foldl, Foldl1))
+        self.emit(f"{out} = {result}" if folds else f"{out}.append({result})")
+        self.indent -= 1
+        self.loops -= 1
+        if folds:
+            return out, _INT if isinstance(e, Foldl) else params[0][1]
+        self.emit(f"{out} = tuple({out})")
+        return out, _VEC

@@ -65,7 +65,7 @@ from .exprs import (
     Var,
     ZipWith,
     InputRef,
-    PRIMS,
+    PRIM_CODE,
     apply_prim,
 )
 from .graphs import EdgeSpec, Graph, NodeKind, NodeSpec, root_fold
@@ -358,10 +358,11 @@ def compile_datapath(node: NodeSpec, plan: DatapathPlan):
     ``x`` holds, per input port, the words its bus shows in phase ``ph``;
     ``outs`` the words per output port, and ``acc`` the accumulator after
     the phase (``acc_q`` itself outside a fold).  Each operator instance of
-    the plan's netlists is one line of generated code applying its
-    :data:`~patflow.exprs.PRIMS` entry.  As the RTL's fold datapath does, a
-    fold starts from its seed (or its first token) in its first phase that
-    reads tokens, and holds ``acc_q`` through a phase that reads none.
+    the plan's netlists is one line of generated code, its primitive written
+    out inline (:data:`~patflow.exprs.PRIM_CODE`).  As the RTL's fold
+    datapath does, a fold starts from its seed (or its first token) in its
+    first phase that reads tokens, and holds ``acc_q`` through a phase that
+    reads none.
     """
     mask = (1 << node.width) - 1
     lines = ["def phase(ph, x, acc_q):"]
@@ -373,7 +374,7 @@ def compile_datapath(node: NodeSpec, plan: DatapathPlan):
             return f"x[{v[0]}][{v[1]}]" if isinstance(v, tuple) else str(v)
 
         lines.extend(
-            f"w{n}_{i} = {op}({operand(a)}, {operand(b)}, {mask})"
+            f"w{n}_{i} = " + PRIM_CODE[op].format(a=operand(a), b=operand(b), mask=mask)
             for i, (op, a, b) in enumerate(net.ops)
         )
         return [[operand(w) for w in words] for words in net.outs]
@@ -398,7 +399,7 @@ def compile_datapath(node: NodeSpec, plan: DatapathPlan):
         lines.insert(1, f"if ph in {idle}: return {hold}, acc_q")
     ports = ", ".join(f"[{', '.join(port)}]" for port in outs)
     lines.append(f"return [{ports}], {acc}")
-    namespace = dict(PRIMS)
+    namespace = {}
     exec(compile("\n    ".join(lines), f"<datapath {node.name}>", "exec"), namespace)
     return namespace["phase"]
 

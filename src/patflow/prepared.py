@@ -4,17 +4,18 @@ Scheduling, value simulation, the equivalence check, lowering, estimation
 and RTL emission all need the same facts about a graph: its adjacency,
 topological order, repetition vector, gate tables, datapath plans, the
 datapaths compiled from those plans (what a clocked run evaluates) and the
-compiled node bodies (the functional reference).  :class:`PreparedGraph`
-computes each of them once, on first use, and keeps it;
-:attr:`patflow.graphs.Graph.prepared` holds one per graph.  Graphs are
-immutable after :func:`~patflow.graphs.build_graph`, which is what makes
-the cache safe.
+node bodies, each compiled into one generated function (the functional
+reference).  :class:`PreparedGraph` computes each of them once, on first
+use, and keeps it; :attr:`patflow.graphs.Graph.prepared` holds one per
+graph.  Graphs are immutable after :func:`~patflow.graphs.build_graph`,
+which is what makes the cache safe.
 
 Adjacency is built when the view is; everything else waits for its first
-reader, so a counts-only schedule never plans datapaths or compiles
-expressions, and a clocked run compiles no body.  A computation that
-raises (``CycleDetected``, ``InconsistentRates``, ``UnsupportedExpr``,
-``Deadlock``) keeps nothing and raises again on the next use.
+reader, so building and validating a graph or a counts-only schedule
+never plans datapaths or compiles expressions, and a clocked run compiles
+no body.  A computation that raises (``CycleDetected``,
+``InconsistentRates``, ``UnsupportedExpr``, ``Deadlock``) keeps nothing and
+raises again on the next use.
 
 Two facts depend on a run's configuration as well as on the graph, and are
 kept per configuration: the scheduler's step tables per gate offset, and
@@ -22,7 +23,9 @@ the :class:`~patflow.schedule.TokenPlan` of a clocked run per iteration
 count and gate offset, of which only the ``MAX_TOKEN_PLANS`` most recently
 used are kept.  A plan is fixed by the graph alone, since token values
 never decide a firing, so equivalence trials at one configuration run the
-counts-only machine once.
+counts-only machine once.  The replay layout the first clocked run of a
+plan derives from it is kept on the plan itself
+(:attr:`~patflow.schedule.TokenPlan.layout`), and goes when the plan does.
 """
 
 from __future__ import annotations

@@ -563,10 +563,13 @@ class TokenPlan:
 
     :func:`patflow.valuesim.simulate_clocked` replays values along a plan;
     :meth:`patflow.prepared.PreparedGraph.token_plan` keeps recent ones.
-    Callers must not modify what they read here.
+    ``layout`` is ``None`` until the first replay, which works out from the
+    plan what every later replay of it reads (a
+    :class:`patflow.valuesim._ReplayLayout`) and keeps it here, so it goes
+    when the plan does.  Callers must not modify what they read here.
     """
 
-    __slots__ = ("starts", "cycles", "underflows", "reads")
+    __slots__ = ("starts", "cycles", "underflows", "reads", "layout")
 
     def __init__(self, m: Machine):
         tb = m.tables
@@ -586,6 +589,7 @@ class TokenPlan:
                 else:
                     reads.append(None)
             self.reads[name] = tuple(reads)
+        self.layout = None
 
 
 # ---------------------------------------------------------------------------

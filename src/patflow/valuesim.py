@@ -14,11 +14,16 @@ Two executions of the same graph:
   tokens of every read, is its :class:`~patflow.schedule.TokenPlan`.
   Token values never decide a firing, so the plan holds for every
   stimulus, and the graph keeps it per iteration count and gate offset:
-  repeated trials at one configuration run the machine once.
+  repeated trials at one configuration run the machine once.  The first
+  replay of a plan also works out where every read starts and ends, its
+  zero padding and each sink token's cycle stamp, and keeps that
+  :class:`_ReplayLayout` with the plan, so a later trial does only the
+  work that depends on its stimulus.
 
 The two evaluate a node in different forms, both derived once per graph
-on its :class:`~patflow.prepared.PreparedGraph`.  The functional side runs
-the compiled body (:func:`~patflow.exprs.compile_expr`) on whole firings.
+on its :class:`~patflow.prepared.PreparedGraph`.  The functional side maps
+the node's body, compiled into one generated function
+(:func:`~patflow.exprs.compile_expr`), over all of its firings at once.
 The replay runs the node's datapath phase by phase: the netlists of its
 plan, which the RTL renders and the estimator counts, compiled by
 :func:`~patflow.lowering.compile_datapath`.  Both check the stimulus the
@@ -38,10 +43,11 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, compress, repeat
+from operator import add, itemgetter
 
 from .errors import ShapeMismatch
-from .graphs import Graph, NodeKind
+from .graphs import Graph, NodeKind, NodeSpec
 from .schedule import Machine, TokenPlan
 
 __all__ = [
@@ -155,55 +161,74 @@ def _stimulus_iterations(
 def random_stimulus(
     g: Graph, iterations: int = 1, seed: int | None = None
 ) -> dict[str, list[list[int]]]:
-    """Uniform random tokens for every source, ``iterations`` rounds deep."""
+    """Uniform random tokens for every source, ``iterations`` rounds deep.
+
+    Each token is ``rng.randint(0, 2**width - 1)``, drawn through the
+    ``_randbelow`` that ``randint`` calls, so seeded stimulus is what
+    ``randint`` gives.
+    """
     rng = random.Random(seed)
+    draw = rng._randbelow
     reps = g.prepared.reps
     out: dict[str, list[list[int]]] = {}
     for src in g.sources:
-        hi = (1 << src.width) - 1
-        per_firing = sum(p.total for p in src.patterns.outputs)
+        n = 1 << src.width
+        per_firing = range(sum(p.total for p in src.patterns.outputs))
         out[src.name] = [
-            [rng.randint(0, hi) for _ in range(per_firing)]
-            for _ in range(reps[src.name] * iterations)
+            [draw(n) for _ in per_firing] for _ in range(reps[src.name] * iterations)
         ]
     return out
+
+
+def _source_streams(spec: NodeSpec, vecs: list[list[int]]) -> list[list[int]]:
+    """A source's token stream per output port: its firing vectors, which
+    are port-major, flattened."""
+    if len(spec.patterns.outputs) == 1:
+        return [list(chain.from_iterable(vecs))]
+    bases = list(accumulate((p.total for p in spec.patterns.outputs), initial=0))
+    return [[t for v in vecs for t in v[b:e]] for b, e in zip(bases, bases[1:])]
+
+
+def _flatten(values: list) -> list[int]:
+    """One port's tokens from its per-firing values, each an int or a
+    tuple of ints."""
+    if all(v.__class__ is int for v in values):
+        return values
+    return [x for v in values for x in ((v,) if isinstance(v, int) else v)]
 
 
 def _combinational_streams(
     g: Graph, stimulus: dict[str, list[list[int]]], iterations: int
 ) -> dict[str, list[int]]:
-    """Token stream per edge id under the untimed functional semantics."""
+    """Token stream per edge id under the untimed functional semantics.
+
+    Node by node, every firing's input vectors are cut from the producers'
+    streams at once and the compiled body is mapped over them.  The edges
+    out of one producer port share its stream, which callers only read.
+    """
     prep = g.prepared
-    streams: dict[str, list[int]] = {e.id: [] for e in g.edges}
+    ports: dict[tuple[str, int], list[int]] = {}
     for name in prep.topo:
         spec = g.nodes[name]
         if spec.kind is NodeKind.SINK:
             continue
+        if spec.kind is NodeKind.SOURCE:
+            for port, stream in enumerate(_source_streams(spec, stimulus[name])):
+                ports[name, port] = stream
+            continue
         firings = prep.reps[name] * iterations
-        ins = [(streams[e.id], e.cp.total) for e in prep.ins[name]]
-        cursors = [0] * len(ins)
-        outs = [
-            [streams[e.id] for e in prep.outs.get((name, port), ())]
-            for port in range(len(spec.patterns.outputs))
-        ]
-        bases = list(accumulate((p.total for p in spec.patterns.outputs), initial=0))
-        for k in range(firings):
-            if spec.kind is NodeKind.SOURCE:
-                # The firing vector covers all output ports, port-major.
-                vec = stimulus[name][k]
-                per_port = [vec[b:e] for b, e in zip(bases, bases[1:])]
-            else:
-                vectors = []
-                for i, (s, need) in enumerate(ins):
-                    vectors.append(tuple(s[cursors[i] : cursors[i] + need]))
-                    cursors[i] += need
-                result = prep.bodies[name](vectors)
-                per_port = result if len(outs) > 1 else (result,)
-            for port, vals in enumerate(per_port):
-                vals = (vals,) if isinstance(vals, int) else vals
-                for s in outs[port]:
-                    s.extend(vals)
-    return streams
+        args = []
+        for e in prep.ins[name]:
+            need, stream = e.cp.total, ports[e.producer, e.producer_port]
+            args.append([tuple(stream[k : k + need]) for k in range(0, firings * need, need)]
+                        if need else [()] * firings)
+        results = list(map(prep.bodies[name], zip(*args) if args else repeat((), firings)))
+        if len(spec.patterns.outputs) == 1:
+            ports[name, 0] = _flatten(results)
+        else:
+            for port in range(len(spec.patterns.outputs)):
+                ports[name, port] = _flatten([r[port] for r in results])
+    return {e.id: ports[e.producer, e.producer_port] for e in g.edges}
 
 
 def eval_combinational(
@@ -267,83 +292,125 @@ def simulate_clocked(
     return _replay(g, plan, stimulus)
 
 
+class _ReplayLayout:
+    """Everything a replay reads of its token plan, worked out once per plan
+    (kept as :attr:`~patflow.schedule.TokenPlan.layout`), so a replay does
+    only the work that depends on the stimulus.
+
+    * ``computes``: per compute node in topological order, its name, its
+      firing count and phase count, and per input edge the producer port,
+      the slice of that port's stream each (firing, phase) reads, and the
+      zeros padding each read (``None`` when every read was full); per
+      output port, which (firing, phase) steps write it, as their token
+      counts (``None`` when all do).
+    * ``arrivals``: the edges into sinks, each with its producer port.
+    * ``stamps``: per producer port that feeds a sink, the cycle ``s + ph``
+      of each step that writes it, for the firing started at ``s`` and
+      phase ``ph``: one entry per token for a source, whose phases write
+      their pattern's count, and one per step for a compute node, whose
+      steps write the words its datapath gives.
+    * ``folds``: the fold nodes that fired, in the order they first did.
+    """
+
+    __slots__ = ("computes", "arrivals", "stamps", "folds")
+
+    def __init__(self, g: Graph, plan: TokenPlan):
+        prep = g.prepared
+        self.computes = []
+        for name, reads in plan.reads.items():
+            spec = g.nodes[name]
+            if spec.kind is NodeKind.SOURCE:
+                continue
+            firings = len(plan.starts[name])
+            ins = []
+            for e, counts in zip(prep.ins[name], reads):
+                asked = e.cp.phases * firings
+                ends = list(accumulate(asked if counts is None else counts, initial=0))
+                slices = list(map(slice, ends, ends[1:]))
+                pads = None if counts is None else [[0] * (c - n) for c, n in zip(asked, counts)]
+                ins.append(((e.producer, e.producer_port), slices, pads))
+            ports = [None if all(p.phases) else p.phases * firings
+                     for p in spec.patterns.outputs]
+            self.computes.append((name, firings, spec.length, ins, ports))
+        self.arrivals = []
+        self.stamps = {}
+        for e in g.edges:
+            if g.nodes[e.consumer].kind is not NodeKind.SINK:
+                continue
+            key = (e.producer, e.producer_port)
+            self.arrivals.append((e.id, key))
+            producer = g.nodes[e.producer]
+            phases = producer.patterns.outputs[e.producer_port].phases
+            per_token = producer.kind is NodeKind.SOURCE
+            self.stamps[key] = [s + ph for s in plan.starts[e.producer]
+                                for ph, c in enumerate(phases) if c
+                                for _ in range(c if per_token else 1)]
+        self.folds = sorted(
+            (name for name, dp in prep.plans.items() if dp.mode == "fold" and plan.starts[name]),
+            key=lambda name: plan.starts[name][0])
+
+
 def _replay(g: Graph, plan: TokenPlan, stimulus: dict[str, list[list[int]]]) -> SimResult:
     """Concrete values along the firings of a token plan.
 
-    Nodes are replayed in topological order, each in three steps.  Gather:
+    A source's stream per output port is its stimulus, flattened.  Compute
+    nodes are replayed in topological order, each in three steps.  Gather:
     every (firing, phase) takes, from the head of each input's stream, as
     many real tokens as the plan says were waiting in its FIFO, padded with
-    zeros to the phase's count; a source's input is its stimulus, all of
-    it waiting from the start.  Evaluate: a compute node runs its compiled
-    datapath (:attr:`~patflow.prepared.PreparedGraph.datapaths`) on each
-    phase's words in turn, while a source's words are its outputs.
-    Scatter: the words of the phases that write a port make its stream,
-    and tokens delivered to a sink are stamped with the cycle ``s + ph`` of
-    firing start ``s`` and phase ``ph``.
+    zeros to the phase's count.  Evaluate: the node's compiled datapath
+    (:attr:`~patflow.prepared.PreparedGraph.datapaths`) runs on each
+    phase's words in turn.  Scatter: the words of the phases that write a
+    port make its stream.  Tokens delivered to a sink are stamped with the
+    cycle ``s + ph`` of firing start ``s`` and phase ``ph``.  Where each
+    read starts and ends, and the cycle of every step, come from the plan's
+    :class:`_ReplayLayout`.
     """
+    layout = plan.layout
+    if layout is None:
+        layout = plan.layout = _ReplayLayout(g, plan)
     prep = g.prepared
-    nodes = g.nodes
     streams: dict[tuple[str, int], list[int]] = {}
-    edge_arrivals: dict[str, list[tuple[int, int]]] = {
-        e.id: [] for e in g.edges if nodes[e.consumer].kind is NodeKind.SINK
-    }
+    for src in g.sources:
+        for port, stream in enumerate(_source_streams(src, stimulus[src.name])):
+            streams[src.name, port] = stream
+    # The cycle of each token a port delivers to a sink.
+    stamps = dict(layout.stamps)
     fold_trace: dict[str, list[int]] = {}
-    for name, reads in plan.reads.items():
-        spec = nodes[name]
-        starts = plan.starts[name]
-        phases = range(spec.length)
-        if spec.kind is NodeKind.SOURCE:
-            # The firing vectors are port-major.
-            bases = accumulate((p.total for p in spec.patterns.outputs), initial=0)
-            ins = [
-                ([t for v in stimulus[name] for t in v[b : b + p.total]], None, p.phases)
-                for b, p in zip(bases, spec.patterns.outputs)
-            ]
-        else:
-            ins = [
-                (streams[e.producer, e.producer_port], counts, e.cp.phases)
-                for e, counts in zip(prep.ins[name], reads)
-            ]
+    for name, firings, length, ins, ports in layout.computes:
         gathered = []
-        for stream, counts, cp in ins:
-            asked = cp * len(starts)
-            ends = list(accumulate(asked if counts is None else counts, initial=0))
-            chunks = [stream[a:b] for a, b in zip(ends, ends[1:])]
-            if counts is not None:
-                chunks = [w + [0] * (c - len(w)) for w, c in zip(chunks, asked)]
-            gathered.append(chunks)
-        buses = zip(*gathered) if ins else repeat((), len(starts) * len(phases))
-        if spec.kind is NodeKind.SOURCE:
-            outs = list(buses)
+        for key, slices, pads in ins:
+            chunks = list(map(streams[key].__getitem__, slices))
+            gathered.append(chunks if pads is None else list(map(add, chunks, pads)))
+        buses = zip(*gathered) if gathered else repeat((), firings * length)
+        dp, phase = prep.plans[name], prep.datapaths[name]
+        # A fold's accumulator shows its seed (0 without one) until a phase
+        # reads tokens.
+        seed = dp.fold_init or 0
+        if length == 1:
+            outs = [phase(0, x, seed)[0] for x in buses]
         else:
-            dp, phase = prep.plans[name], prep.datapaths[name]
-            # A fold's accumulator shows its seed (0 without one) until a
-            # phase reads tokens.
-            seed = dp.fold_init or 0
-            trace = fold_trace.setdefault(name, []) if dp.mode == "fold" and starts else None
+            trace = fold_trace.setdefault(name, []) if dp.mode == "fold" else None
             outs = []
-            for _ in starts:
+            for _ in range(firings):
                 acc = seed
-                for ph in phases:
+                for ph in range(length):
                     words, acc = phase(ph, next(buses), acc)
                     outs.append(words)
                     if trace is not None:
                         trace.append(acc)
-        stamps = None
-        for port, p in enumerate(spec.patterns.outputs):
-            written = p.phases * len(starts)
-            streams[name, port] = [x for w, c in zip(outs, written) if c for x in w[port]]
-            for e in prep.outs.get((name, port), ()):
-                if e.id in edge_arrivals:
-                    stamps = stamps or [s + ph for s in starts for ph in phases]
-                    edge_arrivals[e.id] = [
-                        (t, x) for w, c, t in zip(outs, written, stamps) if c for x in w[port]
-                    ]
+        for port, written in enumerate(ports):
+            steps = outs if written is None else list(compress(outs, written))
+            streams[name, port] = [x for w in steps for x in w[port]]
+            if (name, port) in stamps:
+                stamps[name, port] = [t for t, w in zip(stamps[name, port], steps) for _ in w[port]]
 
+    edge_arrivals = {eid: list(zip(stamps[key], streams[key])) for eid, key in layout.arrivals}
     merged: dict[str, list[tuple[int, int]]] = {}
     for sink in g.sinks:
-        merged[sink.name] = [tv for e in prep.ins[sink.name] for tv in edge_arrivals[e.id]]
-        merged[sink.name].sort(key=lambda tv: tv[0])
+        edges = prep.ins[sink.name]
+        merged[sink.name] = [tv for e in edges for tv in edge_arrivals[e.id]]
+        if len(edges) > 1:
+            merged[sink.name].sort(key=itemgetter(0))
     return SimResult(
         arrivals=merged,
         edge_arrivals=edge_arrivals,
@@ -352,7 +419,7 @@ def _replay(g: Graph, plan: TokenPlan, stimulus: dict[str, list[list[int]]]) -> 
         firing_starts={name: starts.copy() for name, starts in plan.starts.items()},
         underflow_edges=plan.underflows.copy(),
         # In the order the nodes first fired, as a clocked run records them.
-        fold_trace=dict(sorted(fold_trace.items(), key=lambda kv: plan.starts[kv[0]][0])),
+        fold_trace={name: fold_trace[name] for name in layout.folds},
     )
 
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +23,23 @@ from patflow import (
     infer_shape,
     parse_expr,
 )
-from patflow.exprs import Const, Lambda, PrimOp, Var, apply_prim, children
+from patflow.exprs import (
+    PRIM_OPS,
+    Const,
+    Foldl,
+    Foldl1,
+    InputRef,
+    Lambda,
+    Let,
+    Map,
+    PrimOp,
+    Proj,
+    Tuple,
+    Var,
+    ZipWith,
+    apply_prim,
+    children,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +213,10 @@ class TestEval:
         ("(add (input 0) 1)", [(1, 2)], "add operand 0 must be scalar, got (1, 2)"),
         ("(map (lambda (x) (tuple x x)) (input 0))", [(1,)],
          "lambda body must be scalar, got _TupleVal(items=(1, 1))"),
+        ("(map (lambda (a) a) 5)", [], "map argument must be a vector, got 5"),
+        ("(proj 5 0)", [], "proj over a non-tuple value"),
+        ("(zipwith (lambda (a b) a) (input 0) (tuple 1))", [(1,)],
+         "zipwith right must be a vector, got _TupleVal(items=(1,))"),
     ])
     def test_runtime_shape_errors(self, src, inputs, message):
         with pytest.raises(ShapeMismatch) as exc:
@@ -211,6 +235,17 @@ class TestEval:
         assert eval_expr(parse_expr(src), [()], 8) == ()
         with pytest.raises((ShapeMismatch, KeyError)):
             f([(4,)])
+
+    @pytest.mark.parametrize("src, inputs, expected", [
+        ("(let ((x 0)) 7)", [], 7),
+        ("(let ((t (tuple 1 (input 0)))) t)", [(2, 3)], (1, (2, 3))),
+        ("(proj (tuple (tuple 1 2) 3) 0)", [], (1, 2)),
+        ("(foldl1 (lambda (a b) (add a b)) (input 0))", [((4, 5),)], (4, 5)),
+    ])
+    def test_root_values(self, src, inputs, expected):
+        # A multi-output value leaves as the plain tuple of its items; a
+        # one-element foldl1 returns its element unchecked.
+        assert eval_expr(parse_expr(src), inputs, 8) == expected
 
     def test_one_element_vectors_are_scalars(self):
         assert eval_expr(parse_expr("(add (input 0) 1)"), [(5,)], 8) == 6
@@ -280,3 +315,261 @@ class TestAstNodes:
         }
         for text, expected in cases.items():
             assert [format_expr(c) for c in children(parse_expr(text))] == expected, text
+
+
+class TestNodeRecords:
+    def test_nodes_compare_and_hash_by_structure(self):
+        a, b = parse_expr(ROUND_TRIP_SOURCES[6]), parse_expr(ROUND_TRIP_SOURCES[6])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, parse_expr(ROUND_TRIP_SOURCES[5])}) == 2
+        assert Vector(3) == Vector(3) != Vector(4)
+        assert Scalar() == Scalar() != Vector(1)
+        assert Const(1) != Var(1)
+
+    def test_positional_constructors_and_repr(self):
+        assert PrimOp("add", (Const(1), Var("x"))) == parse_expr("(add 1 x)")
+        assert repr(Lambda(("a",), InputRef(0))) == (
+            "Lambda(params=('a',), body=InputRef(index=0))")
+        assert repr(TupleShape()) == "TupleShape(items=())"
+        assert TupleShape() == TupleShape(())
+        assert str(TupleShape((Scalar(), Vector(2)))) == "(scalar, vec[2])"
+
+    def test_nodes_are_frozen_slots(self):
+        e = parse_expr("(proj (tuple 10 20) 1)")
+        with pytest.raises(FrozenInstanceError):
+            e.index = 0
+        with pytest.raises(FrozenInstanceError):
+            del e.tup
+        with pytest.raises(AttributeError):
+            e.note = "x"
+        assert not hasattr(e, "__dict__")
+        assert not hasattr(Vector(2), "__dict__")
+
+    def test_nodes_copy_and_pickle(self):
+        e = parse_expr(ROUND_TRIP_SOURCES[3])
+        assert copy.deepcopy(e) == e
+        assert pickle.loads(pickle.dumps(e)) == e
+        assert pickle.loads(pickle.dumps(TupleShape((Scalar(),)))) == TupleShape((Scalar(),))
+
+
+# ---------------------------------------------------------------------------
+# A tree-walking oracle for compiled bodies and random well-shaped bodies.
+# It shares nothing with the generated code, nor with ``lowering``.
+# ---------------------------------------------------------------------------
+
+INPUT_LENGTHS = (3, 3, 1)   # input 2 is one token, which coerces to a scalar
+NAMES = ("x", "y", "a", "acc", "t1", "k0", "inputs", "env")
+
+
+def oracle(e, inputs, mask, env=None):
+    """The value of ``e``: an int, a tuple of ints, or a list for a
+    multi-output value (a tuple at the root)."""
+    value = _walk(e, inputs, mask, env or {})
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _word(v):
+    return v[0] if isinstance(v, tuple) else v
+
+
+def _walk(e, inputs, mask, env):
+    if isinstance(e, InputRef):
+        return inputs[e.index]
+    if isinstance(e, Const):
+        return e.value & mask
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, PrimOp):
+        a, b = (_word(_walk(arg, inputs, mask, env)) for arg in e.args)
+        return {"add": (a + b) & mask, "mul": (a * b) & mask, "sub": (a - b) & mask,
+                "min": min(a, b), "max": max(a, b), "compare": int(a < b)}[e.op]
+
+    def call(*args):
+        inner = dict(env)
+        inner.update(zip(e.fn.params, map(_word, args)))
+        return _word(_walk(e.fn.body, inputs, mask, inner))
+
+    if isinstance(e, Map):
+        return tuple(call(x) for x in _walk(e.vec, inputs, mask, env))
+    if isinstance(e, ZipWith):
+        left, right = (_walk(v, inputs, mask, env) for v in (e.left, e.right))
+        return tuple(call(x, y) for x, y in zip(left, right))
+    if isinstance(e, (Foldl, Foldl1)):
+        xs = list(_walk(e.vec, inputs, mask, env))
+        acc = _word(_walk(e.init, inputs, mask, env)) if isinstance(e, Foldl) else xs.pop(0)
+        for x in xs:
+            acc = call(acc, x)
+        return acc
+    if isinstance(e, Let):
+        inner = dict(env)
+        for name, bound in e.bindings:
+            inner[name] = _walk(bound, inputs, mask, inner)
+        return _walk(e.body, inputs, mask, inner)
+    if isinstance(e, Tuple):
+        return [_walk(item, inputs, mask, env) for item in e.items]
+    if isinstance(e, Proj):
+        return _walk(e.tup, inputs, mask, env)[e.index]
+    raise AssertionError(f"the oracle has no case for {e!r}")
+
+
+def _names():
+    return st.sampled_from(NAMES)
+
+
+@st.composite
+def _scalar(draw, depth, scope):
+    """A scalar body; ``scope`` maps each bound name to "s" or "v"."""
+    options = ["const", "input"] + (["var"] if "s" in scope.values() else [])
+    if depth:
+        options += ["prim", "prim", "foldl", "foldl1", "let", "proj"]
+    form = draw(st.sampled_from(options))
+    if form == "const":
+        return Const(draw(st.integers(0, 300)))
+    if form == "input":
+        return InputRef(2)
+    if form == "var":
+        return Var(draw(st.sampled_from(sorted(n for n, k in scope.items() if k == "s"))))
+    if form == "prim":
+        return PrimOp(draw(st.sampled_from(PRIM_OPS)),
+                      (draw(_scalar(depth - 1, scope)), draw(_scalar(depth - 1, scope))))
+    if form in ("foldl", "foldl1"):
+        a, x = draw(_names()), draw(_names())
+        fn = Lambda((a, x), draw(_scalar(depth - 1, {**scope, a: "s", x: "s"})))
+        vec = draw(_vector(depth - 1, scope))
+        if form == "foldl1":
+            return Foldl1(fn, vec)
+        return Foldl(fn, draw(_scalar(depth - 1, scope)), vec)
+    if form == "let":
+        return _let(draw, depth, scope, _scalar)
+    return _proj(draw, depth, scope, _scalar)
+
+
+@st.composite
+def _vector(draw, depth, scope):
+    """A body of three tokens."""
+    options = ["input"] + (["var"] if "v" in scope.values() else [])
+    if depth:
+        options += ["map", "zipwith", "let", "proj"]
+    form = draw(st.sampled_from(options))
+    if form == "input":
+        return InputRef(draw(st.sampled_from([0, 1])))
+    if form == "var":
+        return Var(draw(st.sampled_from(sorted(n for n, k in scope.items() if k == "v"))))
+    if form == "map":
+        x = draw(_names())
+        return Map(Lambda((x,), draw(_scalar(depth - 1, {**scope, x: "s"}))),
+                   draw(_vector(depth - 1, scope)))
+    if form == "zipwith":
+        x, y = draw(_names()), draw(_names())
+        return ZipWith(Lambda((x, y), draw(_scalar(depth - 1, {**scope, x: "s", y: "s"}))),
+                       draw(_vector(depth - 1, scope)), draw(_vector(depth - 1, scope)))
+    if form == "let":
+        return _let(draw, depth, scope, _vector)
+    return _proj(draw, depth, scope, _vector)
+
+
+def _let(draw, depth, scope, body):
+    """One or two sequential bindings, each a scalar or a vector."""
+    bindings, inner = [], dict(scope)
+    for _ in range(draw(st.integers(1, 2))):
+        name, kind = draw(_names()), draw(st.sampled_from("sv"))
+        bound = draw((_scalar if kind == "s" else _vector)(depth - 1, inner))
+        bindings.append((name, bound))
+        inner[name] = kind
+    return Let(tuple(bindings), draw(body(depth - 1, inner)))
+
+
+def _proj(draw, depth, scope, item):
+    """The ``item``-shaped member of a tuple literal."""
+    other = draw(st.sampled_from([_scalar, _vector]))
+    items = [draw(item(depth - 1, scope)), draw(other(depth - 1, scope))]
+    index = draw(st.integers(0, 1))
+    if index:
+        items.reverse()
+    return Proj(Tuple(tuple(items)), index)
+
+
+def bodies(depth=4):
+    """Random well-shaped bodies over inputs of INPUT_LENGTHS tokens."""
+    return st.one_of(
+        _scalar(depth, {}),
+        _vector(depth, {}),
+        st.builds(lambda a, b: Tuple((a, b)), _scalar(depth - 1, {}), _vector(depth - 1, {})),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Compiled bodies: hazards of generated code
+# ---------------------------------------------------------------------------
+
+class TestCompiledBodies:
+    def test_body_300_operators_deep(self):
+        src = "(input 0)"
+        for _ in range(300):
+            src = f"(add {src} 1)"
+        assert eval_expr(parse_expr(src), [5], 16) == 305
+        e = InputRef(0)
+        for k in range(150):
+            e = Let(((f"v{k}", PrimOp("sub", (e, Const(1)))),), PrimOp("max", (Var(f"v{k}"), Const(2))))
+        assert eval_expr(e, [(1000,)], 16) == 850
+
+    def test_loops_nested_past_the_block_limit(self):
+        # CPython allows 20 statically nested blocks in one function.
+        depth = 40
+
+        def level(k):
+            inner = level(k + 1) if k < depth else f"x{k}"
+            return f"(foldl (lambda (a{k} x{k}) (add a{k} (add x{k} {inner}))) x{k - 1} (input 0))"
+
+        src = f"(map (lambda (x0) {level(1)}) (input 0))"
+        assert eval_expr(parse_expr(src), [(3,)], 32) == (3 + 6 * depth,)
+
+    @pytest.mark.parametrize("src, inputs, expected", [
+        # an inner lambda reads the outer one's parameter
+        ("(map (lambda (x) (foldl1 (lambda (a b) (add a (mul b x))) (input 1))) (input 0))",
+         [(1, 2), (3, 4, 5)], (12, 21)),
+        # an inner parameter shadows the outer one; the seed reads the outer
+        ("(map (lambda (x) (foldl (lambda (x y) (add x y)) x (input 1))) (input 0))",
+         [(1, 2), (3, 4)], (8, 9)),
+        # a let shadows a lambda parameter, and reads it in its own binding
+        ("(map (lambda (x) (let ((x (mul x 10)) (y x)) (sub y 1))) (input 0))",
+         [(1, 2)], (9, 19)),
+        # a parameter shadows a let name, which is back in scope after it
+        ("(let ((a 100)) (add (foldl1 (lambda (a b) (max a b)) (input 0)) a))",
+         [(3, 9, 4)], 109),
+        # one lambda applied at two depths sees the binding of each
+        ("(zipwith (lambda (p q) (foldl (lambda (acc r) (add acc (mul r p))) q (input 0)))"
+         " (input 0) (input 1))", [(1, 2), (10, 20)], (13, 26)),
+    ])
+    def test_inner_lambdas_capture_outer_names(self, src, inputs, expected):
+        assert eval_expr(parse_expr(src), inputs, 8) == expected
+        assert oracle(parse_expr(src), inputs, 0xFF) == expected
+
+    def test_names_like_generated_or_python_identifiers(self):
+        names = ["t1", "t2", "k0", "inputs", "env", "body", "None", "True", "class",
+                 "lambda", "_scalar_val", "ShapeMismatch", "__class__", "print"]
+        bindings = " ".join(f"({n} {k + 1})" for k, n in enumerate(names))
+        total = "0"
+        for n in names:
+            total = f"(add {total} {n})"
+        e = parse_expr(f"(let ({bindings}) (map (lambda (t1) (add t1 {total})) (input 0)))")
+        # Inside the lambda, its parameter t1 stands for the let's t1 (1).
+        assert eval_expr(e, [(1000, 2000)], 16) == (2 * 1000 + 104, 2 * 2000 + 104)
+        # Free names are read from ``env`` under any spelling.
+        e = parse_expr("(add (add t1 env) (add inputs k0))")
+        assert eval_expr(e, [], 8, {"t1": 1, "env": 2, "inputs": 3, "k0": 4}) == 10
+        # A name that is no identifier at all never reaches the source.
+        odd = "x) + 1; import os; (x"
+        e = Let(((odd, Const(3)),), PrimOp("add", (Var(odd), Var(odd))))
+        assert eval_expr(e, [], 8) == 6
+
+    @given(case=bodies(),
+           width=st.sampled_from([4, 8, 18]),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_bodies_match_a_tree_walk(self, case, width, data):
+        inputs = data.draw(st.tuples(
+            *(st.tuples(*[st.integers(0, 2**width - 1)] * n) for n in INPUT_LENGTHS)))
+        f = compile_expr(case, width)
+        mask = (1 << width) - 1
+        assert f(list(inputs)) == oracle(case, list(inputs), mask)

@@ -23,6 +23,7 @@ from patflow import (
     random_stimulus,
     simulate_clocked,
     simulate_schedule,
+    validate_graph,
 )
 from patflow.errors import CycleDetected, Deadlock, FifoOverflow, HorizonExceeded
 from patflow.fixtures import load, load_graph, names
@@ -109,6 +110,20 @@ class TestComputedOnce:
         emit_verilog(g)
         assert runs["planning"] > 0
         assert runs["elsewhere"] == 0
+
+    @pytest.mark.parametrize("name", names())
+    def test_trials_compile_and_lay_out_on_first_use(self, name):
+        g = build_graph(load(name))
+        assert validate_graph(g) == []
+        assert "bodies" not in vars(g.prepared)
+        assert g.prepared._plans == {}
+        equivalence_check(g, 1, iterations=2)
+        assert set(vars(g.prepared)["bodies"]) == {n.name for n in g.computes}
+        (plan,) = g.prepared._plans.values()
+        layout = plan.layout
+        assert layout is not None
+        equivalence_check(g, 3, iterations=2)
+        assert plan.layout is layout
 
     def test_each_graph_has_its_own_view(self):
         a, b = load_graph("fig2"), load_graph("fig2")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -23,7 +24,7 @@ from patflow import (
 from patflow.errors import FifoOverflow, PatflowError, ShapeMismatch
 from patflow.fixtures import load_graph, names
 
-from conftest import one_node_doc
+from conftest import dotp_document, one_node_doc
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,17 @@ class TestStimulus:
         g = load_graph("fold-pipeline")
         assert random_stimulus(g, seed=7) == random_stimulus(g, seed=7)
         assert random_stimulus(g, seed=7) != random_stimulus(g, seed=8)
+
+    @pytest.mark.parametrize("width", [1, 8, 16, 18, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_random_stimulus_draws_as_randint(self, width, seed):
+        # Tokens are drawn through ``Random._randbelow``, which is what
+        # ``randint`` calls: the seeded stimulus must stay the same.
+        g = build_graph(dotp_document([2, 2, 2], width=width))
+        rng = random.Random(seed)
+        want = {name: [[rng.randint(0, 2**width - 1) for _ in range(6)] for _ in range(100)]
+                for name in ("xs", "ys")}
+        assert random_stimulus(g, iterations=100, seed=seed) == want
 
     def test_random_stimulus_respects_width(self):
         g = load_graph("dotp-20")                # 18-bit sources
