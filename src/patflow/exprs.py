@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
+from functools import lru_cache
 
 from .errors import ExprSyntaxError, ShapeMismatch, UnsupportedExpr
 
@@ -632,6 +633,13 @@ def compile_expr(e: Expr, width: int):
     return namespace["body"]
 
 
+@lru_cache(maxsize=256)
+def _compiled(e: Expr, width: int):
+    """:func:`compile_expr`, kept for the most recently evaluated bodies:
+    a ``compile()`` costs about 100 evaluations."""
+    return compile_expr(e, width)
+
+
 def eval_expr(e: Expr, inputs: Sequence, width: int, env: dict | None = None):
     """Evaluate ``e`` over concrete input vectors.
 
@@ -647,7 +655,7 @@ def eval_expr(e: Expr, inputs: Sequence, width: int, env: dict | None = None):
     -------
     int, tuple of int, or a tuple of those for multi-output bodies.
     """
-    return compile_expr(e, width)(list(inputs), env or _NO_ENV)
+    return _compiled(e, width)(list(inputs), env or _NO_ENV)
 
 
 # What the writer knows of a value statically: an int, a tuple of ints or

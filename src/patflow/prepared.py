@@ -4,8 +4,8 @@ Scheduling, value simulation, the equivalence check, lowering, estimation
 and RTL emission all need the same facts about a graph: its adjacency,
 topological order, repetition vector, gate tables, datapath plans, the
 datapaths compiled from those plans (what a clocked run evaluates) and the
-node bodies, each compiled into one generated function (the functional
-reference).  :class:`PreparedGraph` computes each of them once, on first
+node bodies, each compiled into one generated function, with what the
+functional reference reads of each node.  :class:`PreparedGraph` computes each of them once, on first
 use, and keeps it; :attr:`patflow.graphs.Graph.prepared` holds one per
 graph.  Graphs are immutable after :func:`~patflow.graphs.build_graph`,
 which is what makes the cache safe.
@@ -14,8 +14,8 @@ Adjacency is built when the view is; everything else waits for its first
 reader, so building and validating a graph or a counts-only schedule
 never plans datapaths or compiles expressions, and a clocked run compiles
 no body.  A computation that raises (``CycleDetected``,
-``InconsistentRates``, ``UnsupportedExpr``, ``Deadlock``) keeps nothing and
-raises again on the next use.
+``InconsistentRates``, ``UnsupportedExpr``, ``ShapeMismatch``,
+``Deadlock``) keeps nothing and raises again on the next use.
 
 Two facts depend on a run's configuration as well as on the graph, and are
 kept per configuration: the scheduler's step tables per gate offset, and
@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import CycleDetected
-from .exprs import compile_expr
+from .exprs import TupleShape, Vector, compile_expr, infer_shape
 from .graphs import EdgeSpec, Graph, NodeKind, compute_repetition_vector
 from .lowering import DatapathPlan, compile_datapath, edge_gate_table, lower_hof_node
 from .patterns import FiringThresholds
@@ -114,6 +114,28 @@ class PreparedGraph:
         """Every compute node's body, compiled (see
         :func:`~patflow.exprs.compile_expr`)."""
         return {n.name: compile_expr(n.body, n.width) for n in self.g.computes}
+
+    @cached_property
+    def reference(self) -> list[tuple]:
+        """What the functional reference reads of every compute node, in
+        topological order: its name, compiled body and repetitions; per
+        input edge the producer port and the tokens one firing takes;
+        whether the body yields a tuple of outputs; and per output whether
+        its static shape (:func:`~patflow.exprs.infer_shape`) is a vector,
+        whose elements the port's stream holds, rather than a scalar."""
+        nodes, out = self.g.nodes, []
+        for name in self.topo:
+            spec = nodes[name]
+            if spec.kind is not NodeKind.COMPUTE:
+                continue
+            shape = infer_shape(spec.body, spec.input_shapes())
+            tupled = isinstance(shape, TupleShape)
+            out.append((
+                name, self.bodies[name], self.reps[name],
+                [((e.producer, e.producer_port), e.cp.total) for e in self.ins[name]],
+                tupled, [isinstance(s, Vector) for s in (shape.items if tupled else (shape,))],
+            ))
+        return out
 
     @cached_property
     def datapaths(self) -> dict:

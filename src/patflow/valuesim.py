@@ -36,6 +36,10 @@ constant fold or a mis-seeded fold shows as a mismatch, as does a token
 moved at the wrong time.  With ``gate_offset=0`` the two must agree on
 every legal graph; a negative offset corrupts the firing thresholds and
 lets tests confirm that the comparison actually detects premature firings.
+A trial works on flat per-port token streams from start to end: it draws
+its tokens straight into the sources' streams, which are valid by
+construction and not checked again, and reads the clocked streams without
+the stamps and copies a :class:`SimResult` assembles on first read.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, repeat
+from functools import cached_property
+from itertools import accumulate, chain, compress, cycle, islice, pairwise, repeat
 from operator import add, itemgetter
 
 from .errors import ShapeMismatch
@@ -60,20 +65,71 @@ __all__ = [
 ]
 
 
-@dataclass
 class SimResult:
-    """Outcome of a clocked value simulation."""
+    """Outcome of a clocked value simulation.
 
-    arrivals: dict[str, list[tuple[int, int]]]
-    edge_arrivals: dict[str, list[tuple[int, int]]]
-    cycles: int
-    firing_starts: dict[str, list[int]]
-    underflow_edges: list[str]
-    fold_trace: dict[str, list[int]]
+    ``cycles`` and ``underflow_edges`` come with the result.  The rest is
+    assembled from the replayed streams on first read, so a caller that
+    reads only the streams, as :func:`equivalence_check` does, never builds
+    it: ``edge_arrivals`` and ``arrivals`` give the ``(cycle, value)``
+    pairs delivered to each sink input edge and to each sink (in arrival
+    order), ``firing_starts`` the start cycle of every firing per node, and
+    ``fold_trace`` each fold's accumulator after every phase.
+    """
+
+    def __init__(self, g: Graph, plan: TokenPlan, streams: dict, steps: dict, folds: dict):
+        self.cycles = plan.cycles
+        # Copies, here and below: the plan may be kept and read again.
+        self.underflow_edges = plan.underflows.copy()
+        self._g, self._plan, self._streams = g, plan, streams
+        self._steps, self._folds = steps, folds
+
+    @cached_property
+    def edge_arrivals(self) -> dict[str, list[tuple[int, int]]]:
+        layout = self._plan.layout
+        # The cycle of each token a port delivers to a sink: a source's
+        # stamps are per token already, a compute node's per step that
+        # writes it.
+        stamps = dict(layout.stamps)
+        for (name, port), words in self._steps.items():
+            stamps[name, port] = [t for t, w in zip(stamps[name, port], words) for _ in w[port]]
+        return {eid: list(zip(stamps[key], self._streams[key])) for eid, key in layout.arrivals}
+
+    @cached_property
+    def arrivals(self) -> dict[str, list[tuple[int, int]]]:
+        merged = {}
+        for sink in self._g.sinks:
+            edges = self._g.prepared.ins[sink.name]
+            merged[sink.name] = [tv for e in edges for tv in self.edge_arrivals[e.id]]
+            if len(edges) > 1:
+                merged[sink.name].sort(key=itemgetter(0))
+        return merged
+
+    @cached_property
+    def firing_starts(self) -> dict[str, list[int]]:
+        return {name: starts.copy() for name, starts in self._plan.starts.items()}
+
+    @cached_property
+    def fold_trace(self) -> dict[str, list[int]]:
+        # In the order the nodes first fired, as a clocked run records them.
+        return {name: self._folds[name] for name in self._plan.layout.folds}
 
     def values(self, sink: str) -> list[int]:
         """Token values delivered to ``sink`` in arrival order."""
         return [v for _, v in self.arrivals[sink]]
+
+    _FIELDS = ("arrivals", "edge_arrivals", "cycles", "firing_starts", "underflow_edges",
+               "fold_trace")
+
+    def __eq__(self, other):
+        if other.__class__ is not SimResult:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "SimResult(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS) + ")"
 
 
 @dataclass
@@ -158,77 +214,99 @@ def _stimulus_iterations(
     return iterations
 
 
+def _draw(g: Graph, iterations: int, seed: int | None) -> dict[str, list[int]]:
+    """Every source's tokens for ``iterations`` rounds, in firing order.
+
+    A token is what ``rng._randbelow(2**width)`` returns, the draw that
+    ``randint(0, 2**width - 1)`` makes: ``getrandbits(width + 1)`` again
+    until it is below ``2**width``, here run by C iterators.  The sources
+    draw in turn from one generator seeded with ``seed``.
+    """
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    getrandbits = random.Random(seed).getrandbits
+    reps = g.prepared.reps
+    tokens = {}
+    for src in g.sources:
+        bound = 1 << src.width
+        count = reps[src.name] * iterations * sum(p.total for p in src.patterns.outputs)
+        tokens[src.name] = list(islice(
+            filter(bound.__gt__, map(getrandbits, repeat(src.width + 1))), count))
+    return tokens
+
+
+def _vectors(spec: NodeSpec, tokens: list[int]) -> list[list[int]]:
+    """A source's firing vectors, cut from its tokens in firing order."""
+    per = sum(p.total for p in spec.patterns.outputs)
+    return [tokens[k : k + per] for k in range(0, len(tokens), per)]
+
+
 def random_stimulus(
     g: Graph, iterations: int = 1, seed: int | None = None
 ) -> dict[str, list[list[int]]]:
-    """Uniform random tokens for every source, ``iterations`` rounds deep.
+    """Uniform random tokens for every source, ``iterations`` rounds deep,
+    as firing vectors.
 
-    Each token is ``rng.randint(0, 2**width - 1)``, drawn through the
-    ``_randbelow`` that ``randint`` calls, so seeded stimulus is what
-    ``randint`` gives.
+    Each token is ``rng.randint(0, 2**width - 1)`` on
+    ``random.Random(seed)``.  :func:`equivalence_check` draws a trial's
+    tokens the same way but keeps them as flat port streams, so the
+    stimulus of a counterexample is what this returns for its seed.
     """
-    rng = random.Random(seed)
-    draw = rng._randbelow
-    reps = g.prepared.reps
-    out: dict[str, list[list[int]]] = {}
-    for src in g.sources:
-        n = 1 << src.width
-        per_firing = range(sum(p.total for p in src.patterns.outputs))
-        out[src.name] = [
-            [draw(n) for _ in per_firing] for _ in range(reps[src.name] * iterations)
-        ]
-    return out
+    tokens = _draw(g, iterations, seed)
+    return {name: _vectors(g.nodes[name], t) for name, t in tokens.items()}
 
 
-def _source_streams(spec: NodeSpec, vecs: list[list[int]]) -> list[list[int]]:
-    """A source's token stream per output port: its firing vectors, which
-    are port-major, flattened."""
-    if len(spec.patterns.outputs) == 1:
-        return [list(chain.from_iterable(vecs))]
-    bases = list(accumulate((p.total for p in spec.patterns.outputs), initial=0))
-    return [[t for v in vecs for t in v[b:e]] for b, e in zip(bases, bases[1:])]
+def _source_ports(g: Graph, tokens: dict[str, list[int]]) -> dict[tuple[str, int], list[int]]:
+    """Every source's token stream per output port, from its tokens in
+    firing order (by source name); a firing vector is port-major."""
+    ports = {}
+    for name, stream in tokens.items():
+        src = g.nodes[name]
+        totals = [p.total for p in src.patterns.outputs]
+        if len(totals) == 1:
+            ports[name, 0] = stream
+            continue
+        vecs = _vectors(src, stream)
+        for port, (b, e) in enumerate(pairwise(accumulate(totals, initial=0))):
+            ports[name, port] = [t for v in vecs for t in v[b:e]]
+    return ports
 
 
-def _flatten(values: list) -> list[int]:
-    """One port's tokens from its per-firing values, each an int or a
-    tuple of ints."""
-    if all(v.__class__ is int for v in values):
-        return values
-    return [x for v in values for x in ((v,) if isinstance(v, int) else v)]
+def _stimulus_ports(
+    g: Graph, stimulus: dict[str, list[list[int]]]
+) -> dict[tuple[str, int], list[int]]:
+    """The sources' port streams of a checked stimulus."""
+    return _source_ports(g, {name: list(chain.from_iterable(vecs))
+                             for name, vecs in stimulus.items()})
 
 
 def _combinational_streams(
-    g: Graph, stimulus: dict[str, list[list[int]]], iterations: int
-) -> dict[str, list[int]]:
-    """Token stream per edge id under the untimed functional semantics.
+    g: Graph, sources: dict[tuple[str, int], list[int]], iterations: int
+) -> dict[tuple[str, int], list[int]]:
+    """Token stream per producer port under the untimed functional
+    semantics, from the sources' port streams.
 
-    Node by node, every firing's input vectors are cut from the producers'
-    streams at once and the compiled body is mapped over them.  The edges
-    out of one producer port share its stream, which callers only read.
+    Node by node, the compiled body is mapped over every firing at once:
+    each input stream is cut into the firings' vectors, and each output
+    stream is the firings' values end to end, flattened where the body's
+    static shape makes the port a vector
+    (:attr:`~patflow.prepared.PreparedGraph.reference`).  Callers only
+    read the streams, which the edges out of one port share.
     """
-    prep = g.prepared
-    ports: dict[tuple[str, int], list[int]] = {}
-    for name in prep.topo:
-        spec = g.nodes[name]
-        if spec.kind is NodeKind.SINK:
-            continue
-        if spec.kind is NodeKind.SOURCE:
-            for port, stream in enumerate(_source_streams(spec, stimulus[name])):
-                ports[name, port] = stream
-            continue
-        firings = prep.reps[name] * iterations
-        args = []
-        for e in prep.ins[name]:
-            need, stream = e.cp.total, ports[e.producer, e.producer_port]
-            args.append([tuple(stream[k : k + need]) for k in range(0, firings * need, need)]
-                        if need else [()] * firings)
-        results = list(map(prep.bodies[name], zip(*args) if args else repeat((), firings)))
-        if len(spec.patterns.outputs) == 1:
-            ports[name, 0] = _flatten(results)
+    ports = dict(sources)
+    for name, body, reps, ins, tupled, vectors in g.prepared.reference:
+        if ins:
+            firings = zip(*[zip(*[iter(ports[key])] * need) for key, need in ins])
         else:
-            for port in range(len(spec.patterns.outputs)):
-                ports[name, port] = _flatten([r[port] for r in results])
-    return {e.id: ports[e.producer, e.producer_port] for e in g.edges}
+            firings = repeat((), reps * iterations)
+        results = list(map(body, firings))
+        if not tupled:
+            ports[name, 0] = list(chain.from_iterable(results)) if vectors[0] else results
+            continue
+        for port, vector in enumerate(vectors):
+            values = map(itemgetter(port), results)
+            ports[name, port] = list(chain.from_iterable(values) if vector else values)
+    return ports
 
 
 def eval_combinational(
@@ -245,14 +323,23 @@ def eval_combinational(
     """
     stimulus = {} if stimulus is None else stimulus
     iterations = _stimulus_iterations(g, stimulus, iterations)
-    streams = _combinational_streams(g, stimulus, iterations)
-    out: dict[str, list[int]] = {}
-    for sink in g.sinks:
-        vals: list[int] = []
-        for e in g.prepared.ins[sink.name]:
-            vals.extend(streams[e.id])
-        out[sink.name] = vals
-    return out
+    ports = _combinational_streams(g, _stimulus_ports(g, stimulus), iterations)
+    ins = g.prepared.ins
+    return {sink.name: [t for e in ins[sink.name] for t in ports[e.producer, e.producer_port]]
+            for sink in g.sinks}
+
+
+class _Drawn(dict):
+    """Firing vectors that :func:`equivalence_check` drew for one trial,
+    with the sources' port streams they make and their iteration count.
+    They are valid by construction, so :func:`simulate_clocked` takes the
+    port streams as they are and checks nothing again."""
+
+    def __init__(self, g: Graph, iterations: int, seed: int):
+        tokens = _draw(g, iterations, seed)
+        super().__init__((name, _vectors(g.nodes[name], t)) for name, t in tokens.items())
+        self.iterations = iterations
+        self.ports = _source_ports(g, tokens)
 
 
 def simulate_clocked(
@@ -273,13 +360,22 @@ def simulate_clocked(
     configuration runs no machine.  A call with ``horizon`` or
     ``capacities`` runs its own machine and keeps nothing.
 
+    The stimulus is checked (and firing vectors flattened into port
+    streams) unless :func:`equivalence_check` drew it.  The replay
+    (:func:`_replay`) fills the streams; the result assembles its stamps
+    and copies from them only when they are read.
+
     Raises :class:`~patflow.errors.FifoOverflow` when ``capacities`` are
     supplied and any FIFO exceeds its allocation; records (rather than
     raises on) underflows, which can only happen under a non-zero
     ``gate_offset``.
     """
-    stimulus = {} if stimulus is None else stimulus
-    iterations = _stimulus_iterations(g, stimulus, iterations)
+    if isinstance(stimulus, _Drawn):
+        iterations, streams = stimulus.iterations, dict(stimulus.ports)
+    else:
+        stimulus = {} if stimulus is None else stimulus
+        iterations = _stimulus_iterations(g, stimulus, iterations)
+        streams = _stimulus_ports(g, stimulus)
     # Datapaths are planned before the run, so a body that cannot be
     # planned fails ahead of any scheduling error.
     g.prepared.datapaths
@@ -289,7 +385,7 @@ def simulate_clocked(
         plan = TokenPlan(Machine(
             g, iterations, gate_offset=gate_offset, horizon=horizon, capacities=capacities
         ).run())
-    return _replay(g, plan, stimulus)
+    return SimResult(g, plan, streams, *_replay(g, plan, streams))
 
 
 class _ReplayLayout:
@@ -299,10 +395,14 @@ class _ReplayLayout:
 
     * ``computes``: per compute node in topological order, its name, its
       firing count and phase count, and per input edge the producer port,
-      the slice of that port's stream each (firing, phase) reads, and the
-      zeros padding each read (``None`` when every read was full); per
-      output port, which (firing, phase) steps write it, as their token
-      counts (``None`` when all do).
+      how each (firing, phase) reads that port's stream, and the zeros
+      padding each read (``None`` when every read was full); per output
+      port, which (firing, phase) steps write it, as their token counts
+      (``None`` when all do); the fold's seed (0 without one), and whether
+      the node folds.  A read is the tokens every phase takes when all
+      reads were full and no phase idles, since each then takes the next
+      ones of the stream, and otherwise the slice of the stream each
+      (firing, phase) takes.
     * ``arrivals``: the edges into sinks, each with its producer port.
     * ``stamps``: per producer port that feeds a sink, the cycle ``s + ph``
       of each step that writes it, for the firing started at ``s`` and
@@ -324,14 +424,20 @@ class _ReplayLayout:
             firings = len(plan.starts[name])
             ins = []
             for e, counts in zip(prep.ins[name], reads):
+                key = (e.producer, e.producer_port)
+                if counts is None and all(e.cp.phases):
+                    ins.append((key, e.cp.phases[0], None))
+                    continue
                 asked = e.cp.phases * firings
                 ends = list(accumulate(asked if counts is None else counts, initial=0))
                 slices = list(map(slice, ends, ends[1:]))
                 pads = None if counts is None else [[0] * (c - n) for c, n in zip(asked, counts)]
-                ins.append(((e.producer, e.producer_port), slices, pads))
+                ins.append((key, slices, pads))
             ports = [None if all(p.phases) else p.phases * firings
                      for p in spec.patterns.outputs]
-            self.computes.append((name, firings, spec.length, ins, ports))
+            dp = prep.plans[name]
+            self.computes.append(
+                (name, firings, spec.length, ins, ports, dp.fold_init or 0, dp.mode == "fold"))
         self.arrivals = []
         self.stamps = {}
         for e in g.edges:
@@ -350,77 +456,64 @@ class _ReplayLayout:
             key=lambda name: plan.starts[name][0])
 
 
-def _replay(g: Graph, plan: TokenPlan, stimulus: dict[str, list[list[int]]]) -> SimResult:
-    """Concrete values along the firings of a token plan.
+def _replay(
+    g: Graph, plan: TokenPlan, streams: dict[tuple[str, int], list[int]]
+) -> tuple[dict[tuple[str, int], list], dict[str, list[int]]]:
+    """Concrete values along the firings of a token plan: the value core of
+    a clocked simulation, which builds no part of its :class:`SimResult`.
 
-    A source's stream per output port is its stimulus, flattened.  Compute
-    nodes are replayed in topological order, each in three steps.  Gather:
-    every (firing, phase) takes, from the head of each input's stream, as
-    many real tokens as the plan says were waiting in its FIFO, padded with
-    zeros to the phase's count.  Evaluate: the node's compiled datapath
-    (:attr:`~patflow.prepared.PreparedGraph.datapaths`) runs on each
-    phase's words in turn.  Scatter: the words of the phases that write a
-    port make its stream.  Tokens delivered to a sink are stamped with the
-    cycle ``s + ph`` of firing start ``s`` and phase ``ph``.  Where each
-    read starts and ends, and the cycle of every step, come from the plan's
-    :class:`_ReplayLayout`.
+    ``streams`` holds the sources' port streams and receives every compute
+    port's.  Compute nodes are replayed in topological order, each in three
+    steps.  Gather: every (firing, phase) takes, from the head of each
+    input's stream, as many real tokens as the plan says were waiting in
+    its FIFO, padded with zeros to the phase's count.  Evaluate: the node's
+    compiled datapath (:attr:`~patflow.prepared.PreparedGraph.datapaths`)
+    runs on each phase's words in turn.  Scatter: the words of the phases
+    that write a port make its stream.  Where each read starts and ends
+    comes from the plan's :class:`_ReplayLayout`.
+
+    Returns, per compute port that feeds a sink, the words of each step
+    that writes it, which its cycle stamps follow, and per fold node its
+    accumulator after each phase.
     """
     layout = plan.layout
     if layout is None:
         layout = plan.layout = _ReplayLayout(g, plan)
-    prep = g.prepared
-    streams: dict[tuple[str, int], list[int]] = {}
-    for src in g.sources:
-        for port, stream in enumerate(_source_streams(src, stimulus[src.name])):
-            streams[src.name, port] = stream
-    # The cycle of each token a port delivers to a sink.
-    stamps = dict(layout.stamps)
+    datapaths = g.prepared.datapaths
+    steps: dict[tuple[str, int], list] = {}
     fold_trace: dict[str, list[int]] = {}
-    for name, firings, length, ins, ports in layout.computes:
+    for name, firings, length, ins, ports, seed, fold in layout.computes:
         gathered = []
-        for key, slices, pads in ins:
-            chunks = list(map(streams[key].__getitem__, slices))
-            gathered.append(chunks if pads is None else list(map(add, chunks, pads)))
+        for key, cut, pads in ins:
+            stream = streams[key]
+            if cut.__class__ is int:
+                gathered.append(zip(*[iter(stream)] * cut))
+            elif pads is None:
+                gathered.append(map(stream.__getitem__, cut))
+            else:
+                gathered.append(map(add, map(stream.__getitem__, cut), pads))
         buses = zip(*gathered) if gathered else repeat((), firings * length)
-        dp, phase = prep.plans[name], prep.datapaths[name]
-        # A fold's accumulator shows its seed (0 without one) until a phase
-        # reads tokens.
-        seed = dp.fold_init or 0
-        if length == 1:
-            outs = [phase(0, x, seed)[0] for x in buses]
+        phase = datapaths[name]
+        if length == 1 or not fold:
+            # Only a fold carries its accumulator from phase to phase.
+            outs = list(map(itemgetter(0), map(phase, cycle(range(length)), buses, repeat(seed))))
         else:
-            trace = fold_trace.setdefault(name, []) if dp.mode == "fold" else None
+            # A fold's accumulator shows its seed (0 without one) until a
+            # phase reads tokens.
+            trace = fold_trace[name] = []
             outs = []
             for _ in range(firings):
                 acc = seed
                 for ph in range(length):
                     words, acc = phase(ph, next(buses), acc)
                     outs.append(words)
-                    if trace is not None:
-                        trace.append(acc)
+                    trace.append(acc)
         for port, written in enumerate(ports):
-            steps = outs if written is None else list(compress(outs, written))
-            streams[name, port] = [x for w in steps for x in w[port]]
-            if (name, port) in stamps:
-                stamps[name, port] = [t for t, w in zip(stamps[name, port], steps) for _ in w[port]]
-
-    edge_arrivals = {eid: list(zip(stamps[key], streams[key])) for eid, key in layout.arrivals}
-    merged: dict[str, list[tuple[int, int]]] = {}
-    for sink in g.sinks:
-        edges = prep.ins[sink.name]
-        merged[sink.name] = [tv for e in edges for tv in edge_arrivals[e.id]]
-        if len(edges) > 1:
-            merged[sink.name].sort(key=itemgetter(0))
-    return SimResult(
-        arrivals=merged,
-        edge_arrivals=edge_arrivals,
-        cycles=plan.cycles,
-        # Copies: the plan may be kept and read again.
-        firing_starts={name: starts.copy() for name, starts in plan.starts.items()},
-        underflow_edges=plan.underflows.copy(),
-        # In the order the nodes first fired, as a clocked run records them.
-        fold_trace={name: fold_trace[name] for name in layout.folds},
-    )
+            written_steps = outs if written is None else list(compress(outs, written))
+            streams[name, port] = list(chain.from_iterable(map(itemgetter(port), written_steps)))
+            if (name, port) in layout.stamps:
+                steps[name, port] = written_steps
+    return steps, fold_trace
 
 
 def equivalence_check(
@@ -438,35 +531,37 @@ def equivalence_check(
     executions; each failing trial contributes one mismatch and, up to
     ``max_counterexamples`` times, a counterexample record with the
     stimulus and both streams.  Raises :class:`ValueError` when ``trials``
-    is negative.
+    is negative, and from the first trial when ``iterations`` is.
+
+    A trial works on flat port streams from start to end.  It draws its
+    tokens straight into the sources' streams (as :func:`random_stimulus`
+    draws them, on a seed taken from ``random.Random(seed)``), which
+    :func:`simulate_clocked` then takes without checking them again.  The
+    functional reference and the clocked replay each extend those streams,
+    and the streams each sink edge's producer port carries are compared;
+    no part of the :class:`SimResult` is assembled.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
     rng = random.Random(seed)
     report = EquivalenceReport(trials=trials, mismatches=0, gate_offset=gate_offset)
-    sink_edges = [
-        e for e in g.edges if g.nodes[e.consumer].kind is NodeKind.SINK
-    ]
     for _ in range(trials):
-        stim = random_stimulus(g, iterations, seed=rng.getrandbits(64))
-        streams = _combinational_streams(g, stim, iterations)
+        stim = _Drawn(g, iterations, rng.getrandbits(64))
+        expected = _combinational_streams(g, stim.ports, iterations)
         clocked = simulate_clocked(g, stim, iterations=iterations, gate_offset=gate_offset)
         bad = False
-        for e in sink_edges:
-            expected = streams[e.id]
-            got = [v for _, v in clocked.edge_arrivals[e.id]]
-            if expected != got:
+        for eid, key in clocked._plan.layout.arrivals:
+            if expected[key] != clocked._streams[key]:
                 bad = True
                 if len(report.counterexamples) < max_counterexamples:
                     report.counterexamples.append(
                         {
-                            "edge": e.id,
-                            "stimulus": stim,
-                            "expected": expected,
-                            "clocked": got,
+                            "edge": eid,
+                            "stimulus": dict(stim),
+                            "expected": expected[key],
+                            "clocked": clocked._streams[key],
                             "underflows": clocked.underflow_edges,
                         }
                     )
-        if bad:
-            report.mismatches += 1
+        report.mismatches += bad
     return report

@@ -23,6 +23,7 @@ from patflow import (
     infer_shape,
     parse_expr,
 )
+from patflow import exprs
 from patflow.exprs import (
     PRIM_OPS,
     Const,
@@ -157,6 +158,24 @@ class TestEval:
     def test_foldl_with_seed(self):
         e = parse_expr("(foldl (lambda (acc x) (add acc x)) 100 (input 0))")
         assert eval_expr(e, [(1, 2, 3)], 8) == 106
+
+    def test_repeated_calls_compile_once(self, monkeypatch):
+        compiled = []
+
+        def counting(e, width):
+            compiled.append((e, width))
+            return compile_expr(e, width)
+
+        monkeypatch.setattr(exprs, "compile_expr", counting)
+        exprs._compiled.cache_clear()
+        e = parse_expr("(foldl (lambda (acc x) (add acc (mul x x))) 3 (input 0))")
+        got = [eval_expr(e, [xs], 8) for xs in [(1, 2), (15, 16), (1, 2)] * 3]
+        assert got == [8, 228, 8] * 3
+        # An equal expression parsed again is the same body; another width
+        # is another one.
+        assert eval_expr(parse_expr(format_expr(e)), [(15, 16)], 8) == 228
+        assert eval_expr(e, [(15, 16)], 16) == 484
+        assert compiled == [(e, 8), (e, 16)]
 
     def test_addition_wraps_at_width(self):
         e = parse_expr("(add (input 0) 10)")

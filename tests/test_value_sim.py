@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import patflow.prepared
-from patflow import lowering
+from patflow import lowering, valuesim
 from patflow import (
+    EquivalenceReport,
     build_graph,
+    compute_repetition_vector,
     equivalence_check,
     eval_combinational,
     random_stimulus,
@@ -23,8 +25,36 @@ from patflow import (
 )
 from patflow.errors import FifoOverflow, PatflowError, ShapeMismatch
 from patflow.fixtures import load_graph, names
+from patflow.graphs import NodeKind
 
-from conftest import dotp_document, one_node_doc
+from conftest import dotp_document, generated_graph, one_node_doc
+
+
+def two_port_document(width: int = 8) -> dict:
+    """A source with two output ports of different patterns, each feeding
+    a map through a FIFO and a sink directly; sink ``o`` takes two ports."""
+    return {
+        "meta": {"name": "two-port", "iterations": 1},
+        "nodes": [
+            {"name": "s", "kind": "source", "width": width,
+             "outputs": [[1, 1, 1, 1], [0, 1, 0, 1]]},
+            {"name": "c", "kind": "compute", "width": width, "inputs": [[0, 2, 0, 2]],
+             "outputs": [[0, 2, 0, 2]], "expr": "(map (lambda (x) (add x 1)) (input 0))"},
+            {"name": "d", "kind": "compute", "width": width, "inputs": [[1, 1]],
+             "outputs": [[1, 1]], "expr": "(map (lambda (x) (mul x 3)) (input 0))"},
+            {"name": "o", "kind": "sink", "width": width, "inputs": [[0, 2, 0, 2], [1, 1, 1, 1]]},
+            {"name": "p", "kind": "sink", "width": width, "inputs": [[0, 1, 0, 1]]},
+            {"name": "q", "kind": "sink", "width": width, "inputs": [[1, 1]]},
+        ],
+        "edges": [
+            {"from": "s.0", "to": "c.0"},
+            {"from": "s.0", "to": "o.1"},
+            {"from": "s.1", "to": "d.0"},
+            {"from": "s.1", "to": "p.0"},
+            {"from": "c.0", "to": "o.0"},
+            {"from": "d.0", "to": "q.0"},
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +190,27 @@ class TestStimulus:
                 for name in ("xs", "ys")}
         assert random_stimulus(g, iterations=100, seed=seed) == want
 
+    @pytest.mark.parametrize("width", [1, 8, 16, 18, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_drawn_streams_are_checked_stimulus(self, width, seed):
+        # A trial draws its tokens straight into port streams and skips the
+        # stimulus check: put back into firing vectors, they are what
+        # random_stimulus gives and what the check accepts.
+        for g in (build_graph(dotp_document([2, 2, 2], width=width)),
+                  build_graph(two_port_document(width))):
+            for iterations in (1, 3):
+                ports = valuesim._source_ports(g, valuesim._draw(g, iterations, seed))
+                stim = {}
+                for src in g.sources:
+                    totals = [p.total for p in src.patterns.outputs]
+                    firings = len(ports[src.name, 0]) // totals[0]
+                    stim[src.name] = [
+                        [t for port, n in enumerate(totals)
+                         for t in ports[src.name, port][k * n : (k + 1) * n]]
+                        for k in range(firings)]
+                assert stim == random_stimulus(g, iterations, seed=seed)
+                assert valuesim._stimulus_iterations(g, stim, iterations) == iterations
+
     def test_random_stimulus_respects_width(self):
         g = load_graph("dotp-20")                # 18-bit sources
         stim = random_stimulus(g, iterations=4, seed=0)
@@ -252,6 +303,98 @@ class TestEquivalence:
     def test_report_records_gate_offset(self):
         rep = equivalence_check(load_graph("fig2"), 3, seed=0, gate_offset=0)
         assert rep.gate_offset == 0
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            equivalence_check(load_graph("dotp-20"), 1, iterations=-1)
+
+    def test_a_trial_is_one_clocked_run_read_by_its_streams(self, monkeypatch):
+        # Tracing counts a check's clocked cycles at simulate_clocked, so
+        # every trial goes through it; the check compares the streams and
+        # leaves the stamps and copies of the result unbuilt.
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(simulate_clocked(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(valuesim, "simulate_clocked", recording)
+        assert equivalence_check(load_graph("dotp-1x20"), 3, iterations=2).ok
+        assert len(results) == 3
+        lazy = {"arrivals", "edge_arrivals", "firing_starts", "fold_trace"}
+        assert not any(lazy & vars(r).keys() for r in results)
+
+    def test_one_item_tuple_body_streams_its_vector(self):
+        # A one-port node whose body is ``(tuple v)`` streams the elements
+        # of ``v``, not ``v`` as one token.
+        g = build_graph(one_node_doc(
+            "(tuple (map (lambda (x) (add x 1)) (input 0)))", [[2, 2]], [[2, 2]]))
+        assert eval_combinational(g, {"s0": [[1, 2, 3, 4]]}) == {"o": [2, 3, 4, 5]}
+        assert equivalence_check(g, 5).ok
+
+
+def composed_check(g, trials: int, *, seed: int, iterations: int, gate_offset: int,
+                   max_counterexamples: int = 3) -> EquivalenceReport:
+    """The equivalence check composed of public calls, one trial at a time:
+    ``random_stimulus`` on a seed from ``random.Random(seed)``, the sinks'
+    ``eval_combinational`` streams cut per input edge, and
+    ``simulate_clocked``'s per-edge arrivals."""
+    rng = random.Random(seed)
+    reps = compute_repetition_vector(g)
+    sink_edges = [e for e in g.edges if g.nodes[e.consumer].kind is NodeKind.SINK]
+    report = EquivalenceReport(trials=trials, mismatches=0, gate_offset=gate_offset)
+    for _ in range(trials):
+        stim = random_stimulus(g, iterations, seed=rng.getrandbits(64))
+        functional = eval_combinational(g, stim, iterations=iterations)
+        clocked = simulate_clocked(g, stim, iterations=iterations, gate_offset=gate_offset)
+        expected, taken = {}, dict.fromkeys(functional, 0)
+        for e in sorted(sink_edges, key=lambda e: e.consumer_port):
+            n = reps[e.consumer] * iterations * e.cp.total
+            expected[e.id] = functional[e.consumer][taken[e.consumer] : taken[e.consumer] + n]
+            taken[e.consumer] += n
+        bad = False
+        for e in sink_edges:
+            got = [v for _, v in clocked.edge_arrivals[e.id]]
+            if got != expected[e.id]:
+                bad = True
+                if len(report.counterexamples) < max_counterexamples:
+                    report.counterexamples.append({
+                        "edge": e.id, "stimulus": stim, "expected": expected[e.id],
+                        "clocked": got, "underflows": clocked.underflow_edges})
+        report.mismatches += bad
+    return report
+
+
+def _outcome(check, g, **kw):
+    try:
+        return check(g, 3, seed=5, **kw)
+    except PatflowError as exc:
+        return type(exc).__name__, str(exc)
+
+
+ORACLE_GRAPHS = (
+    [(name, lambda name=name: load_graph(name)) for name in names()]
+    + [(f"{fam}-{size}", lambda fam=fam, size=size: generated_graph(fam, size, 3))
+       for fam in ("chain", "fanout", "tuple", "folds", "mismatch") for size in (8, 14, 24)]
+    + [("two-port", lambda: build_graph(two_port_document()))]
+)
+
+
+class TestComposedOracle:
+    """The flat-stream trial gives exactly the report of the composed one."""
+
+    @pytest.mark.parametrize("label, make", ORACLE_GRAPHS, ids=[lb for lb, _ in ORACLE_GRAPHS])
+    def test_reports_equal_the_composition(self, label, make):
+        g = make()
+        caught = 0
+        for iterations in (1, 4):
+            for gate_offset in (0, -1, -2):
+                kw = {"iterations": iterations, "gate_offset": gate_offset}
+                want = _outcome(composed_check, g, **kw)
+                assert _outcome(equivalence_check, g, **kw) == want, kw
+                caught += isinstance(want, EquivalenceReport) and want.mismatches
+        if label in ("dotp-1x20", "two-port"):
+            assert caught  # the comparison covers counterexamples too
 
 
 # ---------------------------------------------------------------------------
