@@ -263,6 +263,9 @@ def build_graph(doc: dict) -> Graph:
     raw_nodes = doc.get("nodes")
     _require(isinstance(raw_nodes, list), "'nodes' must be a list")
     nodes: dict[str, NodeSpec] = {}
+    # Each distinct body text is parsed once; nodes with equal text share
+    # the immutable tree.
+    parsed: dict[str, Expr] = {}
     for i, rn in enumerate(raw_nodes):
         _require(isinstance(rn, dict), f"nodes[{i}] must be an object")
         nname = rn.get("name")
@@ -292,7 +295,9 @@ def build_graph(doc: dict) -> Graph:
                 isinstance(expr_text, str),
                 f"compute node '{nname}' needs an 'expr' string",
             )
-            body = parse_expr(expr_text)
+            body = parsed.get(expr_text)
+            if body is None:
+                body = parsed[expr_text] = parse_expr(expr_text)
             _require(len(outputs) >= 1, f"compute node '{nname}' needs output patterns")
         elif kind is NodeKind.SOURCE:
             _require("expr" not in rn, f"source node '{nname}' takes no 'expr'")

@@ -22,9 +22,10 @@ without stalling?  Two variants are provided:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 
 from .errors import AllZero, EmptyPattern, MixedNonZeroValues
 
@@ -147,25 +148,20 @@ class FiringThresholds:
         return f"[{inner}] idle={self.idle}"
 
 
-def _prefix_sums(seq: Sequence[int], length: int) -> list[int]:
-    # Zero-pad to `length`, then return running totals.
-    padded = list(seq) + [0] * (length - len(seq))
-    return list(accumulate(padded))
-
-
 def _thresholds(pp: AccessPattern, cp: AccessPattern, shift: int) -> FiringThresholds:
-    entries = []
-    for j in range(len(pp) + 1):
-        remaining = pp.phases[j:]  # j == len(pp) models the idle producer
-        horizon = max(len(remaining), len(cp))
-        spp = _prefix_sums(remaining, horizon)
-        scp = _prefix_sums(cp.phases, horizon)
-        worst = 0
-        for i in range(horizon):
-            produced = spp[i - shift] if i - shift >= 0 else 0
-            worst = max(worst, scp[i] - produced)
-        entries.append(worst)
-    return FiringThresholds(tuple(entries))
+    # With the producer at phase j (j == len(pp) models the idle producer),
+    # cycle i of the consumer's firing has consumed consumed[i] tokens and
+    # seen produced[min(j + i + 1 - shift, len(pp))] - produced[j] arrive.
+    # The entry is the largest shortfall, and at least 0.  Past the end of
+    # cp consumption stops growing, so only its cycles matter; once
+    # production has ended the shortfall is largest at cp's last cycle.
+    produced = [0, *accumulate(pp.phases)]
+    consumed = list(accumulate(cp.phases))
+    tail = consumed[-1] - produced[-1]
+    return FiringThresholds(tuple(
+        max(0, produced[j] + max([tail, *map(sub, consumed, produced[j + 1 - shift:])]))
+        for j in range(len(produced))
+    ))
 
 
 def compute_fifo_thresholds(pp: AccessPattern, cp: AccessPattern) -> FiringThresholds:

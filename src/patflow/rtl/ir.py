@@ -3,10 +3,14 @@ assignments, clocked processes and instances.
 
 The expression nodes cover exactly what the lowering emits; rendering
 parenthesizes everything, so operator precedence never matters.  Nodes are
-plain ``__slots__`` classes with structural equality: a design builds tens
-of thousands of them.  A module is a name, a comment and an
-:class:`RtlBody`; modules of one structural class share a frozen body, and
-:func:`check_design` checks each distinct body once.
+plain ``__slots__`` classes with structural equality, never changed once
+built, so one node may sit in many places: the lowering shares each
+reference and literal across a design.  A module is a name, a comment and
+an :class:`RtlBody`; modules of one structural class share a frozen body.
+
+:func:`check_design` checks each distinct body once.  The names a body
+references come from the same walk that renders it (``emit.walk_bodies``),
+so emission and the check walk each body once between them.
 """
 
 from __future__ import annotations
@@ -279,64 +283,24 @@ def _expr_width(e: RExpr, widths: dict[str, int]) -> int | None:
     return None
 
 
-def _referenced_names(e, acc: set[str]) -> None:
-    if isinstance(e, RRef):
-        acc.add(e.name)
-    elif isinstance(e, RBin):
-        _referenced_names(e.left, acc)
-        _referenced_names(e.right, acc)
-    elif isinstance(e, RNot):
-        _referenced_names(e.operand, acc)
-    elif isinstance(e, RMux):
-        _referenced_names(e.cond, acc)
-        _referenced_names(e.then, acc)
-        _referenced_names(e.orelse, acc)
-    elif isinstance(e, RIndex):
-        acc.add(e.base)
-        _referenced_names(e.index, acc)
-    elif isinstance(e, RSlice):
-        acc.add(e.base)
-    elif isinstance(e, RConcat):
-        for p in e.parts:
-            _referenced_names(p, acc)
-
-
-def _statement_names(stmt, acc: set[str]) -> None:
-    if isinstance(stmt, SAssign):
-        _referenced_names(stmt.target, acc)
-        _referenced_names(stmt.value, acc)
-    elif isinstance(stmt, SIf):
-        _referenced_names(stmt.cond, acc)
-        for s in stmt.then:
-            _statement_names(s, acc)
-        for s in stmt.orelse:
-            _statement_names(s, acc)
-
-
-def _body_problems(b: RtlBody, modules: dict[str, RtlModule],
+def _body_problems(b: RtlBody, used: set[str], modules: dict[str, RtlModule],
                    child_ports: dict[RtlBody, dict[str, Port]]) -> list[str]:
-    """The problems of one body, each to be prefixed with the name of a
-    module that has it.  ``child_ports`` caches each instantiated body's
-    ports by name."""
+    """The problems of one body that references the names ``used``, each
+    to be prefixed with the name of a module that has it.  ``child_ports``
+    caches each instantiated body's ports by name."""
     problems: list[str] = []
-    seen: set[str] = set()
-    for decl in [p.name for p in b.ports] + [n.name for n in b.nets] + [r.name for r in b.regs]:
-        if decl in seen:
-            problems.append(f": duplicate declaration '{decl}'")
-        seen.add(decl)
-    known = seen | {p.name for p in b.params}
-    used: set[str] = set()
-    for a in b.assigns:
-        used.add(a.target)
-        _referenced_names(a.value, used)
-    for blk in b.always:
-        for stmt in blk.body:
-            _statement_names(stmt, used)
-    for inst in b.instances:
-        for _, expr in inst.conns:
-            _referenced_names(expr, used)
-    for name in sorted(used - known):
-        problems.append(f": reference to undeclared name '{name}'")
+    decls = [p.name for p in b.ports] + [n.name for n in b.nets] + [r.name for r in b.regs]
+    seen = set(decls)
+    if len(seen) < len(decls):
+        problems += [f": duplicate declaration '{d}'" for i, d in enumerate(decls)
+                     if d in decls[:i]]
+    unknown = used - seen
+    if unknown:
+        unknown -= {p.name for p in b.params}
+        for name in sorted(unknown):
+            problems.append(f": reference to undeclared name '{name}'")
+    if not b.instances:
+        return problems
     widths = _decl_widths(b)
     for inst in b.instances:
         child = modules.get(inst.module)
@@ -368,16 +332,9 @@ def _body_problems(b: RtlBody, modules: dict[str, RtlModule],
     return problems
 
 
-def check_design(design: RtlDesign) -> list[str]:
-    """Structural consistency problems; empty when the design is sound.
-
-    Checks that the top module exists, that every instance references a
-    defined module, connects only declared ports, drives every input, that
-    every referenced name resolves to a declaration, and that connection
-    widths agree wherever both sides are known.  A body shared by several
-    modules is checked once; each of its problems is reported under every
-    module that has it.
-    """
+def design_problems(design: RtlDesign, names: dict[RtlBody, set[str]]) -> list[str]:
+    """The problems :func:`check_design` reports, given the names each
+    distinct body of ``design`` references."""
     problems: list[str] = []
     if design.top not in design.modules:
         problems.append(f"top module '{design.top}' is not defined")
@@ -386,6 +343,23 @@ def check_design(design: RtlDesign) -> list[str]:
     for m in design.modules.values():
         own = found.get(m.body)
         if own is None:
-            own = found[m.body] = _body_problems(m.body, design.modules, child_ports)
+            own = found[m.body] = _body_problems(m.body, names[m.body], design.modules,
+                                                 child_ports)
         problems += [m.name + p for p in own]
     return problems
+
+
+def check_design(design: RtlDesign) -> list[str]:
+    """Structural consistency problems; empty when the design is sound.
+
+    Checks that the top module exists, that every instance references a
+    defined module, connects only declared ports, drives every input, that
+    every referenced name resolves to a declaration, and that connection
+    widths agree wherever both sides are known.  A body shared by several
+    modules is checked once; each of its problems is reported under every
+    module that has it.  The names come from the walk that renders each
+    body, whose text is dropped here.
+    """
+    from .emit import walk_bodies  # the renderer imports this module
+
+    return design_problems(design, walk_bodies(design)[1])

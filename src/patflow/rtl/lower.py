@@ -32,7 +32,9 @@ and width; a FIFO's capacity, width, patterns and write-through; a
 threshold table's capacity, producer length and gate table; a datapath's
 width, patterns and plan).  The first module of a signature builds the
 body and freezes it; later ones get the same :class:`RtlBody` under their
-own name and comment.  The cache lives for one :func:`lower_design` call.
+own name and comment.  Every body and the top also share one
+:class:`~patflow.rtl.ir.RRef` per name and one :class:`~patflow.rtl.ir.RLit`
+per value and width.  These tables live for one :func:`lower_design` call.
 """
 
 from __future__ import annotations
@@ -93,10 +95,22 @@ class _NameTable:
         return s
 
 
-def _table_mux(sel: RExpr, values: list[RExpr], default: RExpr) -> RExpr:
+class _Leaves(dict):
+    """The leaves of one design, each built on first use: ``leaf[name]``
+    is the :class:`RRef` of a name, ``leaf[value, width]`` the
+    :class:`RLit` of a value (``width`` None for a plain integer)."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        node = self[key] = RRef(key) if key.__class__ is str else RLit(*key)
+        return node
+
+
+def _table_mux(leaf: _Leaves, sel: RExpr, values: list[RExpr], default: RExpr) -> RExpr:
     out = default
     for j in reversed(range(len(values))):
-        out = RMux(RBin("==", sel, RLit(j)), values[j], out)
+        out = RMux(RBin("==", sel, leaf[j, None]), values[j], out)
     return out
 
 
@@ -105,16 +119,17 @@ def _table_mux(sel: RExpr, values: list[RExpr], default: RExpr) -> RExpr:
 
 # The operator each primitive becomes, given its operands and the width.
 _PRIMS = {
-    "add": lambda a, b, w: RBin("+", a, b),
-    "sub": lambda a, b, w: RBin("-", a, b),
-    "mul": lambda a, b, w: RBin("*", a, b),
-    "min": lambda a, b, w: RMux(RBin("<", a, b), a, b),
-    "max": lambda a, b, w: RMux(RBin("<", a, b), b, a),
-    "compare": lambda a, b, w: RMux(RBin("<", a, b), RLit(1, w), RLit(0, w)),
+    "add": lambda leaf, a, b, w: RBin("+", a, b),
+    "sub": lambda leaf, a, b, w: RBin("-", a, b),
+    "mul": lambda leaf, a, b, w: RBin("*", a, b),
+    "min": lambda leaf, a, b, w: RMux(RBin("<", a, b), a, b),
+    "max": lambda leaf, a, b, w: RMux(RBin("<", a, b), b, a),
+    "compare": lambda leaf, a, b, w: RMux(RBin("<", a, b), leaf[1, w], leaf[0, w]),
 }
 
 
-def _render(body: RtlBody, net: Netlist, prefix: str, width: int, start: int = 0) -> list:
+def _render(body: RtlBody, leaf: _Leaves, net: Netlist, prefix: str, width: int,
+            start: int = 0) -> list:
     """Add one wire per operator instance of ``net`` to ``body``, named
     ``<prefix>_w<i>`` counting from ``start``; return the output words per
     port."""
@@ -124,16 +139,16 @@ def _render(body: RtlBody, net: Netlist, prefix: str, width: int, start: int = 0
         if isinstance(x, Wire):
             return wires[x.index]
         if isinstance(x, int):
-            return RLit(x, width)
+            return leaf[x, width]
         if isinstance(x, str):
-            return RRef(x)
+            return leaf[x]
         port, k = x
         return _word(f"in{port}", k, width)
 
     for i, (op, a, b) in enumerate(net.ops, start):
         name = body.net(f"{prefix}_w{i}", width)
-        body.assigns.append(Assign(name, _PRIMS[op](operand(a), operand(b), width)))
-        wires.append(RRef(name))
+        body.assigns.append(Assign(name, _PRIMS[op](leaf, operand(a), operand(b), width)))
+        wires.append(leaf[name])
     return [[operand(x) for x in words] for words in net.outs]
 
 
@@ -141,7 +156,7 @@ def _render(body: RtlBody, net: Netlist, prefix: str, width: int, start: int = 0
 # Per-node modules
 
 
-def _ctrl_body(body: RtlBody, length: int) -> None:
+def _ctrl_body(body: RtlBody, leaf: _Leaves, length: int) -> None:
     pb = counter_bits(length)
     body.port("clk", 1, "input")
     body.port("rst", 1, "input")
@@ -153,39 +168,39 @@ def _ctrl_body(body: RtlBody, length: int) -> None:
     body.regs.append(RegDecl("phase_q", pb))
     body.net("idle_w", 1)
     body.net("start", 1)
-    idle = RRef("idle_w")
-    start = RRef("start")
+    idle = leaf["idle_w"]
+    start = leaf["start"]
     body.assigns += [
-        Assign("idle_w", RBin("==", RRef("phase_q"), RRef("IDLE"))),
-        Assign("start", RBin("&", RBin("&", idle, RRef("ready")), RRef("run"))),
+        Assign("idle_w", RBin("==", leaf["phase_q"], leaf["IDLE"])),
+        Assign("start", RBin("&", RBin("&", idle, leaf["ready"]), leaf["run"])),
         Assign("firing", RBin("|", start, RNot(idle))),
-        Assign("phase", RMux(start, RLit(0, pb), RRef("phase_q"))),
+        Assign("phase", RMux(start, leaf[0, pb], leaf["phase_q"])),
     ]
-    after_start = RLit(1 if length > 1 else length, pb)
+    after_start = leaf[1 if length > 1 else length, pb]
     body.always.append(
         AlwaysFF(
             (
                 SIf(
-                    RRef("rst"),
-                    (SAssign(RRef("phase_q"), RRef("IDLE")),),
+                    leaf["rst"],
+                    (SAssign(leaf["phase_q"], leaf["IDLE"]),),
                     (
                         SIf(
                             start,
-                            (SAssign(RRef("phase_q"), after_start),),
+                            (SAssign(leaf["phase_q"], after_start),),
                             (
                                 SIf(
                                     RNot(idle),
                                     (
                                         SAssign(
-                                            RRef("phase_q"),
+                                            leaf["phase_q"],
                                             RMux(
                                                 RBin(
                                                     "==",
-                                                    RRef("phase_q"),
-                                                    RLit(length - 1, pb),
+                                                    leaf["phase_q"],
+                                                    leaf[length - 1, pb],
                                                 ),
-                                                RRef("IDLE"),
-                                                RBin("+", RRef("phase_q"), RLit(1)),
+                                                leaf["IDLE"],
+                                                RBin("+", leaf["phase_q"], leaf[1, None]),
                                             ),
                                         ),
                                     ),
@@ -207,7 +222,7 @@ def _concat_words(words: list[RExpr]) -> RExpr:
     return RConcat(tuple(reversed(words)))
 
 
-def _datapath_body(body: RtlBody, node: NodeSpec, plan: DatapathPlan) -> None:
+def _datapath_body(body: RtlBody, leaf: _Leaves, node: NodeSpec, plan: DatapathPlan) -> None:
     width = node.width
     pb = counter_bits(node.length)
     body.port("clk", 1, "input")
@@ -220,57 +235,59 @@ def _datapath_body(body: RtlBody, node: NodeSpec, plan: DatapathPlan) -> None:
         body.port(f"out{k}", p.value * width, "output")
 
     if plan.mode == "fold":
-        _fold_datapath(body, node, plan, width)
+        _fold_datapath(body, leaf, node, plan, width)
     elif plan.mode == "elementwise":
         for k in range(len(node.patterns.outputs)):
             words = [
-                _render(body, plan.netlists[k * plan.lanes + lane], f"o{k}_l{lane}", width)[0][0]
+                _render(body, leaf, plan.netlists[k * plan.lanes + lane], f"o{k}_l{lane}",
+                        width)[0][0]
                 for lane in range(plan.lanes)
             ]
             body.assigns.append(Assign(f"out{k}", _concat_words(words)))
     else:
         (net,) = plan.netlists
-        for k, words in enumerate(_render(body, net, "g", width)):
+        for k, words in enumerate(_render(body, leaf, net, "g", width)):
             body.assigns.append(Assign(f"out{k}", _concat_words(words)))
 
 
-def _fold_datapath(body: RtlBody, node: NodeSpec, plan: DatapathPlan, width: int) -> None:
+def _fold_datapath(body: RtlBody, leaf: _Leaves, node: NodeSpec, plan: DatapathPlan,
+                   width: int) -> None:
     cp = node.patterns.inputs[plan.fold_input]
     first_phase = next(j for j, v in enumerate(cp.phases) if v)
-    at_first = RBin("==", RRef("phase"), RLit(first_phase))
+    at_first = RBin("==", leaf["phase"], leaf[first_phase, None])
     body.regs.append(RegDecl("acc_q", width))
     start = 0
     if plan.fold_init is not None:
         body.net("carry", width)
-        seed = RLit(plan.fold_init, width)
-        body.assigns.append(Assign("carry", RMux(at_first, seed, RRef("acc_q"))))
+        seed = leaf[plan.fold_init, width]
+        body.assigns.append(Assign("carry", RMux(at_first, seed, leaf["acc_q"])))
     else:
         # No seed: in the first phase that reads tokens the leading operator
         # is bypassed and the first token starts the chain.
         first = plan.netlists[0]
-        first_op = _render(body, first, "f", width)[0][0]
+        first_op = _render(body, leaf, first, "f", width)[0][0]
         tok0 = _word(f"in{plan.fold_input}", 0, width)
         body.net("stage0", width)
         body.assigns.append(Assign("stage0", RMux(at_first, tok0, first_op)))
         start = len(first.ops)
-    acc = _render(body, plan.netlists[-1], "f", width, start)[0][0]
+    acc = _render(body, leaf, plan.netlists[-1], "f", width, start)[0][0]
     if 0 in cp.phases:
         # The input bus still shows words in a phase that reads none; the
         # accumulator holds through such a phase.
-        acc = RMux(_nz_mux(RRef("phase"), cp), acc, RRef("acc_q"))
+        acc = RMux(_nz_mux(leaf, leaf["phase"], cp), acc, leaf["acc_q"])
     body.net("result", width)
     body.assigns.append(Assign("result", acc))
-    body.assigns.append(Assign("out0", RRef("result")))
+    body.assigns.append(Assign("out0", leaf["result"]))
     body.always.append(
         AlwaysFF(
             (
                 SIf(
-                    RRef("rst"),
-                    (SAssign(RRef("acc_q"), RLit(0, width)),),
+                    leaf["rst"],
+                    (SAssign(leaf["acc_q"], leaf[0, width]),),
                     (
                         SIf(
-                            RRef("firing"),
-                            (SAssign(RRef("acc_q"), RRef("result")),),
+                            leaf["firing"],
+                            (SAssign(leaf["acc_q"], leaf["result"]),),
                         ),
                     ),
                 ),
@@ -283,7 +300,7 @@ def _fold_datapath(body: RtlBody, node: NodeSpec, plan: DatapathPlan, width: int
 # Per-edge modules
 
 
-def _fifo_body(body: RtlBody, low: EdgeLowering, write_through: bool) -> None:
+def _fifo_body(body: RtlBody, leaf: _Leaves, low: EdgeLowering, write_through: bool) -> None:
     e = low.edge
     width = low.width
     depth = low.capacity
@@ -310,49 +327,49 @@ def _fifo_body(body: RtlBody, low: EdgeLowering, write_through: bool) -> None:
     body.net("push", ow)
     body.net("pop", ow)
     push_table = _table_mux(
-        RRef("wr_phase"),
-        [RLit(v, ow) for v in e.pp.phases],
-        RLit(0, ow),
+        leaf, leaf["wr_phase"],
+        [leaf[v, ow] for v in e.pp.phases],
+        leaf[0, ow],
     )
     pop_table = _table_mux(
-        RRef("rd_phase"),
-        [RLit(v, ow) for v in e.cp.phases],
-        RLit(0, ow),
+        leaf, leaf["rd_phase"],
+        [leaf[v, ow] for v in e.cp.phases],
+        leaf[0, ow],
     )
     body.assigns += [
-        Assign("push", RMux(RRef("wr_en"), push_table, RLit(0, ow))),
-        Assign("pop", RMux(RRef("rd_en"), pop_table, RLit(0, ow))),
-        Assign("occupancy", RRef("occ_q")),
+        Assign("push", RMux(leaf["wr_en"], push_table, leaf[0, ow])),
+        Assign("pop", RMux(leaf["rd_en"], pop_table, leaf[0, ow])),
+        Assign("occupancy", leaf["occ_q"]),
     ]
     # Nodes never change, so one node may appear in several places.
     din = [_word("din", k, width) for k in range(n)]
-    occ_is = [RBin("==", RRef("occ_q"), RLit(j)) for j in range(mm)]
+    occ_is = [RBin("==", leaf["occ_q"], leaf[j, None]) for j in range(mm)]
     words: list[RExpr] = []
     for k in range(mm):
         stored: RExpr = RIndex(
-            "mem", RBin("%", RBin("+", RRef("rd_q"), RLit(k)), RRef("DEPTH"))
+            "mem", RBin("%", RBin("+", leaf["rd_q"], leaf[k, None]), leaf["DEPTH"])
         )
         if write_through:
-            fresh: RExpr = RLit(0, width)
+            fresh: RExpr = leaf[0, width]
             for j in range(max(0, k - n + 1), k + 1):
                 fresh = RMux(occ_is[j], din[k - j], fresh)
-            word: RExpr = RMux(RBin("<", RLit(k), RRef("occ_q")), stored, fresh)
+            word: RExpr = RMux(RBin("<", leaf[k, None], leaf["occ_q"]), stored, fresh)
         else:
             word = stored
         name = body.net(f"dout_w{k}", width)
         body.assigns.append(Assign(name, word))
-        words.append(RRef(name))
+        words.append(leaf[name])
     body.assigns.append(Assign("dout", _concat_words(words)))
     stmts: list = []
     for k in range(n):
         stmts.append(
             SIf(
-                RBin(">", RRef("push"), RLit(k)),
+                RBin(">", leaf["push"], leaf[k, None]),
                 (
                     SAssign(
                         RIndex(
                             "mem",
-                            RBin("%", RBin("+", RRef("wr_q"), RLit(k)), RRef("DEPTH")),
+                            RBin("%", RBin("+", leaf["wr_q"], leaf[k, None]), leaf["DEPTH"]),
                         ),
                         din[k],
                     ),
@@ -360,19 +377,19 @@ def _fifo_body(body: RtlBody, low: EdgeLowering, write_through: bool) -> None:
             )
         )
     stmts += [
-        SAssign(RRef("wr_q"), RBin("%", RBin("+", RRef("wr_q"), RRef("push")), RRef("DEPTH"))),
-        SAssign(RRef("rd_q"), RBin("%", RBin("+", RRef("rd_q"), RRef("pop")), RRef("DEPTH"))),
-        SAssign(RRef("occ_q"), RBin("-", RBin("+", RRef("occ_q"), RRef("push")), RRef("pop"))),
+        SAssign(leaf["wr_q"], RBin("%", RBin("+", leaf["wr_q"], leaf["push"]), leaf["DEPTH"])),
+        SAssign(leaf["rd_q"], RBin("%", RBin("+", leaf["rd_q"], leaf["pop"]), leaf["DEPTH"])),
+        SAssign(leaf["occ_q"], RBin("-", RBin("+", leaf["occ_q"], leaf["push"]), leaf["pop"])),
     ]
     body.always.append(
         AlwaysFF(
             (
                 SIf(
-                    RRef("rst"),
+                    leaf["rst"],
                     (
-                        SAssign(RRef("wr_q"), RLit(0, ow)),
-                        SAssign(RRef("rd_q"), RLit(0, ow)),
-                        SAssign(RRef("occ_q"), RLit(0, ow)),
+                        SAssign(leaf["wr_q"], leaf[0, ow]),
+                        SAssign(leaf["rd_q"], leaf[0, ow]),
+                        SAssign(leaf["occ_q"], leaf[0, ow]),
                     ),
                     tuple(stmts),
                 ),
@@ -381,7 +398,7 @@ def _fifo_body(body: RtlBody, low: EdgeLowering, write_through: bool) -> None:
     )
 
 
-def _fifo_ctrl_body(body: RtlBody, low: EdgeLowering) -> None:
+def _fifo_ctrl_body(body: RtlBody, leaf: _Leaves, low: EdgeLowering) -> None:
     gate = low.gate
     ppb = counter_bits(len(low.edge.pp))
     ow = counter_bits(low.capacity)
@@ -393,18 +410,18 @@ def _fifo_ctrl_body(body: RtlBody, low: EdgeLowering) -> None:
         body.params.append(Param(f"THRESH_P{j}", v))
     body.params.append(Param("THRESH_IDLE", gate.idle))
     table = _table_mux(
-        RRef("prod_phase"),
-        [RRef(f"THRESH_P{j}") for j in range(len(gate.per_phase))],
-        RRef("THRESH_IDLE"),
+        leaf, leaf["prod_phase"],
+        [leaf[f"THRESH_P{j}"] for j in range(len(gate.per_phase))],
+        leaf["THRESH_IDLE"],
     )
     body.net("need", ow)
     body.assigns += [
-        Assign("need", RMux(RRef("prod_firing"), table, RRef("THRESH_IDLE"))),
-        Assign("ready", RBin(">=", RRef("occupancy"), RRef("need"))),
+        Assign("need", RMux(leaf["prod_firing"], table, leaf["THRESH_IDLE"])),
+        Assign("ready", RBin(">=", leaf["occupancy"], leaf["need"])),
     ]
 
 
-def _pipe_body(body: RtlBody, low: EdgeLowering) -> None:
+def _pipe_body(body: RtlBody, leaf: _Leaves, low: EdgeLowering) -> None:
     e = low.edge
     width = low.width
     n = e.pp.value
@@ -419,22 +436,22 @@ def _pipe_body(body: RtlBody, low: EdgeLowering) -> None:
     body.regs += [RegDecl("data_q", n * width), RegDecl("valid_q", 1)]
     body.net("wr", 1)
     body.assigns += [
-        Assign("wr", RBin("&", RRef("stb"), _nz_mux(RRef("phase"), e.pp))),
-        Assign("dout", RRef("data_q")),
-        Assign("valid", RRef("valid_q")),
+        Assign("wr", RBin("&", leaf["stb"], _nz_mux(leaf, leaf["phase"], e.pp))),
+        Assign("dout", leaf["data_q"]),
+        Assign("valid", leaf["valid_q"]),
     ]
     body.always.append(
         AlwaysFF(
             (
                 SIf(
-                    RRef("rst"),
-                    (SAssign(RRef("valid_q"), RLit(0, 1)),),
+                    leaf["rst"],
+                    (SAssign(leaf["valid_q"], leaf[0, 1]),),
                     (
                         SIf(
-                            RRef("wr"),
+                            leaf["wr"],
                             (
-                                SAssign(RRef("data_q"), RRef("din")),
-                                SAssign(RRef("valid_q"), RLit(1, 1)),
+                                SAssign(leaf["data_q"], leaf["din"]),
+                                SAssign(leaf["valid_q"], leaf[1, 1]),
                             ),
                         ),
                     ),
@@ -448,11 +465,11 @@ def _pipe_body(body: RtlBody, low: EdgeLowering) -> None:
 # Top-level assembly
 
 
-def _nz_mux(phase: RExpr, pattern) -> RExpr:
+def _nz_mux(leaf: _Leaves, phase: RExpr, pattern) -> RExpr:
     return _table_mux(
-        phase,
-        [RLit(1 if v else 0, 1) for v in pattern.phases],
-        RLit(0, 1),
+        leaf, phase,
+        [leaf[1 if v else 0, 1] for v in pattern.phases],
+        leaf[0, 1],
     )
 
 
@@ -479,6 +496,8 @@ def lower_design(g: Graph, capacities: dict[str, int] | None = None) -> RtlDesig
     # One body per structural signature: the role plus every value the
     # body is built from.
     bodies: dict[tuple, RtlBody] = {}
+    # Every body and the top share one node per reference and literal.
+    leaf = _Leaves()
 
     def _add(module: RtlModule, role: str, subject: str) -> None:
         if module.name in design.modules:
@@ -491,11 +510,11 @@ def lower_design(g: Graph, capacities: dict[str, int] | None = None) -> RtlDesig
 
     def _shared(signature: tuple, name: str, comment: str, build, *args) -> RtlModule:
         """Module ``name`` with the body of ``signature``, made by
-        ``build(body, *args)`` on its first use."""
+        ``build(body, leaf, *args)`` on its first use."""
         body = bodies.get(signature)
         if body is None:
             body = RtlBody()
-            build(body, *args)
+            build(body, leaf, *args)
             bodies[signature] = body.freeze()
         return RtlModule(name, comment, body)
 
@@ -543,7 +562,7 @@ def lower_design(g: Graph, capacities: dict[str, int] | None = None) -> RtlDesig
                          f"({e.pp.value} token(s) per group)",
                          _pipe_body, low), "pipe", e.id)
 
-    top = _top_module(g, order, design_name, lows, node_rtl, edge_rtl)
+    top = _top_module(g, order, design_name, lows, node_rtl, edge_rtl, leaf)
     _add(top, "top", g.name or "design")
     design.manifest = {
         "design": g.name or "design",
@@ -568,6 +587,7 @@ def _top_module(
     lows: dict[str, EdgeLowering],
     node_rtl: dict[str, str],
     edge_rtl: dict[str, str],
+    leaf: _Leaves,
 ) -> RtlModule:
     top = RtlBody()
     top.port("clk", 1, "input")
@@ -619,7 +639,7 @@ def _top_module(
             if node.kind is NodeKind.SOURCE
             else f"{base}_out{e.producer_port}"
         )
-        return RRef(f"{base}_firing"), RRef(f"{base}_phase"), data
+        return leaf[f"{base}_firing"], leaf[f"{base}_phase"], data
 
     # Ready conjunction per compute node
     for name in order:
@@ -632,9 +652,9 @@ def _top_module(
             low = lows[e.id]
             ebase = edge_rtl[e.id]
             terms.append(
-                RRef(f"{ebase}_ready") if low.kind == "fifo" else RRef(f"{ebase}_valid")
+                leaf[f"{ebase}_ready"] if low.kind == "fifo" else leaf[f"{ebase}_valid"]
             )
-        ready: RExpr = terms[0] if terms else RLit(1, 1)
+        ready: RExpr = terms[0] if terms else leaf[1, 1]
         for t in terms[1:]:
             ready = RBin("&", ready, t)
         top.assigns.append(Assign(f"{base}_ready", ready))
@@ -643,25 +663,25 @@ def _top_module(
                 f"{base}_ctrl",
                 f"u_{base}_ctrl",
                 (
-                    ("clk", RRef("clk")),
-                    ("rst", RRef("rst")),
-                    ("run", RRef("run")),
-                    ("ready", RRef(f"{base}_ready")),
-                    ("firing", RRef(f"{base}_firing")),
-                    ("phase", RRef(f"{base}_phase")),
+                    ("clk", leaf["clk"]),
+                    ("rst", leaf["rst"]),
+                    ("run", leaf["run"]),
+                    ("ready", leaf[f"{base}_ready"]),
+                    ("firing", leaf[f"{base}_firing"]),
+                    ("phase", leaf[f"{base}_phase"]),
                 ),
             )
         )
         conns: list[tuple[str, RExpr]] = [
-            ("clk", RRef("clk")),
-            ("rst", RRef("rst")),
-            ("firing", RRef(f"{base}_firing")),
-            ("phase", RRef(f"{base}_phase")),
+            ("clk", leaf["clk"]),
+            ("rst", leaf["rst"]),
+            ("firing", leaf[f"{base}_firing"]),
+            ("phase", leaf[f"{base}_phase"]),
         ]
         for i, e in enumerate(g.prepared.ins[name]):
-            conns.append((f"in{i}", RRef(f"{edge_rtl[e.id]}_dout")))
+            conns.append((f"in{i}", leaf[f"{edge_rtl[e.id]}_dout"]))
         for k in range(len(node.patterns.outputs)):
-            conns.append((f"out{k}", RRef(f"{base}_out{k}")))
+            conns.append((f"out{k}", leaf[f"{base}_out{k}"]))
         top.instances.append(
             Instance(f"{base}_datapath", f"u_{base}_datapath", tuple(conns))
         )
@@ -674,12 +694,12 @@ def _top_module(
         if low.kind == "sink":
             sbase = node_rtl[e.consumer]
             top.assigns.append(
-                Assign(f"{sbase}_p{e.consumer_port}_data", RRef(p_data))
+                Assign(f"{sbase}_p{e.consumer_port}_data", leaf[p_data])
             )
             top.assigns.append(
                 Assign(
                     f"{sbase}_p{e.consumer_port}_valid",
-                    RBin("&", p_firing, _nz_mux(p_phase, e.pp)),
+                    RBin("&", p_firing, _nz_mux(leaf, p_phase, e.pp)),
                 )
             )
             continue
@@ -690,15 +710,15 @@ def _top_module(
                     f"{ebase}_fifo",
                     f"u_{ebase}_fifo",
                     (
-                        ("clk", RRef("clk")),
-                        ("rst", RRef("rst")),
+                        ("clk", leaf["clk"]),
+                        ("rst", leaf["rst"]),
                         ("wr_en", p_firing),
                         ("wr_phase", p_phase),
-                        ("din", RRef(p_data)),
-                        ("rd_en", RRef(f"{cbase}_firing")),
-                        ("rd_phase", RRef(f"{cbase}_phase")),
-                        ("dout", RRef(f"{ebase}_dout")),
-                        ("occupancy", RRef(f"{ebase}_occ")),
+                        ("din", leaf[p_data]),
+                        ("rd_en", leaf[f"{cbase}_firing"]),
+                        ("rd_phase", leaf[f"{cbase}_phase"]),
+                        ("dout", leaf[f"{ebase}_dout"]),
+                        ("occupancy", leaf[f"{ebase}_occ"]),
                     ),
                 )
             )
@@ -707,10 +727,10 @@ def _top_module(
                     f"{ebase}_fifo_ctrl",
                     f"u_{ebase}_fifo_ctrl",
                     (
-                        ("occupancy", RRef(f"{ebase}_occ")),
+                        ("occupancy", leaf[f"{ebase}_occ"]),
                         ("prod_firing", p_firing),
                         ("prod_phase", p_phase),
-                        ("ready", RRef(f"{ebase}_ready")),
+                        ("ready", leaf[f"{ebase}_ready"]),
                     ),
                 )
             )
@@ -720,13 +740,13 @@ def _top_module(
                     f"{ebase}_pipe",
                     f"u_{ebase}_pipe",
                     (
-                        ("clk", RRef("clk")),
-                        ("rst", RRef("rst")),
+                        ("clk", leaf["clk"]),
+                        ("rst", leaf["rst"]),
                         ("stb", p_firing),
                         ("phase", p_phase),
-                        ("din", RRef(p_data)),
-                        ("dout", RRef(f"{ebase}_dout")),
-                        ("valid", RRef(f"{ebase}_valid")),
+                        ("din", leaf[p_data]),
+                        ("dout", leaf[f"{ebase}_dout"]),
+                        ("valid", leaf[f"{ebase}_valid"]),
                     ),
                 )
             )

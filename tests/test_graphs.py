@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -15,6 +16,7 @@ from patflow import (
     equivalence_check,
     lower_edges,
     lower_hof_node,
+    parse_expr,
     validate_graph,
 )
 from patflow.errors import (
@@ -23,6 +25,7 @@ from patflow.errors import (
     DanglingEdge,
     DocumentError,
     DuplicatePort,
+    ExprSyntaxError,
     InconsistentRates,
     MixedNonZeroValues,
     UnknownEdge,
@@ -135,11 +138,54 @@ class TestBuildGraph:
             build_graph(d)
         assert str(info.value) == message
 
+    def test_equal_bodies_are_parsed_once_per_document(self):
+        doc = generated_doc_with_repeated_body()
+        g1, g2 = build_graph(doc), build_graph(copy.deepcopy(doc))
+        b1, b2 = g1.nodes["b1"].body, g1.nodes["b2"].body
+        assert b1 is b2
+        assert b1 == g2.nodes["b1"].body and b1 is not g2.nodes["b1"].body
+        assert validate_graph(g1) == validate_graph(g2) == []
+        with pytest.raises(FrozenInstanceError):
+            b1.vec = b1
+        assert g1.nodes["b2"].body == g2.nodes["b2"].body
+
+    def test_repeated_syntax_error_raises_at_its_first_node(self):
+        bad = "(map (lambda (x) (add x 1) (input 0))"
+        with pytest.raises(ExprSyntaxError) as direct:
+            parse_expr(bad)
+        doc = generated_doc_with_repeated_body()
+        doc["nodes"][1]["expr"] = doc["nodes"][3]["expr"] = bad
+        # Were the first carrier skipped, this node would fail first.
+        doc["nodes"][2].pop("width")
+        with pytest.raises(ExprSyntaxError) as info:
+            build_graph(doc)
+        assert str(info.value) == str(direct.value)
+
     def test_source_rejects_expr(self):
         d = copy.deepcopy(load("alg1-worked"))
         d["nodes"][0]["expr"] = "(add 1 2)"
         with pytest.raises(DocumentError, match="takes no 'expr'"):
             build_graph(d)
+
+
+def generated_doc_with_repeated_body() -> dict:
+    """Source ``s`` feeding ``b1`` and ``c``, then ``b2``: ``b1`` and ``b2``
+    carry the same body text."""
+    body = "(map (lambda (x) (add x 1)) (input 0))"
+    node = lambda name, expr: {"name": name, "kind": "compute", "width": 8, "expr": expr,
+                               "inputs": [[1]], "outputs": [[1]]}
+    return {
+        "meta": {"name": "repeat", "iterations": 1},
+        "nodes": [
+            {"name": "s", "kind": "source", "width": 8, "outputs": [[1]]},
+            node("b1", body),
+            node("c", "(map (lambda (x) (mul x 2)) (input 0))"),
+            node("b2", body),
+            {"name": "o", "kind": "sink", "width": 8, "inputs": [[1]]},
+        ],
+        "edges": [{"from": "s.0", "to": "b1.0"}, {"from": "b1.0", "to": "c.0"},
+                  {"from": "c.0", "to": "b2.0"}, {"from": "b2.0", "to": "o.0"}],
+    }
 
 
 def fold_seed_doc(seed: str, inputs: list) -> dict:

@@ -160,6 +160,25 @@ class TestOracleEquivalence:
                 == oracle_thresholds(tuple(pp), tuple(cp), registered=True))
 
     @given(
+        pp=st.tuples(st.integers(min_value=1, max_value=4),
+                     st.lists(st.booleans(), min_size=1, max_size=12)),
+        cp=st.tuples(st.integers(min_value=1, max_value=4),
+                     st.lists(st.booleans(), min_size=1, max_size=12)),
+    )
+    @settings(max_examples=300)
+    def test_zero_n_patterns_of_any_lengths_match_oracle(self, pp, cp):
+        # Legal {0, n} patterns whose lengths differ widely, so a table
+        # covers producers that finish long before the consumer and after it.
+        (n, pmask), (m, cmask) = pp, cp
+        pmask[0] = cmask[-1] = True  # never all zero
+        pt = tuple(n if bit else 0 for bit in pmask)
+        ct = tuple(m if bit else 0 for bit in cmask)
+        app, acp = validate_pattern(pt), validate_pattern(ct)
+        assert compute_fifo_thresholds(app, acp).entries == oracle_thresholds(pt, ct)
+        assert (compute_registered_thresholds(app, acp).entries
+                == oracle_thresholds(pt, ct, registered=True))
+
+    @given(
         pp=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),
         cp=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),
     )

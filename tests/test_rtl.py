@@ -665,6 +665,47 @@ class TestSharedBodies:
         ]
 
 
+class TestFusedCheck:
+    """``emit_verilog`` checks the names of the same walk that renders each
+    body, so a lowering bug still stops emission."""
+
+    def test_undeclared_net_stops_emission(self, monkeypatch):
+        import patflow.rtl.lower as rtl_lower
+
+        build_pipe = rtl_lower._pipe_body
+
+        def broken_pipe(body, *args):
+            build_pipe(body, *args)
+            body.assigns.append(Assign("dout", RRef("ghost_q")))
+
+        monkeypatch.setattr(rtl_lower, "_pipe_body", broken_pipe)
+        g = load_graph("dotp-1x20")
+        with pytest.raises(RuntimeError, match=r"^internal error: .*'ghost_q'") as info:
+            emit_verilog(g)
+        problem = "zw_0__fl_0_pipe: reference to undeclared name 'ghost_q'"
+        assert str(info.value).endswith(problem)
+        assert check_design(lower_design(g)) == [problem]
+
+
+class TestNoStateBetweenCalls:
+    def test_emission_repeats_across_designs(self):
+        a = load_graph("dotp-1x20")
+        first = emit_verilog(a)
+        emit_verilog(generated_graph("mismatch", 60, 3))
+        assert emit_verilog(a) == first
+        assert emit_verilog(load_graph("dotp-1x20")) == first
+
+    def test_leaves_are_shared_within_a_design_only(self):
+        a, b = (lower_design(load_graph("dotp-1x20")) for _ in range(2))
+        a_insts = a.modules[a.top].body.instances
+        b_insts = b.modules[b.top].body.instances
+        clocks = {id(dict(inst.conns)["clk"]) for inst in a_insts if inst.conns[0][0] == "clk"}
+        assert len(clocks) == 1
+        for ia, ib in zip(a_insts, b_insts, strict=True):
+            for (_, ea), (_, eb) in zip(ia.conns, ib.conns, strict=True):
+                assert ea == eb and ea is not eb
+
+
 # ---------------------------------------------------------------------------
 # Writing to disk
 # ---------------------------------------------------------------------------
