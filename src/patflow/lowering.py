@@ -23,10 +23,12 @@ two literals folds into a literal, so any constant subexpression, a
 node unrolls the body itself over one word of every input, so a ``let``-
 or lambda-bound value is one instance per lane, as it is one instance in a
 single-phase body.  The RTL renders one wire per instance and the estimator
-counts them, so both see the same hardware.  :func:`compile_datapath`
-turns the same netlists into the code the clocked simulator runs, phase by
-phase, so the equivalence check compares this unrolled form with the
-functional reference, :func:`~patflow.exprs.compile_expr`.
+counts them, so both see the same hardware.  How a fold seeds, bypasses
+its first operator and holds through idle phases is decided once, by the
+RTL's datapath module (:mod:`patflow.rtl.lower`), which the clocked
+simulator compiles and runs, so the equivalence check compares the
+emitted datapath with the functional reference,
+:func:`~patflow.exprs.compile_expr`.
 
 Edges
 -----
@@ -65,7 +67,6 @@ from .exprs import (
     Var,
     ZipWith,
     InputRef,
-    PRIM_CODE,
     apply_prim,
 )
 from .graphs import EdgeSpec, Graph, NodeKind, NodeSpec, root_fold
@@ -82,7 +83,6 @@ __all__ = [
     "Netlist",
     "DatapathPlan",
     "lower_hof_node",
-    "compile_datapath",
     "seed_literal",
     "unroll",
     "EdgeLowering",
@@ -350,58 +350,6 @@ def lower_hof_node(node: NodeSpec) -> DatapathPlan:
     result = unroll(node.body, {}, _input_words(node), rec)
     values = result if len(out_values) > 1 else [result]
     return plan(mode="general", netlists=(rec.take(*values),))
-
-
-def compile_datapath(node: NodeSpec, plan: DatapathPlan):
-    """One phase of ``node``'s datapath as ``phase(ph, x, acc_q) -> (outs, acc)``.
-
-    ``x`` holds, per input port, the words its bus shows in phase ``ph``;
-    ``outs`` the words per output port, and ``acc`` the accumulator after
-    the phase (``acc_q`` itself outside a fold).  Each operator instance of
-    the plan's netlists is one line of generated code, its primitive written
-    out inline (:data:`~patflow.exprs.PRIM_CODE`).  As the RTL's fold
-    datapath does, a fold starts from its seed (or its first token) in its
-    first phase that reads tokens, and holds ``acc_q`` through a phase that
-    reads none.
-    """
-    mask = (1 << node.width) - 1
-    lines = ["def phase(ph, x, acc_q):"]
-
-    def render(n: int, net: Netlist) -> list[list[str]]:
-        def operand(v) -> str:
-            if isinstance(v, Wire):
-                return f"w{n}_{v.index}"
-            return f"x[{v[0]}][{v[1]}]" if isinstance(v, tuple) else str(v)
-
-        lines.extend(
-            f"w{n}_{i} = " + PRIM_CODE[op].format(a=operand(a), b=operand(b), mask=mask)
-            for i, (op, a, b) in enumerate(net.ops)
-        )
-        return [[operand(w) for w in words] for words in net.outs]
-
-    acc, hold, reads = "acc_q", "()", node.patterns.all_patterns[0].phases
-    if plan.mode == "fold":
-        reads, hold = node.patterns.inputs[plan.fold_input].phases, "[[acc_q]]"
-        first = next(ph for ph, v in enumerate(reads) if v)
-        if plan.fold_init is None:
-            ((bypassed,),) = render(0, plan.netlists[0])
-            lines.append(f"stage0 = x[{plan.fold_input}][0] if ph == {first} else {bypassed}")
-        else:
-            lines.append(f"carry = {plan.fold_init} if ph == {first} else acc_q")
-        ((acc,),) = outs = render(len(plan.netlists) - 1, plan.netlists[-1])
-    elif plan.mode == "elementwise":
-        words = [render(n, net)[0][0] for n, net in enumerate(plan.netlists)]
-        outs = [words[k : k + plan.lanes] for k in range(0, len(words), plan.lanes)]
-    else:
-        reads, outs = (1,), render(0, plan.netlists[0])
-    idle = tuple(ph for ph, v in enumerate(reads) if not v)
-    if idle:
-        lines.insert(1, f"if ph in {idle}: return {hold}, acc_q")
-    ports = ", ".join(f"[{', '.join(port)}]" for port in outs)
-    lines.append(f"return [{ports}], {acc}")
-    namespace = {}
-    exec(compile("\n    ".join(lines), f"<datapath {node.name}>", "exec"), namespace)
-    return namespace["phase"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 Scheduling, value simulation, the equivalence check, lowering, estimation
 and RTL emission all need the same facts about a graph: its adjacency,
-topological order, repetition vector, gate tables, datapath plans, the
-datapaths compiled from those plans (what a clocked run evaluates) and the
-node bodies, each compiled into one generated function, with what the
-functional reference reads of each node.  :class:`PreparedGraph` computes each of them once, on first
-use, and keeps it; :attr:`patflow.graphs.Graph.prepared` holds one per
-graph.  Graphs are immutable after :func:`~patflow.graphs.build_graph`,
-which is what makes the cache safe.
+topological order, repetition vector, gate tables, datapath plans, their
+RTL datapath modules compiled (what a clocked run evaluates) and the node
+bodies, each compiled into one generated function, with what the
+functional reference reads of each node.  :class:`PreparedGraph` computes
+each of them once, on first use, and keeps it;
+:attr:`patflow.graphs.Graph.prepared` holds one per graph.  Graphs are
+immutable after :func:`~patflow.graphs.build_graph`, which makes the
+cache safe.
 
 Adjacency is built when the view is; everything else waits for its first
 reader, so building and validating a graph or a counts-only schedule
@@ -35,8 +36,9 @@ from functools import cached_property
 from .errors import CycleDetected
 from .exprs import TupleShape, Vector, compile_expr, infer_shape
 from .graphs import EdgeSpec, Graph, NodeKind, compute_repetition_vector
-from .lowering import DatapathPlan, compile_datapath, edge_gate_table, lower_hof_node
+from .lowering import DatapathPlan, edge_gate_table, lower_hof_node
 from .patterns import FiringThresholds
+from .rtl.lower import compile_datapath
 from .schedule import Machine, StepTables, TokenPlan
 
 __all__ = ["PreparedGraph"]
@@ -139,8 +141,8 @@ class PreparedGraph:
 
     @cached_property
     def datapaths(self) -> dict:
-        """One phase of every compute node's datapath, compiled from its plan
-        (see :func:`~patflow.lowering.compile_datapath`)."""
+        """One phase of every compute node's RTL datapath module, compiled
+        (see :func:`~patflow.rtl.lower.compile_datapath`)."""
         nodes = self.g.nodes
         return {name: compile_datapath(nodes[name], plan) for name, plan in self.plans.items()}
 

@@ -68,7 +68,7 @@ from .ir import (
     SIf,
 )
 
-__all__ = ["lower_design"]
+__all__ = ["lower_design", "compile_datapath"]
 
 _RESERVED = ("clk", "rst", "run")
 
@@ -294,6 +294,45 @@ def _fold_datapath(body: RtlBody, leaf: _Leaves, node: NodeSpec, plan: DatapathP
             )
         )
     )
+
+
+def compile_datapath(node: NodeSpec, plan: DatapathPlan):
+    """``node``'s datapath module, built afresh and not kept, as one phase
+    ``datapath(phase, x, acc_q) -> (outs, acc)``: ``x`` and ``outs`` hold
+    the words on each input and output bus, and ``acc`` is what ``acc_q``
+    loads while firing.  Each assign is one line: ``+ - *`` masked to the
+    node width, word ``k`` of ``in<p>`` as ``x[p][k]``, a concatenation as
+    a word list (least significant first) and a mux as a conditional.
+    """
+    body = RtlBody()
+    _datapath_body(body, _Leaves(), node, plan)
+    width, mask = node.width, (1 << node.width) - 1
+
+    def py(e: RExpr) -> str:
+        if e.__class__ is RRef:
+            return e.name
+        if e.__class__ is RLit:
+            return str(e.value)
+        if e.__class__ is RSlice:
+            return f"x[{e.base[2:]}][{e.lo // width}]"
+        if e.__class__ is RConcat:
+            return f"[{', '.join(map(py, reversed(e.parts)))}]"
+        if e.__class__ is RMux:
+            return f"({py(e.then)} if {py(e.cond)} else {py(e.orelse)})"
+        text = f"({py(e.left)} {e.op} {py(e.right)})"
+        return f"({text} & {mask})" if e.op in ("+", "-", "*") else text
+
+    outs = {p.name for p in body.ports if p.direction == "output"}
+    lines = ["def datapath(phase, x, acc_q):"]
+    lines += [f"{a.target} = {py(a.value)}" for a in body.assigns]
+    ports = [a.target if a.value.__class__ is RConcat else f"[{a.target}]"
+             for a in body.assigns if a.target in outs]
+    # A fold's register: if (rst) ... else if (firing) acc_q <= acc.
+    acc = py(body.always[0].body[0].orelse[0].then[0].value) if body.always else "acc_q"
+    lines.append(f"return [{', '.join(ports)}], {acc}")
+    namespace = {}
+    exec(compile("\n    ".join(lines), f"<datapath {node.name}>", "exec"), namespace)
+    return namespace["datapath"]
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,9 @@ The two evaluate a node in different forms, both derived once per graph
 on its :class:`~patflow.prepared.PreparedGraph`.  The functional side maps
 the node's body, compiled into one generated function
 (:func:`~patflow.exprs.compile_expr`), over all of its firings at once.
-The replay runs the node's datapath phase by phase: the netlists of its
-plan, which the RTL renders and the estimator counts, compiled by
-:func:`~patflow.lowering.compile_datapath`.  Both check the stimulus the
-same way.
+The replay runs, phase by phase, the node's datapath module as the RTL
+emits it, compiled (:func:`~patflow.rtl.lower.compile_datapath`).  Both
+check the stimulus the same way.
 
 :func:`equivalence_check` runs both on random stimulus and compares the
 token streams delivered to each sink input, so it checks the unrolled
@@ -394,15 +393,17 @@ class _ReplayLayout:
     only the work that depends on the stimulus.
 
     * ``computes``: per compute node in topological order, its name, its
-      firing count and phase count, and per input edge the producer port,
-      how each (firing, phase) reads that port's stream, and the zeros
-      padding each read (``None`` when every read was full); per output
-      port, which (firing, phase) steps write it, as their token counts
+      firing count, the phases it evaluates, and per input edge the
+      producer port, how each step, a (firing, phase), reads that port's
+      stream, and the zeros padding each read (``None`` when none is
+      padded); per output port, which steps write it, as their token counts
       (``None`` when all do); the fold's seed (0 without one), and whether
-      the node folds.  A read is the tokens every phase takes when all
-      reads were full and no phase idles, since each then takes the next
-      ones of the stream, and otherwise the slice of the stream each
-      (firing, phase) takes.
+      the node folds.  A node's datapath sees the steps its module would:
+      outside a fold only the phases that move tokens, and in a fold every
+      phase, where one that reads nothing shows a full bus of the stream's
+      next unread words (zeros past its end), as a FIFO's ``dout`` does.
+      A read is the tokens every step takes when each takes the next full
+      bus, and otherwise the slice of the stream each step takes.
     * ``arrivals``: the edges into sinks, each with its producer port.
     * ``stamps``: per producer port that feeds a sink, the cycle ``s + ph``
       of each step that writes it, for the firing started at ``s`` and
@@ -422,22 +423,30 @@ class _ReplayLayout:
             if spec.kind is NodeKind.SOURCE:
                 continue
             firings = len(plan.starts[name])
+            fold = prep.plans[name].mode == "fold"
+            phases = [ph for ph, c in enumerate(spec.patterns.all_patterns[0].phases)
+                      if c or fold]
             ins = []
             for e, counts in zip(prep.ins[name], reads):
                 key = (e.producer, e.producer_port)
-                if counts is None and all(e.cp.phases):
-                    ins.append((key, e.cp.phases[0], None))
+                if counts is None and all(e.cp.phases[ph] for ph in phases):
+                    ins.append((key, e.cp.value, None))
                     continue
-                asked = e.cp.phases * firings
-                ends = list(accumulate(asked if counts is None else counts, initial=0))
-                slices = list(map(slice, ends, ends[1:]))
-                pads = None if counts is None else [[0] * (c - n) for c, n in zip(asked, counts)]
-                ins.append((key, slices, pads))
-            ports = [None if all(p.phases) else p.phases * firings
+                producer = g.nodes[e.producer].patterns.outputs[e.producer_port]
+                end = len(plan.starts[e.producer]) * producer.total
+                slices, pads, at = [], [], 0
+                for f in range(firings):
+                    for ph in phases:
+                        got = e.cp.phases[ph] if counts is None else counts[f * spec.length + ph]
+                        shown = got if e.cp.phases[ph] else min(e.cp.value, end - at)
+                        slices.append(slice(at, at + shown))
+                        pads.append([0] * (e.cp.value - shown))
+                        at += got
+                ins.append((key, slices, pads if any(pads) else None))
+            ports = [None if all(p.phases[ph] for ph in phases) else p.phases * firings
                      for p in spec.patterns.outputs]
-            dp = prep.plans[name]
             self.computes.append(
-                (name, firings, spec.length, ins, ports, dp.fold_init or 0, dp.mode == "fold"))
+                (name, firings, phases, ins, ports, prep.plans[name].fold_init or 0, fold))
         self.arrivals = []
         self.stamps = {}
         for e in g.edges:
@@ -464,13 +473,14 @@ def _replay(
 
     ``streams`` holds the sources' port streams and receives every compute
     port's.  Compute nodes are replayed in topological order, each in three
-    steps.  Gather: every (firing, phase) takes, from the head of each
-    input's stream, as many real tokens as the plan says were waiting in
-    its FIFO, padded with zeros to the phase's count.  Evaluate: the node's
-    compiled datapath (:attr:`~patflow.prepared.PreparedGraph.datapaths`)
-    runs on each phase's words in turn.  Scatter: the words of the phases
-    that write a port make its stream.  Where each read starts and ends
-    comes from the plan's :class:`_ReplayLayout`.
+    steps.  Gather: every step the node evaluates takes, from the head of
+    each input's stream, as many real tokens as the plan says were waiting
+    in its FIFO, padded with zeros to a full bus.  Evaluate: the node's RTL
+    datapath module, compiled
+    (:attr:`~patflow.prepared.PreparedGraph.datapaths`), runs on each
+    step's buses in turn.  Scatter: the words of the steps that write a
+    port make its stream.  Which steps a node evaluates and where each read
+    starts and ends come from the plan's :class:`_ReplayLayout`.
 
     Returns, per compute port that feeds a sink, the words of each step
     that writes it, which its cycle stamps follow, and per fold node its
@@ -482,7 +492,7 @@ def _replay(
     datapaths = g.prepared.datapaths
     steps: dict[tuple[str, int], list] = {}
     fold_trace: dict[str, list[int]] = {}
-    for name, firings, length, ins, ports, seed, fold in layout.computes:
+    for name, firings, phases, ins, ports, seed, fold in layout.computes:
         gathered = []
         for key, cut, pads in ins:
             stream = streams[key]
@@ -492,11 +502,11 @@ def _replay(
                 gathered.append(map(stream.__getitem__, cut))
             else:
                 gathered.append(map(add, map(stream.__getitem__, cut), pads))
-        buses = zip(*gathered) if gathered else repeat((), firings * length)
+        buses = zip(*gathered) if gathered else repeat((), firings * len(phases))
         phase = datapaths[name]
-        if length == 1 or not fold:
+        if not fold:
             # Only a fold carries its accumulator from phase to phase.
-            outs = list(map(itemgetter(0), map(phase, cycle(range(length)), buses, repeat(seed))))
+            outs = list(map(itemgetter(0), map(phase, cycle(phases), buses, repeat(0))))
         else:
             # A fold's accumulator shows its seed (0 without one) until a
             # phase reads tokens.
@@ -504,7 +514,7 @@ def _replay(
             outs = []
             for _ in range(firings):
                 acc = seed
-                for ph in range(length):
+                for ph in phases:
                     words, acc = phase(ph, next(buses), acc)
                     outs.append(words)
                     trace.append(acc)

@@ -26,6 +26,8 @@ from patflow import (
 from patflow.errors import FifoOverflow, PatflowError, ShapeMismatch
 from patflow.fixtures import load_graph, names
 from patflow.graphs import NodeKind
+from patflow.rtl import Assign
+from patflow.rtl import lower as rtl_lower
 
 from conftest import dotp_document, generated_graph, one_node_doc
 
@@ -443,6 +445,88 @@ class TestUnrollMutants:
         g = build_graph(doc)
         assert g.prepared.plans["c"].mode == "elementwise"
         assert equivalence_check(g, 50).mismatches
+
+
+# ---------------------------------------------------------------------------
+# Datapath mutants: the clocked run evaluates the RTL's datapath modules, so a
+# fault in the emitted fold logic shows as a mismatch.
+# ---------------------------------------------------------------------------
+
+
+def no_idle_hold(monkeypatch):
+    """The fold's accumulator no longer holds through a phase that reads
+    nothing: every phase counts as one that reads."""
+    monkeypatch.setattr(rtl_lower, "_nz_mux", lambda leaf, phase, pattern: leaf[1, 1])
+
+
+def no_stage0_bypass(monkeypatch):
+    """An unseeded fold applies its first operator in the first phase too,
+    instead of starting from the first token."""
+    fold = rtl_lower._fold_datapath
+
+    def mutant(body, leaf, *args):
+        fold(body, leaf, *args)
+        body.assigns[:] = [Assign(a.target, a.value.orelse) if a.target == "stage0" else a
+                           for a in body.assigns]
+
+    monkeypatch.setattr(rtl_lower, "_fold_datapath", mutant)
+
+
+FOLD_ADD = {
+    "foldl1": "(foldl1 (lambda (a b) (add a b)) (input 0))",
+    "foldl": "(foldl (lambda (a b) (add a b)) 7 (input 0))",
+}
+
+
+class TestDatapathMutants:
+    # An idle phase shows the stream's next unread words on its bus; [0, 2, 2]
+    # is left out, since its first reading phase re-seeds the fold.
+    @pytest.mark.parametrize("pattern", [[2, 0, 2], [2, 2, 0]])
+    @pytest.mark.parametrize("head", sorted(FOLD_ADD))
+    def test_missing_idle_hold_is_caught(self, monkeypatch, head, pattern):
+        self.check_caught(monkeypatch, no_idle_hold, FOLD_ADD[head], pattern)
+
+    @pytest.mark.parametrize("pattern", [[2, 2], [2, 0, 2], [1, 1, 1]])
+    def test_missing_stage0_bypass_is_caught(self, monkeypatch, pattern):
+        body = "(foldl1 (lambda (a b) (sub a b)) (input 0))"
+        self.check_caught(monkeypatch, no_stage0_bypass, body, pattern)
+
+    @staticmethod
+    def check_caught(monkeypatch, mutate, body, pattern):
+        doc = one_node_doc(body, [pattern], [[0] * (len(pattern) - 1) + [1]])
+        assert equivalence_check(build_graph(doc), 5, iterations=2).ok
+        mutate(monkeypatch)
+        g = build_graph(doc)
+        assert g.prepared.plans["c"].mode == "fold"
+        assert equivalence_check(g, 5, iterations=2).mismatches
+
+
+# ---------------------------------------------------------------------------
+# Which steps the replay evaluates
+# ---------------------------------------------------------------------------
+
+
+class TestReplaySteps:
+    def test_elementwise_node_evaluates_only_steps_that_move_tokens(self):
+        g = build_graph(one_node_doc(MIN_MAP, [[2, 0, 2, 0]], [[2, 0, 2, 0]]))
+        phase, seen = g.prepared.datapaths["c"], []
+
+        def counted(ph, x, acc_q):
+            seen.append(ph)
+            return phase(ph, x, acc_q)
+
+        g.prepared.datapaths["c"] = counted
+        r = simulate_clocked(g, random_stimulus(g, 3, seed=1), iterations=3)
+        assert len(r.firing_starts["c"]) == 3
+        assert seen == [0, 2] * 3
+        assert r.values("o") == eval_combinational(g, random_stimulus(g, 3, seed=1))["o"]
+
+    def test_fold_with_an_idle_phase_keeps_its_trace(self):
+        g = build_graph(one_node_doc(FOLD_ADD["foldl1"], [[2, 0, 2]], [[0, 0, 1]]))
+        r = simulate_clocked(g, {"s0": [[1, 2, 3, 4], [5, 6, 7, 8]]})
+        assert r.fold_trace == {"c": [3, 3, 10, 11, 11, 26]}
+        assert r.values("o") == [10, 26]
+        assert equivalence_check(g, 5, iterations=2).ok
 
 
 # Digest of every report ``_report_digest`` makes, recorded from the
