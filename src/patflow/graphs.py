@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -596,50 +595,58 @@ def validate_graph(g: Graph) -> list[Diagnostic]:
 # Balance analysis
 
 
+def _rate(num: int, den: int) -> str:
+    """A reduced positive fraction as :class:`fractions.Fraction` prints it."""
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
 def compute_repetition_vector(g: Graph) -> dict[str, int]:
     """Minimal positive firing counts balancing every edge.
 
     For each edge, ``r[producer] * total(pp) == r[consumer] * total(cp)``.
-    Rates are propagated as exact fractions and scaled to the smallest
-    positive integers per connected component.
+    Rates are propagated as exact fractions, each a reduced pair of integers
+    ``(numerator, denominator)``, and scaled to the smallest positive
+    integers per connected component.
 
     Raises
     ------
     InconsistentRates
         If two paths force contradictory rates on some node.
     """
-    rates: dict[str, Fraction] = {}
-    adjacency: dict[str, list[tuple[str, Fraction]]] = {n: [] for n in g.nodes}
-    for e in g.edges:
-        ratio = Fraction(e.pp.total, e.cp.total)  # r_cons = r_prod * ratio
-        adjacency[e.producer].append((e.consumer, ratio))
-        adjacency[e.consumer].append((e.producer, 1 / ratio))
+    rates: dict[str, tuple[int, int]] = {}
+    adjacency: dict[str, list[tuple[str, int, int]]] = {n: [] for n in g.nodes}
+    for e in g.edges:  # r_cons = r_prod * total(pp) / total(cp)
+        adjacency[e.producer].append((e.consumer, e.pp.total, e.cp.total))
+        adjacency[e.consumer].append((e.producer, e.cp.total, e.pp.total))
 
+    reps = {}
     for seed in g.nodes:
         if seed in rates:
             continue
-        rates[seed] = Fraction(1)
+        rates[seed] = (1, 1)
         stack = [seed]
         component = [seed]
         while stack:
             cur = stack.pop()
-            for other, ratio in adjacency[cur]:
-                implied = rates[cur] * ratio
-                if other in rates:
-                    if rates[other] != implied:
-                        raise InconsistentRates(
-                            f"node '{other}' needs rate {implied} via '{cur}' "
-                            f"but {rates[other]} via another path"
-                        )
-                else:
+            num, den = rates[cur]
+            for other, times, over in adjacency[cur]:
+                n, d = num * times, den * over
+                k = math.gcd(n, d)
+                implied = (n // k, d // k)
+                if other not in rates:
                     rates[other] = implied
                     component.append(other)
                     stack.append(other)
+                elif rates[other] != implied:
+                    raise InconsistentRates(
+                        f"node '{other}' needs rate {_rate(*implied)} via '{cur}' "
+                        f"but {_rate(*rates[other])} via another path"
+                    )
         # Scale this component to minimal positive integers.
-        scale = math.lcm(*(rates[n].denominator for n in component))
-        ints = [int(rates[n] * scale) for n in component]
+        scale = math.lcm(*(rates[n][1] for n in component))
+        ints = [rates[n][0] * (scale // rates[n][1]) for n in component]
         shrink = math.gcd(*ints)
         for n, v in zip(component, ints):
-            rates[n] = Fraction(v // shrink)
+            reps[n] = v // shrink
 
-    return {n: int(rates[n]) for n in g.nodes}
+    return {n: reps[n] for n in g.nodes}

@@ -19,13 +19,15 @@ no body.  A computation that raises (``CycleDetected``,
 ``Deadlock``) keeps nothing and raises again on the next use.
 
 Two facts depend on a run's configuration as well as on the graph, and are
-kept per configuration: the scheduler's step tables per gate offset, and
-the :class:`~patflow.schedule.TokenPlan` of a clocked run per iteration
-count and gate offset, of which only the ``MAX_TOKEN_PLANS`` most recently
-used are kept.  A plan is fixed by the graph alone, since token values
-never decide a firing, so equivalence trials at one configuration run the
-counts-only machine once.  The replay layout the first clocked run of a
-plan derives from it is kept on the plan itself
+kept per configuration.  The scheduler's step tables, per gate offset, are
+built by the first run at that offset: each non-sink node's gate, arrival
+and consumption tables per input edge, which every run steps the node from,
+whatever its iteration count.  The :class:`~patflow.schedule.TokenPlan` of
+a clocked run is kept per iteration count and gate offset, and only the
+``MAX_TOKEN_PLANS`` most recently used are.  A plan is fixed by the graph
+alone, since token values never decide a firing, so equivalence trials at
+one configuration schedule once.  The replay layout the first clocked run
+of a plan derives from it is kept on the plan itself
 (:attr:`~patflow.schedule.TokenPlan.layout`), and goes when the plan does.
 """
 

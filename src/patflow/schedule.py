@@ -1,12 +1,11 @@
 """Self-timed (ASAP) cycle-accurate scheduling and FIFO sizing.
 
-One machine runs the graph cycle by cycle on token counts alone, visiting
-only the nodes whose outcome can change.  Firing decisions never read
-token values, so the schedule view and the value simulator
-(:mod:`patflow.valuesim`) both run it: the value simulator then replays
-concrete values along its :class:`TokenPlan`, the firings and the real
-tokens of every read that the run recorded, and the two always agree on
-every firing decision.
+One machine runs the graph on token counts alone, node by node.  Firing
+decisions never read token values, so the schedule view and the value
+simulator (:mod:`patflow.valuesim`) both run it: the value simulator then
+replays concrete values along its :class:`TokenPlan`, the firings and the
+real tokens of every read that the run recorded, and the two always agree
+on every firing decision.
 
 Timing semantics
 ----------------
@@ -33,45 +32,57 @@ quantity the thresholds gate on.  It is kept as change points
 (:class:`Occupancy`); :attr:`Schedule.per_edge_occupancy` expands it into
 one sample per cycle when first read.
 
-Events
-------
-A node's visit depends only on its own phase and owed firings, on its
-input FIFOs and on its producers' phases.  So after cycle 0, which visits
-every node, a cycle visits only the nodes that stepped in the cycle before
-(mid-firing, or done with a firing and maybe starting the next), the
-consumers of a FIFO that tokens reached, and the consumers of a producer
-whose phase changed; every other node would stay idle.  A node is sampled
-at its visits, which is whenever its FIFOs can change.  The rules compile
-into :class:`StepTables`, built once per graph and gate offset and kept on
-the graph's :class:`~patflow.prepared.PreparedGraph`; a new machine only
-allocates run-time state.  A run is complete when no node owes a firing or
-is mid-firing; the machine keeps a count of those nodes, so the test costs
-O(1) per cycle.
+Node by node
+------------
+Nothing pushes back on a producer (capacities only raise
+:class:`~patflow.errors.FifoOverflow`), so a node's firings depend on its
+producers' firings alone: self-timed dataflow is a max-plus recurrence.
+The machine therefore settles one non-sink node at a time, in topological
+order, from its producers' finished start lists: its own starts, the
+samples of its input FIFOs and its underflows.  Sources and input-less
+nodes fire back to back.  Any other node steps through its own firings and,
+while it waits, through the cycles in which a producer is mid-firing or
+starts one; between those it jumps to the next.  A producer's tokens up to
+a cycle follow from its start list by one bisection, so a FIFO is kept as
+the tokens its consumer has taken.  The rules compile into
+:class:`StepTables`, built once per graph and gate offset and kept on the
+graph's :class:`~patflow.prepared.PreparedGraph`.
+
+No cycle is then stepped for the whole graph, but the errors are those of
+one: the run completes at the cycle after the last busy one.  A cycle in
+which no node steps leaves the state as it found it, so a run that is not
+complete deadlocks at that cycle, unless the cycle budget ends first.
+Capacities do not change a firing, so each FIFO's earliest excess is read
+off its samples at the end, and the earliest over all FIFOs is raised,
+ties in edge order, if the run got that far.
 
 Periodic steady state
 ---------------------
 Self-timed execution of a consistent graph turns periodic after a short
-transient, so long runs do not step every cycle.  At a cycle boundary the
-machine's state is each node's phase plus each buffered edge's occupancy
-(no tokens are in flight then); the next cycle depends on nothing else
-except which nodes still owe firings.  The machine probes that state each
-time an *anchor*, a node owing the fewest firings, completes a firing, and
-finds the first repeat with one saved state (Brent's cycle detection).  A
-repeat between cycles ``t1`` and ``t2`` is a period ``P = t2 - t1`` in
-which node ``i`` completes ``d_i`` firings.  The window already passed
-every gate, overflow and deadlock check, so it is replayed ``K`` times
-without stepping: the occupancy records one repeat marker and the starts
-shift by multiples of ``P``.  ``K`` stops short of the cycle budget and of
-any node's last owed firing::
+transient, and so does each node.  A start list is periodic with ``d``
+firings per ``P`` cycles from index ``a`` to ``e`` when ``starts[n + d] ==
+starts[n] + P`` for ``a <= n < e - d``; the node's phase in cycle ``t + P``
+then equals that in cycle ``t`` for ``starts[a] <= t < starts[e - d - 1] +
+length``.  A node whose producers all have such a window keys each of its
+firing starts from one cycle after the last window begins (a registered
+producer's tokens arrive a cycle late) on its FIFOs' samples and on the
+cycle modulo the least common multiple of the producers' periods.  Two
+starts ``s1 < s2`` with one key have the same future while the producers
+keep repeating, so the node replays the window ``[s1, s2)`` ``K`` times
+without stepping::
 
-    K = min((limit - t2) // P, min over d_i > 0 of (owed_i - fired_i - 1) // d_i)
+    K = min((hi - s2) // (s2 - s1), (owed - n - 1) // d)
 
-with ``fired_i`` counted at ``t2``; the rest of the run, the drain, is
-stepped as before.  Outputs, errors and their messages are identical to a
-fully stepped run.  The replayed cycles hold no occupancy the stepped ones
-did not, so the FIFO peaks (:attr:`Schedule.fifo_peaks`) come from the
-stepped cycles alone.  A long run therefore costs about its transient, one
-period, its drain and its firings.
+where ``hi`` is the earliest cycle at which a producer's window ends (its
+own end plus its period), ``n`` the firings made before ``s2`` and ``d``
+those in the window; the last owed firing is left to the drain.  The starts
+are extended by slicing, each input FIFO keeps one repeat marker, and the
+node steps on from ``s2 + K (s2 - s1)``, where its state is that at ``s2``.
+Its own window, for its consumers, is the longest run of its starts around
+the replayed one.  A node therefore costs about its local transient, one
+period and its drain, and a long run costs time linear in the node count.
+The replayed cycles hold no sample the stepped ones did not, so the FIFO
+peaks (:attr:`Schedule.fifo_peaks`) come from the stepped cycles alone.
 """
 
 from __future__ import annotations
@@ -79,8 +90,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from io import StringIO
+from itertools import accumulate
+from math import lcm
 
 from .errors import Deadlock, FifoOverflow, HorizonExceeded
 from .graphs import Graph, NodeKind
@@ -132,23 +144,22 @@ class TimingReport:
 # ---------------------------------------------------------------------------
 # The shared machine
 
-# Where an out-edge puts a phase's tokens: a sink receives them at once, a
-# FIFO fed by a source counts them in the same cycle, and a FIFO fed by a
-# compute node counts them from the next cycle, behind the output register.
-_TO_SINK, _SAME_CYCLE, _NEXT_CYCLE = range(3)
-
 
 class StepTables:
     """What a :class:`Machine` runs from, for one graph and one gate offset.
 
     Non-sink nodes are numbered in topological order and buffered edges (the
     edges into non-sink nodes) in document order.  ``rows[i]`` is node
-    ``i``'s last phase, its input edges as ``(edge, producer, gate, cp
-    phases)``, its output edges as ``(pp phases, kind, edge)`` and the
-    consumers its phase changes wake.  Each gate has one entry per producer
-    phase plus the idle entry last, with ``gate_offset`` applied and clamped
-    at 0; a source's same-cycle supply is added to the entry of the phase
-    that supplied it, so no cycle-start snapshot of the FIFOs is taken.
+    ``i``'s length, its input edges as ``(edge, producer, gate, cp phases,
+    arrived, producer length, total)``, the last phase in which it hands a
+    sink tokens (-1 for none) and its input edges' numbers.  ``arrived[q]``
+    counts the tokens of one producer firing that the consumer samples
+    ``q`` cycles after the firing started, for ``q`` below the producer's
+    length.  Each gate has one entry per producer phase plus the idle entry
+    last, with ``gate_offset`` applied and clamped at 0; a source's
+    same-cycle supply is added to the entry of the phase that supplied it,
+    since the sample holds it.  ``registered[edge]`` is whether the edge's
+    producer is a compute node.
 
     Built on first use by :meth:`patflow.prepared.PreparedGraph.step_tables`
     and kept there, so machines on one graph share them.
@@ -163,7 +174,7 @@ class StepTables:
         self.listed = [index[n] for n in nodes if n in index]
         edges = [e for e in g.edges if e.consumer in index]
         self.edge_ids = [e.id for e in edges]
-        self.consumer = [index[e.consumer] for e in edges]
+        self.registered = [nodes[e.producer].kind is not NodeKind.SOURCE for e in edges]
         edge_index = {e.id: j for j, e in enumerate(edges)}
         reps = prep.reps
         self.reps = [reps[n] for n in self.names]
@@ -173,54 +184,50 @@ class StepTables:
         self.rows = []
         for name in self.names:
             spec = nodes[name]
-            ins = []
+            ins, numbers = [], []
             for e in prep.ins[name]:
-                entries = gates[e.id].entries
+                j = edge_index[e.id]
+                pp = e.pp.phases
                 if nodes[e.producer].kind is NodeKind.SOURCE:
-                    supplied = e.pp.phases + (0,)
+                    arrived, supplied = tuple(accumulate(pp)), pp + (0,)
                 else:
-                    supplied = (0,) * len(entries)
-                gate = tuple(max(0, x + gate_offset) + s for x, s in zip(entries, supplied))
-                ins.append((edge_index[e.id], index[e.producer], gate, e.cp.phases))
-            outs = []
+                    arrived, supplied = (0, *accumulate(pp[:-1])), (0,) * (len(pp) + 1)
+                gate = tuple(max(0, x + gate_offset) + s
+                             for x, s in zip(gates[e.id].entries, supplied))
+                ins.append((j, index[e.producer], gate, e.cp.phases, arrived, len(pp), e.pp.total))
+                numbers.append(j)
+            sink = -1
             for port in range(len(spec.patterns.outputs)):
                 for e in prep.outs.get((name, port), ()):
                     if e.id not in edge_index:
-                        outs.append((e.pp.phases, _TO_SINK, -1))
-                    elif spec.kind is NodeKind.SOURCE:
-                        outs.append((e.pp.phases, _SAME_CYCLE, edge_index[e.id]))
-                    else:
-                        outs.append((e.pp.phases, _NEXT_CYCLE, edge_index[e.id]))
-            woken = sorted({self.consumer[j] for _, _, j in outs if j >= 0})
-            self.rows.append((spec.length - 1, tuple(ins), tuple(outs), tuple(woken)))
+                        sink = max(sink, *(ph for ph, c in enumerate(e.pp.phases) if c))
+            self.rows.append((spec.length, tuple(ins), sink, tuple(numbers)))
 
 
 class Occupancy:
     """Each buffered edge's consumer-side sample per cycle, as change points.
 
-    ``points[eid]`` is a pair of lists ``(cycles, values)``: from
-    ``cycles[k]`` on, the edge's consumer samples ``values[k]``, until the
-    next point.  Both lists start with the point ``(0, 0)``; the machine
-    adds one whenever a consumer's visit finds its FIFO changed, so of two
-    points on cycle 0 the second holds.  A skipped steady state is one
-    repeat marker ``skip = (t1, t2, k)``: cycles ``t2`` to ``t2 + k * (t2 -
-    t1)`` repeat the window ``[t1, t2)`` and hold no point.
+    ``points[eid]`` is ``(cycles, values, repeat)``: from ``cycles[k]`` on,
+    the edge's consumer samples ``values[k]``, until the next point.  Both
+    lists start with cycle 0's sample.  ``repeat`` is ``None`` or the window
+    the consumer replayed, ``(t1, t2, k)``: the ``k`` periods of ``t2 -
+    t1`` cycles from ``t2`` on repeat the window ``[t1, t2)`` and hold no
+    point.
     """
 
-    __slots__ = ("points", "horizon", "skip")
+    __slots__ = ("points", "horizon")
 
-    def __init__(self, points: dict[str, tuple[list[int], list[int]]], horizon: int,
-                 skip: tuple[int, int, int] | None):
+    def __init__(self, points: dict[str, tuple[list[int], list[int], tuple | None]],
+                 horizon: int):
         self.points = points
         self.horizon = horizon
-        self.skip = skip
 
     def reader(self, eid: str):
         """The function ``at(t)``: edge ``eid``'s sample in cycle ``t``."""
-        cycles, values = self.points[eid]
-        if self.skip is None:
+        cycles, values, repeat = self.points[eid]
+        if repeat is None:
             return lambda t: values[bisect_right(cycles, t) - 1]
-        t1, t2, k = self.skip
+        t1, t2, k = repeat
         period = t2 - t1
         end = t2 + k * period
 
@@ -233,60 +240,57 @@ class Occupancy:
 
     def expand(self) -> dict[str, list[int]]:
         """Every edge's dense trace, one sample per cycle of the run."""
-        return {eid: self._dense(cycles, values) for eid, (cycles, values) in self.points.items()}
+        return {eid: self._dense(*points) for eid, points in self.points.items()}
 
-    def _dense(self, cycles: list[int], values: list[int]) -> list[int]:
-        horizon = self.horizon
-        skip = self.skip
+    def _dense(self, cycles: list[int], values: list[int], repeat) -> list[int]:
         trace: list[int] = []
         v = 0
 
-        def repeat(t1: int, t2: int, k: int) -> None:
+        def replay(t1: int, t2: int, k: int) -> None:
             trace.extend([v] * (t2 - len(trace)))
             trace.extend(trace[t1:t2] * k)
 
         for c, x in zip(cycles, values):
-            if skip and c >= skip[1]:
-                repeat(*skip)
-                skip = None
+            if repeat and c >= repeat[1]:
+                replay(*repeat)
+                repeat = None
             trace += [v] * (c - len(trace))
             v = x
-        if skip:
-            repeat(*skip)
-        trace += [v] * (horizon - len(trace))
+        if repeat:
+            replay(*repeat)
+        trace += [v] * (self.horizon - len(trace))
         return trace
 
     def peaks(self) -> dict[str, int]:
         """Each edge's largest sample; the replayed cycles repeat earlier ones."""
-        return {eid: max(values) for eid, (_, values) in self.points.items()}
+        return {eid: max(values) for eid, (_, values, _) in self.points.items()}
 
 
-# The earliest repeat shows at the anchor's second completed firing, and a
-# skip must then leave the anchor's last owed firing to the drain.
-_MIN_PROBE_OWED = 4
+def _periodic(starts: list[int], length: int, a: int, e: int, d: int, period: int):
+    """``(lo, hi, period)``: the longest run of ``starts`` around indices
+    ``[a, e)`` that repeats every ``d`` firings and ``period`` cycles, as
+    the cycles ``lo <= t < hi`` in which the node's phase equals its phase
+    ``period`` cycles later; None if the run is shorter than ``d + 1``."""
+    while a and starts[a - 1 + d] == starts[a - 1] + period:
+        a -= 1
+    while e < len(starts) and starts[e] == starts[e - d] + period:
+        e += 1
+    if e - d - 1 < a:
+        return None
+    return starts[a], starts[e - d - 1] + length, period
 
 
 class Machine:
-    """Event-driven, self-timed execution of a graph on token counts.
+    """Self-timed execution of a graph on token counts, node by node.
 
     The machine runs from the graph's :class:`StepTables` and only
-    allocates run-time state: per node its phase, firings and starts, per
-    buffered edge its occupancy and change points.  :meth:`run` advances
-    one cycle at a time but visits only the nodes whose outcome can change
-    (see the module docstring); ``visits`` counts them.  A visit samples the
-    node's input FIFOs and adds a point to :class:`Occupancy` only where a
-    sample differs from the last.  Completion is a count of the nodes that
-    still owe firings, so testing it costs O(1) per cycle, and a cycle in
-    which no node steps is a deadlock.
-
-    :meth:`run` also skips the periodic steady state (see the module
-    docstring).  A probe costs O(1) per firing the anchor completes: the
-    loop compares one edge's occupancy with its value in the saved state,
-    and builds the full O(V+E) state only when they match, or when the
-    probe count reaches a power of two and the state is saved anew.  An
-    anchor owing fewer than ``_MIN_PROBE_OWED`` firings cannot leave room
-    for a skip and is not probed at all.  ``skipped`` counts the cycles
-    replayed rather than stepped.
+    allocates run-time state: per node its starts, per buffered edge the
+    tokens its consumer took, its change points and repeat marker and its
+    underflow flag.  :meth:`run` settles the nodes in topological order (see
+    the module docstring); ``steps`` counts the cycles at which a node was
+    stepped, over all nodes, which is the run's work.  Capacities,
+    completion and the cycle budget are checked once every node has
+    settled.
 
     Token values play no part in any firing decision, so
     :func:`patflow.valuesim.simulate_clocked` derives them afterwards from
@@ -308,234 +312,187 @@ class Machine:
         if iterations < 0:
             raise ValueError("iterations must be >= 0")
         tb = self.tables = g.prepared.step_tables(gate_offset)
-        n = len(tb.names)
         self.owed = [r * iterations for r in tb.reps]
-        self.fired = [0] * n
-        # The phase a node stepped in its latest visit, or -1 if it did not
-        # step; gate tables are indexed with it, so -1 picks the idle entry.
-        # A node that is not visited in a cycle did not step in the one
-        # before, so its -1 still holds.
-        self.cur = [-1] * n
-        self.firings = [[] for _ in range(n)]
+        self.firings = [[] for _ in tb.names]
         self.starts: dict[str, list[int]] = {tb.names[i]: self.firings[i] for i in tb.listed}
-        m = len(tb.edge_ids)
-        self.occ = [0] * m
-        # The occupancy each consumer saw at its latest visit, the last point.
-        self.sampled = [0] * m
-        self.cycles_at = [[0] for _ in range(m)]
-        self.values_at = [[0] for _ in range(m)]
-        self.underflow = [False] * m
         caps = capacities or {}
         self.checked = [
             (j, caps[eid]) for j, eid in enumerate(tb.edge_ids) if caps.get(eid) is not None
         ]
         self.horizon_limit = 4 * iterations * tb.work + 8 if horizon is None else horizon
-
+        m = len(tb.edge_ids)
+        # Per buffered edge: the tokens its consumer took, its sample in the
+        # consumer's current cycle and its last change point, and how many
+        # producer firings started up to that cycle.
+        self.taken, self.sample, self.last, self.seen = [0] * m, [0] * m, [-1] * m, [0] * m
+        self.points = [([], [], None) for _ in range(m)]
+        self.underflow = [False] * m
         self.last_sink_cycle: int | None = None
         self.cycles = 0
-        self.skipped = 0
-        self.visits = 0
+        self.steps = 0
         self.occupancy: Occupancy | None = None
-        self._skip: tuple[int, int, int] | None = None
-        self._saved: tuple | None = None
-
-    # -- stepping ------------------------------------------------------------
+        self._pool: list[int] = []
 
     def run(self) -> "Machine":
         tb = self.tables
-        rows, consumer = tb.rows, tb.consumer
-        cur, fired, owed, firings = self.cur, self.fired, self.owed, self.firings
-        occ, sampled, cycles_at, values_at, underflow = (
-            self.occ, self.sampled, self.cycles_at, self.values_at, self.underflow)
         limit = self.horizon_limit
-        checked = self.checked
-        # Nodes that still owe firings or are mid-firing; the run is complete
-        # when none are left.  Tokens from compute nodes wait in ``pending``
-        # until the end of the cycle, so none are in flight at this test.
-        remaining = sum(1 for x in owed if x)
-        pending: list[tuple[int, int]] = []
-        # ``queued[i] == t``: node i is due for a visit in cycle t.
-        queued = [0] * len(rows)
-        due = list(range(len(rows)))  # a heap; cycle 0 visits every node
-        visits = 0
-        # Probe n comes after the anchor's n-th completed firing.  Among the
-        # nodes owing the fewest firings the anchor is the last in
-        # topological order, which fires at the pace of the graph rather
-        # than at that of its own inputs.
-        anchor = min(reversed(range(len(rows))), key=owed.__getitem__, default=None)
-        if anchor is not None and owed[anchor] < _MIN_PROBE_OWED:
-            anchor = None
-        seen = 0
-        save_at = 1  # Brent: the state is saved anew at powers of two
-        fp = occ or [0]  # ``fp[0]``: one edge's occupancy, compared first
-        fp_saved = None  # its value in the saved state
-        t = 0
-        while remaining:
-            if t >= limit:
-                raise HorizonExceeded(f"no completion within {limit} cycles")
-            stepped: list[int] = []
-            while due:
-                i = heappop(due)
-                visits += 1
-                last, ins, outs, woken = rows[i]
-                was = cur[i]
-                ph = was + 1
-                if not 0 < ph <= last:
-                    # Idle: start a firing if one is owed and every gate is
-                    # open.  Producers come first in topological order, so
-                    # ``cur[p]`` already holds their phase in this cycle.
-                    ph = -1
-                    if fired[i] != owed[i]:
-                        for j, p, gate, _ in ins:
-                            if occ[j] < gate[cur[p]]:
-                                break
-                        else:
-                            ph = 0
-                    if ph < 0:
-                        for j, _, _, _ in ins:
-                            if occ[j] != sampled[j]:
-                                sampled[j] = occ[j]
-                                cycles_at[j].append(t)
-                                values_at[j].append(occ[j])
-                        if was >= 0:
-                            cur[i] = -1
-                            for c in woken:
-                                if queued[c] != t:
-                                    queued[c] = t
-                                    heappush(due, c)
-                        continue
-                    firings[i].append(t)
-                cur[i] = ph
-                stepped.append(i)
-                if ph != was:
-                    for c in woken:
-                        if queued[c] != t:
-                            queued[c] = t
-                            heappush(due, c)
-
-                for j, _, _, cp in ins:
-                    o = occ[j]
-                    if o != sampled[j]:
-                        sampled[j] = o
-                        cycles_at[j].append(t)
-                        values_at[j].append(o)
-                    c = cp[ph]
-                    if c:
-                        if o >= c:
-                            occ[j] = o - c
-                        else:
-                            occ[j] = 0
-                            underflow[j] = True
-
-                for pp, kind, j in outs:
-                    c = pp[ph]
-                    if not c:
-                        continue
-                    if kind == _NEXT_CYCLE:
-                        pending.append((j, c))
-                    elif kind == _SAME_CYCLE:
-                        occ[j] += c
-                        w = consumer[j]
-                        if queued[w] != t:
-                            queued[w] = t
-                            heappush(due, w)
-                    else:
-                        self.last_sink_cycle = t
-
-                if ph >= last:
-                    fired[i] += 1
-                    if fired[i] == owed[i]:
-                        remaining -= 1
-
-            t_next = t + 1
-            for i in stepped:
-                queued[i] = t_next
-            due = stepped.copy()
-            for j, c in pending:
-                occ[j] += c
-                i = consumer[j]
-                if queued[i] != t_next:
-                    queued[i] = t_next
-                    due.append(i)
-            if pending:
-                pending.clear()
-                heapify(due)
-            # The consumer's sample (what ``size_fifos`` sizes) already holds
-            # a source's tokens of this cycle, before the consumer takes its
-            # share; tokens written at the end of the cycle are in ``occ``.
-            for j, cap in checked:
-                held = max(sampled[j], occ[j])
-                if held > cap:
-                    raise FifoOverflow(
-                        f"edge '{tb.edge_ids[j]}' holds {held} tokens, sized for {cap}"
-                    )
-            if not stepped:
-                blocked = [n for n, f, o in zip(tb.names, fired, owed) if f < o]
-                occupancy = dict(zip(tb.edge_ids, occ))
+        windows = []  # per node: its periodic window (see ``_periodic``) or None
+        end = 0  # the cycle after the last one in which a node is busy
+        complete = True
+        for i, (length, ins, sink, _) in enumerate(tb.rows):
+            starts = self.firings[i]
+            if ins:
+                replayed = self._settle(i, windows)
+            else:
+                starts += self._cycles(0, min(self.owed[i] * length, limit), length)
+                replayed = (0, len(starts), 1, length)
+            windows.append(replayed and _periodic(starts, length, *replayed))
+            if starts:
+                end = max(end, starts[-1] + length)
+                if sink >= 0:
+                    self.last_sink_cycle = max(self.last_sink_cycle or 0, starts[-1] + sink)
+            complete = complete and len(starts) == self.owed[i]
+        complete = complete and end <= limit
+        # A run stepped cycle by cycle checks capacities up to its deadlock
+        # or its cycle budget.
+        stop = end if complete else min(end + 1, limit)
+        over = None  # the earliest excess, ties in edge order
+        for j, cap in self.checked:
+            cycles, values, _ = self.points[j]
+            for c, v in zip(cycles, values):
+                if v > cap:
+                    # A registered FIFO holds its cycle-c sample from the
+                    # end of cycle c - 1; a source-fed one never holds more
+                    # than its sample.
+                    if tb.registered[j] and c:
+                        c -= 1
+                    elif tb.registered[j] and cycles[1:2] == [1]:
+                        # Only a negative capacity overflows in cycle 0.
+                        v = max(v, values[1])
+                    if c < stop and (over is None or c < over[0]):
+                        over = (c, tb.edge_ids[j], v, cap)
+                    break
+        if over:
+            _, eid, held, cap = over
+            raise FifoOverflow(f"edge '{eid}' holds {held} tokens, sized for {cap}")
+        if not complete:
+            if end < limit:
+                blocked = [n for n, s, o in zip(tb.names, self.firings, self.owed) if len(s) < o]
+                left = [0] * len(tb.edge_ids)
+                for _, ins, _, _ in tb.rows:
+                    for j, p, *_, total in ins:
+                        left[j] = len(self.firings[p]) * total - self.taken[j]
+                occupancy = dict(zip(tb.edge_ids, left))
                 raise Deadlock(
-                    f"no progress at cycle {t}; waiting nodes {blocked}, occupancy {occupancy}"
+                    f"no progress at cycle {end}; waiting nodes {blocked}, occupancy {occupancy}"
                 )
-            t = t_next
-            if anchor is not None and fired[anchor] != seen:
-                seen = fired[anchor]
-                if seen == save_at or fp[0] == fp_saved:
-                    skip = self._probe(t, seen == save_at)
-                    if skip is not None:
-                        t += skip
-                        anchor = None
-                        for i in due:
-                            queued[i] = t
-                    elif seen == save_at:
-                        save_at *= 2
-                        fp_saved = fp[0]
-        self.visits = visits
-        self.cycles = t
-        self.occupancy = Occupancy(
-            dict(zip(tb.edge_ids, zip(cycles_at, values_at))), t, self._skip)
+            raise HorizonExceeded(f"no completion within {limit} cycles")
+        for cycles, values, _ in self.points:
+            # Tokens written in the last cycle reach the sample after it.
+            if cycles[-1] >= end and len(cycles) > 1:
+                cycles.pop()
+                values.pop()
+        self.cycles = end
+        self.occupancy = Occupancy(dict(zip(tb.edge_ids, self.points)), end)
         return self
 
-    def _probe(self, t: int, save: bool) -> int | None:
-        """Compare the state at cycle ``t`` with the saved one.
+    def _settle(self, i: int, windows: list) -> tuple[int, int, int, int] | None:
+        """Step node ``i`` through its run, from its producers' starts.
 
-        On a repeat, makes the skip and returns the cycles skipped, 0 when
-        no whole window fits; otherwise returns None, after saving the
-        state if ``save``.
+        Returns the window it replayed as ``(first, end, d, period)``: its
+        starts ``[first, end)`` repeat every ``d`` firings and ``period``
+        cycles.  None if it replayed none.
         """
-        key = (tuple(self.cur), tuple(self.occ))
-        saved = self._saved
-        if saved is not None and key == saved[0]:
-            return self._skip_window(saved[1], saved[2], saved[3], t)
-        if save:
-            self._saved = (key, t, self.fired.copy(), [len(s) for s in self.firings])
-        return None
+        length, ins, _, edges = self.tables.rows[i]
+        owed, limit = self.owed[i], self.horizon_limit
+        firings, points, underflow = self.firings, self.points, self.underflow
+        taken, seen, sample, last = self.taken, self.seen, self.sample, self.last
+        starts = firings[i]
+        # Replay needs every producer to have a periodic window.
+        keys: dict | None = {}
+        lo, hi, period = 0, limit, 1
+        for row in ins:
+            window = windows[row[1]]
+            if window is None:
+                keys = None
+                break
+            lo = max(lo, window[0] + 1)
+            hi = min(hi, window[1] + window[2])
+            period = lcm(period, window[2])
+        replayed = None
+        steps = t = n = 0
+        ph = -1  # the node's phase in cycle t, -1 between firings
+        while True:
+            ready = ph < 0 and n < owed
+            after = limit + 1  # the next cycle in which an input can change
+            for j, p, gate, _, arrived, plen, total in ins:
+                src = firings[p]
+                k = seen[j] = bisect_right(src, t, seen[j])
+                if k and (q := t - src[k - 1]) < plen:
+                    sample[j] = o = (k - 1) * total + arrived[q] - taken[j]
+                    after = t + 1
+                else:
+                    sample[j] = o = k * total - taken[j]
+                    q = -1
+                    if k < len(src) and src[k] < after:
+                        after = src[k]
+                if o < gate[q]:
+                    ready = False
+            if ready and t < limit:
+                if keys is not None and lo <= t < hi:
+                    key = (t % period, *map(sample.__getitem__, edges))
+                    hit = keys.get(key)
+                    if hit is None:
+                        keys[key] = (t, n, [*map(taken.__getitem__, edges)])
+                    else:
+                        keys = None
+                        t1, n1, before = hit
+                        span, d = t - t1, n - n1
+                        reps = min((hi - t) // span, (owed - n - 1) // d)
+                        if reps > 0:
+                            starts += [0] * (reps * d)
+                            for w in range(d):
+                                s = starts[n1 + w] + span
+                                starts[n + w::d] = self._cycles(s, s + reps * span, span)
+                            for j, was in zip(edges, before):
+                                taken[j] += reps * (taken[j] - was)
+                                points[j] = (*points[j][:2], (t1, t, reps))
+                            replayed = (n1, n + reps * d, d, span)
+                            t += reps * span
+                            n += reps * d
+                            continue
+                starts.append(t)
+                n += 1
+                ph = 0
+            steps += 1
+            for j, _, _, cp, _, _, _ in ins:
+                o = sample[j]
+                if o != last[j]:
+                    last[j] = o
+                    points[j][0].append(t)
+                    points[j][1].append(o)
+                if ph >= 0 and (c := cp[ph]):
+                    if c > o:
+                        underflow[j] = True
+                        c = o
+                    taken[j] += c
+            if ph >= 0:
+                ph = ph + 1 if ph + 1 < length else -1
+                t += 1
+            elif t >= limit or after > limit:
+                break
+            else:
+                t = after
+        self.steps += steps
+        return replayed
 
-    def _skip_window(self, t1: int, fired: list[int], nstarts: list[int], t2: int) -> int:
-        """Replay the window ``[t1, t2)`` as often as the budget and the
-        owed firings allow; return the number of cycles skipped."""
-        period = t2 - t1
-        k = (self.horizon_limit - t2) // period
-        for now, then, owed in zip(self.fired, fired, self.owed):
-            d = now - then
-            if d:
-                k = min(k, (owed - now - 1) // d)
-        if k < 1:
-            return 0
-        span = k * period
-        # Shifted starts come from one list of cycle numbers, so nodes share
-        # the int objects rather than each allocating its own.
-        cycles = list(range(t2, t2 + span))
-        for i, (starts, n) in enumerate(zip(self.firings, nstarts)):
-            window = starts[n:]
-            shifted = [0] * (k * len(window))
-            for w, s in enumerate(window):
-                shifted[w :: len(window)] = cycles[s - t1 :: period]
-            starts += shifted
-            self.fired[i] += k * (self.fired[i] - fired[i])
-        if self.last_sink_cycle is not None and self.last_sink_cycle >= t1:
-            self.last_sink_cycle += span
-        self.skipped = span
-        self._skip = (t1, t2, k)
-        return span
+    def _cycles(self, start: int, stop: int, step: int) -> list[int]:
+        """``list(range(start, stop, step))``, cut from one list of cycle
+        numbers, so the nodes' starts share their int objects."""
+        pool = self._pool
+        if len(pool) < stop:
+            pool += range(len(pool), stop)
+        return pool[start:stop:step]
 
     # -- exports -------------------------------------------------------------
 
@@ -579,7 +536,7 @@ class TokenPlan:
         self.reads: dict[str, tuple[list[int] | None, ...]] = {}
         for name, starts, (_, ins, _, _) in zip(tb.names, m.firings, tb.rows):
             reads = []
-            for j, _, _, cp in ins:
+            for j, _, _, cp, *_ in ins:
                 # A read comes up short exactly when the machine flags the
                 # edge: both compare ``c`` with the consumer's sample.
                 if m.underflow[j]:

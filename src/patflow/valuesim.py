@@ -5,16 +5,17 @@ Two executions of the same graph:
 * :func:`eval_combinational` ignores time entirely.  Every node fires its
   full repetition count in topological order, consuming and producing whole
   token streams.  This is the functional meaning of the graph.
-* :func:`simulate_clocked` first runs the counts-only machine of
-  :mod:`patflow.schedule`, which fixes every firing exactly as the
-  generated hardware would take it, and then replays concrete values along
-  those firings: node by node, each consumer takes as many real tokens as
-  were waiting in its FIFO, and pads the rest of an underflowing read with
-  zeros.  What the replay needs of the run, the firing starts and the real
-  tokens of every read, is its :class:`~patflow.schedule.TokenPlan`.
+* :func:`simulate_clocked` first runs the scheduler of
+  :mod:`patflow.schedule` on token counts, which fixes every firing under
+  the timing rules the generated hardware implements, and then replays
+  concrete values along those firings: node by node, each consumer takes
+  as many real tokens as were waiting in its FIFO, and pads the rest of an
+  underflowing read with zeros.  What the replay needs of the run, the
+  firing starts and the real tokens of every read, is its
+  :class:`~patflow.schedule.TokenPlan`.
   Token values never decide a firing, so the plan holds for every
   stimulus, and the graph keeps it per iteration count and gate offset:
-  repeated trials at one configuration run the machine once.  The first
+  repeated trials at one configuration schedule once.  The first
   replay of a plan also works out where every read starts and ends, its
   zero padding and each sink token's cycle stamp, and keeps that
   :class:`_ReplayLayout` with the plan, so a later trial does only the
@@ -350,14 +351,14 @@ def simulate_clocked(
     horizon: int | None = None,
     capacities: dict[str, int] | None = None,
 ) -> SimResult:
-    """Cycle-accurate run with concrete token values: the counts-only
-    machine fixes every firing, then the values are replayed along them.
+    """Cycle-accurate run with concrete token values: the scheduler fixes
+    every firing on token counts, then the values are replayed along them.
 
     The run's :class:`~patflow.schedule.TokenPlan` depends only on
     ``iterations`` and ``gate_offset``, so the graph keeps recent plans
     (:meth:`~patflow.prepared.PreparedGraph.token_plan`) and a repeated
-    configuration runs no machine.  A call with ``horizon`` or
-    ``capacities`` runs its own machine and keeps nothing.
+    configuration schedules nothing.  A call with ``horizon`` or
+    ``capacities`` runs its own schedule and keeps nothing.
 
     The stimulus is checked (and firing vectors flattened into port
     streams) unless :func:`equivalence_check` drew it.  The replay

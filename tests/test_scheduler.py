@@ -10,6 +10,7 @@ import pytest
 
 from patflow import (
     NodeKind,
+    Schedule,
     build_graph,
     equivalence_check,
     render_gantt,
@@ -18,13 +19,13 @@ from patflow import (
     size_fifos,
     timing_report,
 )
-from patflow import schedule as schedule_mod
 from patflow.errors import Deadlock, FifoOverflow, HorizonExceeded
 from patflow.fixtures import load_graph, names
 from patflow.schedule import Machine
 from patflow.valuesim import random_stimulus, simulate_clocked
 
 from conftest import generated_graph
+from stepping import step_schedule
 
 
 def replay_occupancy(g, s) -> dict[str, list[int]]:
@@ -269,7 +270,7 @@ class TestRendering:
 
 
 # ---------------------------------------------------------------------------
-# Long runs: the periodic steady state is replayed, not stepped
+# Long runs: each node's periodic steady state is replayed, not stepped
 # ---------------------------------------------------------------------------
 
 # A source supplying 8 tokens in one cycle of four to a map taking 2 per
@@ -306,9 +307,18 @@ def schedule_digest(g, s) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def stepped(monkeypatch):
-    """Turn the steady-state skip off, so runs step every cycle."""
-    monkeypatch.setattr(schedule_mod, "_MIN_PROBE_OWED", float("inf"))
+def oracle_schedule(g, iterations: int) -> Schedule:
+    """The plain stepping scheduler's run, as a :class:`Schedule`."""
+    starts, trace, cycles, last_sink, _, peaks = step_schedule(g, iterations)
+    s = Schedule(g.name, iterations, starts, cycles, None, last_sink, peaks)
+    s.per_edge_occupancy = trace
+    return s
+
+
+def replayed(m) -> list[tuple[int, int, int]]:
+    """The repeat markers of a run's FIFOs, one per FIFO whose consumer
+    replayed a window."""
+    return [repeat for *_, repeat in m.points if repeat]
 
 
 def machine_outcome(g, iterations, **kw):
@@ -323,7 +333,8 @@ def machine_outcome(g, iterations, **kw):
 
 LONG_RUN_ITERATIONS = (1, 2, 7, 100, 1000)
 
-# Recorded with a machine that stepped every cycle.
+# Recorded with a machine that stepped every cycle; the plain stepping
+# scheduler reproduces the first three.
 LONG_RUN_SHA256 = {
     "alg1-worked": (
         "d1b5bfc31ab5a40c", "b20b12750b5c7355", "9566411f88055eb2",
@@ -419,14 +430,24 @@ class TestLongRuns:
                 eid: max(trace) for eid, trace in s.per_edge_occupancy.items()
             }, (name, iterations)
 
+    @pytest.mark.parametrize("name", sorted(LONG_RUN_SHA256))
+    def test_plain_stepping_reproduces_pins(self, name):
+        g = long_run_graph(name)
+        for iterations, pinned in zip(LONG_RUN_ITERATIONS[:3], LONG_RUN_SHA256[name]):
+            assert schedule_digest(g, oracle_schedule(g, iterations)) == pinned, iterations
+
     @pytest.mark.parametrize("name", ["fig2", "dotp-1x20", "chain-25", "mismatch-25"])
     def test_long_runs_skip_most_cycles(self, name):
-        m = Machine(long_run_graph(name), 1000).run()
-        assert m.skipped > 0.9 * m.cycles
+        # A node steps through its transient, one period and its drain, so
+        # ten times the iterations cost no more steps.
+        g = long_run_graph(name)
+        m = Machine(g, 1000).run()
+        assert m.steps < 0.1 * m.cycles
+        assert m.steps == Machine(g, 100).run().steps
 
     def test_short_runs_are_not_probed(self):
         m = Machine(load_graph("fig2"), 1).run()
-        assert m.skipped == 0
+        assert not replayed(m)
 
     def test_design_that_never_repeats_is_stepped(self):
         # The source outpaces its consumer, so the FIFO grows without bound
@@ -442,21 +463,22 @@ class TestLongRuns:
             "edges": [{"from": "s.0", "to": "c.0"}, {"from": "c.0", "to": "o.0"}],
         })
         m = Machine(g, 500).run()
-        assert m.skipped == 0
+        assert not replayed(m)
         assert m.fifo_peaks() == {"s.0->c.0": 250}
         s = simulate_schedule(g, 500)
         assert s.per_edge_occupancy == replay_occupancy(g, s)
 
-    def test_horizon_inside_skipped_span(self, monkeypatch):
+    def test_horizon_inside_skipped_span(self):
         g = load_graph("fig2")                    # 1201 cycles at 200 iterations
         for horizon in (100, 600, 1200):
             m = Machine(g, 200, horizon=horizon)
             with pytest.raises(HorizonExceeded, match=f"^no completion within {horizon} cycles$"):
                 m.run()
-            assert m.skipped > 0
-        stepped(monkeypatch)
-        with pytest.raises(HorizonExceeded, match="within 600 cycles"):
-            Machine(g, 200, horizon=600).run()
+            # The consumer replays up to the budget's last period.
+            [(t1, t2, k)] = replayed(m)
+            assert t2 < horizon <= t2 + (k + 1) * (t2 - t1)
+        assert step_schedule(g, 200, horizon=600) == (
+            "HorizonExceeded", "no completion within 600 cycles")
 
     @pytest.mark.parametrize(
         "name", ["dotp-2261", "transform-stage", "mismatch-10", "folds-10", "burst"]
@@ -465,7 +487,7 @@ class TestLongRuns:
         g = build_graph(BURST_DOC) if name == "burst" else long_run_graph(name)
         peaks = simulate_schedule(g, 200).fifo_peaks
         m = Machine(g, 200, capacities=peaks).run()
-        assert m.skipped > 0
+        assert replayed(m)
         stim = random_stimulus(g, 200, seed=0)
         simulate_clocked(g, stim, capacities=peaks)
         # Every FIFO, source-fed ones included, is checked against the
@@ -477,15 +499,12 @@ class TestLongRuns:
                                                    f"sized for {peak - 1}$"):
                 simulate_clocked(g, stim, capacities={**peaks, eid: peak - 1})
 
-    def test_loosened_gates_underflow_on_long_run(self, monkeypatch):
+    def test_loosened_gates_underflow_on_long_run(self):
         g = load_graph("dotp-1x20")
         m, outcome = machine_outcome(g, 100, gate_offset=-1)
-        assert m.skipped > 0
+        assert replayed(m)
         assert m.underflows() == ["zw.0->fl.0"]
-        stepped(monkeypatch)
-        m_stepped, reference = machine_outcome(g, 100, gate_offset=-1)
-        assert m_stepped.skipped == 0
-        assert outcome == reference
+        assert outcome == step_schedule(g, 100, gate_offset=-1)
 
     def test_folds_with_several_components(self):
         g = long_run_graph("folds-25")
@@ -499,22 +518,25 @@ class TestLongRuns:
         for e in g.edges:
             parent[root(e.producer)] = root(e.consumer)
         assert len({root(n) for n in g.nodes}) > 1
-        assert Machine(g, 1000).run().skipped > 0
+        # Every component settles into its own period and is replayed.
+        m = Machine(g, 1000).run()
+        consumer = {e.id: e.consumer for e in g.edges}
+        replaying = {root(consumer[eid]) for eid, (*_, r) in zip(m.tables.edge_ids, m.points) if r}
+        assert replaying == {root(n) for n in g.nodes if g.nodes[n].kind is NodeKind.COMPUTE}
         s = simulate_schedule(g, 1000)
         assert schedule_digest(g, s) == LONG_RUN_SHA256["folds-25"][-1]
 
     @pytest.mark.parametrize("name", sorted(names()) + [
         "chain-10", "fanout-10", "tuple-10", "folds-10", "mismatch-10"])
-    def test_skip_matches_stepping(self, name, monkeypatch):
+    def test_skip_matches_stepping(self, name):
         g = long_run_graph(name)
         s = simulate_schedule(g, 60)
         cases = [dict(gate_offset=off) for off in (-3, -1, 0, 1)]
         cases += [dict(capacities={**s.fifo_peaks, eid: p - 1})
                   for eid, p in s.fifo_peaks.items() if p]
         cases += [dict(horizon=h) for h in (s.horizon // 2, s.horizon - 1, s.horizon)]
-        fast = [machine_outcome(g, 60, **kw)[1] for kw in cases]
-        stepped(monkeypatch)
-        assert [machine_outcome(g, 60, **kw)[1] for kw in cases] == fast
+        for kw in cases:
+            assert machine_outcome(g, 60, **kw)[1] == step_schedule(g, 60, **kw), kw
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +656,7 @@ class TestDeepRuns:
 
 
 # ---------------------------------------------------------------------------
-# Event-driven stepping
+# Event-driven stepping, node by node
 # ---------------------------------------------------------------------------
 
 # A one-phase source trickling one token per cycle into a map that takes
@@ -659,18 +681,26 @@ class TestEventDriven:
         assert s.per_edge_occupancy == {"s.0->c.0": [1, 2, 3, 1, 2, 3]}
 
     @pytest.mark.parametrize("name", ["chain-400", "mismatch-400"])
-    def test_visits_track_busy_nodes(self, name):
-        # A visit either steps a node (one of its busy cycles) or re-checks
-        # an idle one: every node once in cycle 0, a node once after each
-        # firing, and a consumer once per step of a producer it reads.
+    def test_steps_track_busy_nodes(self, name):
+        # A step either advances a node's firing (one of its busy cycles) or
+        # re-checks an idle one: in cycle 0, after each of its firings, and
+        # after each busy cycle and at each start of a producer it reads.
         g = long_run_graph(name)
         m = Machine(g, 2).run()
         busy = {n: len(s) * g.nodes[n].length for n, s in m.starts.items()}
         rechecks = len(busy) + sum(len(s) for s in m.starts.values()) + sum(
-            busy[e.producer] for e in g.edges if e.consumer in busy)
-        assert m.visits <= sum(busy.values()) + rechecks
+            busy[e.producer] + len(m.starts[e.producer]) for e in g.edges if e.consumer in busy)
+        assert m.steps <= sum(busy.values()) + rechecks
         # Visiting every node in every cycle would be far above that bound.
         assert m.cycles * len(busy) > 10 * (sum(busy.values()) + rechecks)
+
+    @pytest.mark.parametrize("family", ["chain", "mismatch"])
+    def test_steps_grow_linearly_in_node_count(self, family):
+        # Each node settles on its own, so four times the nodes cost about
+        # four times the steps at any iteration count.
+        small = Machine(long_run_graph(f"{family}-100"), 1000).run()
+        large = Machine(long_run_graph(f"{family}-400"), 1000).run()
+        assert large.steps <= 4.6 * small.steps
 
     def test_step_tables_built_once_per_offset(self):
         g = load_graph("dotp-1x20")
@@ -693,7 +723,7 @@ class TestEventDriven:
     def test_reader_matches_expansion_across_a_skip(self):
         g = long_run_graph("mismatch-25")
         m = Machine(g, 100).run()
-        assert m.skipped
+        assert replayed(m)
         for eid, trace in m.occupancy.expand().items():
             at = m.occupancy.reader(eid)
             assert [at(t) for t in range(m.cycles)] == trace, eid
