@@ -25,6 +25,7 @@ the hardware form against.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
@@ -254,26 +255,14 @@ class TupleShape(Shape):
 # Parsing
 
 
+_COMMENT = re.compile(r";[^\n]*")
+_TOKEN = re.compile(r"[()]|[^\s();]+")
+
+
 def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == ";":  # comment to end of line
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    """The parentheses and atoms of ``text``, with ``;`` comments (to the
+    end of the line) dropped; whitespace is what ``str.isspace`` says."""
+    return _TOKEN.findall(_COMMENT.sub("", text))
 
 
 def _read(tokens: list[str], pos: int):

@@ -40,7 +40,7 @@ from .exprs import TupleShape, Vector, compile_expr, infer_shape
 from .graphs import EdgeSpec, Graph, NodeKind, compute_repetition_vector
 from .lowering import DatapathPlan, edge_gate_table, lower_hof_node
 from .patterns import FiringThresholds
-from .rtl.lower import compile_datapath
+from .rtl.lower import compile_datapath, datapath_signature
 from .schedule import Machine, StepTables, TokenPlan
 
 __all__ = ["PreparedGraph"]
@@ -143,10 +143,16 @@ class PreparedGraph:
 
     @cached_property
     def datapaths(self) -> dict:
-        """One phase of every compute node's RTL datapath module, compiled
-        (see :func:`~patflow.rtl.lower.compile_datapath`)."""
-        nodes = self.g.nodes
-        return {name: compile_datapath(nodes[name], plan) for name, plan in self.plans.items()}
+        """Every compute node's RTL datapath module compiled into one loop
+        over a replay's steps (:func:`~patflow.rtl.lower.compile_datapath`),
+        once per :func:`~patflow.rtl.lower.datapath_signature`."""
+        nodes, loops, out = self.g.nodes, {}, {}
+        for name, plan in self.plans.items():
+            key = datapath_signature(nodes[name], plan)
+            if key not in loops:
+                loops[key] = compile_datapath(nodes[name], plan)
+            out[name] = loops[key]
+        return out
 
     def step_tables(self, gate_offset: int) -> StepTables:
         """The scheduler's :class:`~patflow.schedule.StepTables` at

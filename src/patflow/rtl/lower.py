@@ -68,7 +68,7 @@ from .ir import (
     SIf,
 )
 
-__all__ = ["lower_design", "compile_datapath"]
+__all__ = ["lower_design", "datapath_signature", "compile_datapath"]
 
 _RESERVED = ("clk", "rst", "run")
 
@@ -296,17 +296,40 @@ def _fold_datapath(body: RtlBody, leaf: _Leaves, node: NodeSpec, plan: DatapathP
     )
 
 
+def datapath_signature(node: NodeSpec, plan: DatapathPlan) -> tuple:
+    """Every value ``node``'s datapath module is built from: nodes with equal
+    signatures share one body in :func:`lower_design` and one compiled
+    loop (:func:`compile_datapath`) in a graph's replay."""
+    return (
+        "datapath", node.width, node.length,
+        tuple(p.phases for p in node.patterns.inputs),
+        tuple(p.phases for p in node.patterns.outputs),
+        plan.mode, plan.lanes, plan.netlists, plan.fold_init, plan.fold_input,
+    )
+
+
 def compile_datapath(node: NodeSpec, plan: DatapathPlan):
-    """``node``'s datapath module, built afresh and not kept, as one phase
-    ``datapath(phase, x, acc_q) -> (outs, acc)``: ``x`` and ``outs`` hold
-    the words on each input and output bus, and ``acc`` is what ``acc_q``
-    loads while firing.  Each assign is one line: ``+ - *`` masked to the
-    node width, word ``k`` of ``in<p>`` as ``x[p][k]``, a concatenation as
-    a word list (least significant first) and a mux as a conditional.
+    """``node``'s datapath module, built afresh and not kept, compiled into
+    one loop over all the steps of a replay, ``loop(firings, *ins) ->
+    (outs, trace)``: ``ins`` holds an iterator per input port over the
+    words its bus shows in each step, and the loop gives each output
+    port's stream and a fold's ``acc_q`` after every step (else ``None``).
+
+    The steps are decided here and kept as ``loop.phases``.  Outside a fold
+    they are the phases that move tokens, run as one flat loop.  A fold
+    runs every phase of each of ``firings`` firings, starting each from its
+    seed (0 without one), and writes a port only in the phases its pattern
+    moves a token.  Each assign is one line: ``+ - *`` masked to the node
+    width, word ``k`` of ``in<p>`` as the local ``in<p>_<k>``, a mux as a
+    conditional and an output port's assign as its words added to the
+    port's stream.
     """
     body = RtlBody()
     _datapath_body(body, _Leaves(), node, plan)
     width, mask = node.width, (1 << node.width) - 1
+    fold = plan.mode == "fold"
+    phases = tuple(ph for ph, c in enumerate(node.patterns.all_patterns[0].phases)
+                   if c or fold)
 
     def py(e: RExpr) -> str:
         if e.__class__ is RRef:
@@ -314,25 +337,50 @@ def compile_datapath(node: NodeSpec, plan: DatapathPlan):
         if e.__class__ is RLit:
             return str(e.value)
         if e.__class__ is RSlice:
-            return f"x[{e.base[2:]}][{e.lo // width}]"
-        if e.__class__ is RConcat:
-            return f"[{', '.join(map(py, reversed(e.parts)))}]"
+            return f"{e.base}_{e.lo // width}"
         if e.__class__ is RMux:
             return f"({py(e.then)} if {py(e.cond)} else {py(e.orelse)})"
         text = f"({py(e.left)} {e.op} {py(e.right)})"
         return f"({text} & {mask})" if e.op in ("+", "-", "*") else text
 
-    outs = {p.name for p in body.ports if p.direction == "output"}
-    lines = ["def datapath(phase, x, acc_q):"]
-    lines += [f"{a.target} = {py(a.value)}" for a in body.assigns]
-    ports = [a.target if a.value.__class__ is RConcat else f"[{a.target}]"
-             for a in body.assigns if a.target in outs]
-    # A fold's register: if (rst) ... else if (firing) acc_q <= acc.
-    acc = py(body.always[0].body[0].orelse[0].then[0].value) if body.always else "acc_q"
-    lines.append(f"return [{', '.join(ports)}], {acc}")
-    namespace = {}
-    exec(compile("\n    ".join(lines), f"<datapath {node.name}>", "exec"), namespace)
-    return namespace["datapath"]
+    ins = [f"in{i}" for i in range(len(node.patterns.inputs))]
+    buses = [f"({''.join(f'{bus}_{k}, ' for k in range(p.value))})"
+             for bus, p in zip(ins, node.patterns.inputs)]
+    outs = {f"out{k}": tuple(ph for ph in phases if p.phases[ph])
+            for k, p in enumerate(node.patterns.outputs)}
+    lines = []
+    for a in body.assigns:
+        if a.target not in outs:
+            lines.append(f"{a.target} = {py(a.value)}")
+            continue
+        words = [py(w) for w in (reversed(a.value.parts) if a.value.__class__ is RConcat
+                                 else [a.value])]
+        # One word is appended, which is faster than adding a 1-tuple.
+        line = (f"{a.target}.append({words[0]})" if len(words) == 1 else
+                f"{a.target} += ({', '.join(words)})")
+        written = outs[a.target]
+        lines.append(line if written == phases else f"if phase in {written}: {line}")
+    head = [f"def loop(firings, {', '.join(ins)}):", *(f"{out} = []" for out in outs)]
+    if not fold and all(written == phases for written in outs.values()):
+        steps = f"zip({', '.join(ins)})" if len(ins) > 1 else ins[0] if ins else None
+        head.append(f"for {', '.join(buses)} in {steps}:" if steps else
+                    f"for _ in range(firings * {len(phases)}):")
+    else:
+        head += ["trace = []", "for _ in range(firings):"]
+        if fold:
+            head.append(f"    acc_q = {plan.fold_init or 0}")
+            # A fold's register: if (rst) ... else if (firing) acc_q <= acc.
+            acc = body.always[0].body[0].orelse[0].then[0].value
+            lines += [f"acc_q = {py(acc)}", "trace.append(acc_q)"]
+        head.append(f"    for phase, {', '.join(buses)} in zip({', '.join(['PHASES', *ins])}):")
+        lines = ["    " + line for line in lines]
+    tail = f"return ({''.join(out + ', ' for out in outs)}), {'trace' if fold else None}"
+    namespace = {"PHASES": phases}
+    exec(compile("\n    ".join([*head, *("    " + line for line in lines), tail]),
+                 f"<datapath {node.name}>", "exec"), namespace)
+    loop = namespace["loop"]
+    loop.phases = phases
+    return loop
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +616,7 @@ def lower_design(g: Graph, capacities: dict[str, int] | None = None) -> RtlDesig
                      f"firing controller for '{name}' ({length} phase(s))",
                      _ctrl_body, length), "ctrl", name)
         plan = plans[name]
-        signature = (
-            "datapath", node.width, length,
-            tuple(p.phases for p in node.patterns.inputs),
-            tuple(p.phases for p in node.patterns.outputs),
-            plan.mode, plan.lanes, plan.netlists, plan.fold_init, plan.fold_input,
-        )
-        _add(_shared(signature, f"{base}_datapath",
+        _add(_shared(datapath_signature(node, plan), f"{base}_datapath",
                      f"datapath for '{name}' ({plan.mode}, {plan.lanes} lane(s))",
                      _datapath_body, node, plan), "datapath", name)
 

@@ -25,9 +25,10 @@ The two evaluate a node in different forms, both derived once per graph
 on its :class:`~patflow.prepared.PreparedGraph`.  The functional side maps
 the node's body, compiled into one generated function
 (:func:`~patflow.exprs.compile_expr`), over all of its firings at once.
-The replay runs, phase by phase, the node's datapath module as the RTL
-emits it, compiled (:func:`~patflow.rtl.lower.compile_datapath`).  Both
-check the stimulus the same way.
+The replay runs the node's datapath module as the RTL emits it, compiled
+into one loop over all of the node's steps
+(:func:`~patflow.rtl.lower.compile_datapath`).  Both check the stimulus
+the same way.
 
 :func:`equivalence_check` runs both on random stimulus and compares the
 token streams delivered to each sink input, so it checks the unrolled
@@ -48,7 +49,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, cycle, islice, pairwise, repeat
+from itertools import accumulate, chain, islice, pairwise, repeat
 from operator import add, itemgetter
 
 from .errors import ShapeMismatch
@@ -77,23 +78,17 @@ class SimResult:
     ``fold_trace`` each fold's accumulator after every phase.
     """
 
-    def __init__(self, g: Graph, plan: TokenPlan, streams: dict, steps: dict, folds: dict):
+    def __init__(self, g: Graph, plan: TokenPlan, streams: dict, folds: dict):
         self.cycles = plan.cycles
         # Copies, here and below: the plan may be kept and read again.
         self.underflow_edges = plan.underflows.copy()
-        self._g, self._plan, self._streams = g, plan, streams
-        self._steps, self._folds = steps, folds
+        self._g, self._plan, self._streams, self._folds = g, plan, streams, folds
 
     @cached_property
     def edge_arrivals(self) -> dict[str, list[tuple[int, int]]]:
         layout = self._plan.layout
-        # The cycle of each token a port delivers to a sink: a source's
-        # stamps are per token already, a compute node's per step that
-        # writes it.
-        stamps = dict(layout.stamps)
-        for (name, port), words in self._steps.items():
-            stamps[name, port] = [t for t, w in zip(stamps[name, port], words) for _ in w[port]]
-        return {eid: list(zip(stamps[key], self._streams[key])) for eid, key in layout.arrivals}
+        return {eid: list(zip(layout.stamps[key], self._streams[key]))
+                for eid, key in layout.arrivals}
 
     @cached_property
     def arrivals(self) -> dict[str, list[tuple[int, int]]]:
@@ -385,7 +380,7 @@ def simulate_clocked(
         plan = TokenPlan(Machine(
             g, iterations, gate_offset=gate_offset, horizon=horizon, capacities=capacities
         ).run())
-    return SimResult(g, plan, streams, *_replay(g, plan, streams))
+    return SimResult(g, plan, streams, _replay(g, plan, streams))
 
 
 class _ReplayLayout:
@@ -394,23 +389,19 @@ class _ReplayLayout:
     only the work that depends on the stimulus.
 
     * ``computes``: per compute node in topological order, its name, its
-      firing count, the phases it evaluates, and per input edge the
-      producer port, how each step, a (firing, phase), reads that port's
+      firing count and, per input edge, the producer port, how the steps
+      its compiled loop evaluates (``loop.phases`` of every firing, see
+      :func:`~patflow.rtl.lower.compile_datapath`) read that port's
       stream, and the zeros padding each read (``None`` when none is
-      padded); per output port, which steps write it, as their token counts
-      (``None`` when all do); the fold's seed (0 without one), and whether
-      the node folds.  A node's datapath sees the steps its module would:
-      outside a fold only the phases that move tokens, and in a fold every
-      phase, where one that reads nothing shows a full bus of the stream's
-      next unread words (zeros past its end), as a FIFO's ``dout`` does.
-      A read is the tokens every step takes when each takes the next full
-      bus, and otherwise the slice of the stream each step takes.
+      padded).  A read is the tokens every step takes when each takes the
+      next full bus, and otherwise the slice of the stream each step
+      takes.  A fold evaluates every phase, and one that reads nothing
+      shows a full bus of the stream's next unread words (zeros past its
+      end), as a FIFO's ``dout`` does.
     * ``arrivals``: the edges into sinks, each with its producer port.
     * ``stamps``: per producer port that feeds a sink, the cycle ``s + ph``
-      of each step that writes it, for the firing started at ``s`` and
-      phase ``ph``: one entry per token for a source, whose phases write
-      their pattern's count, and one per step for a compute node, whose
-      steps write the words its datapath gives.
+      of each token it writes in phase ``ph`` of the firing started at
+      ``s``.
     * ``folds``: the fold nodes that fired, in the order they first did.
     """
 
@@ -424,9 +415,7 @@ class _ReplayLayout:
             if spec.kind is NodeKind.SOURCE:
                 continue
             firings = len(plan.starts[name])
-            fold = prep.plans[name].mode == "fold"
-            phases = [ph for ph, c in enumerate(spec.patterns.all_patterns[0].phases)
-                      if c or fold]
+            phases = prep.datapaths[name].phases
             ins = []
             for e, counts in zip(prep.ins[name], reads):
                 key = (e.producer, e.producer_port)
@@ -444,10 +433,7 @@ class _ReplayLayout:
                         pads.append([0] * (e.cp.value - shown))
                         at += got
                 ins.append((key, slices, pads if any(pads) else None))
-            ports = [None if all(p.phases[ph] for ph in phases) else p.phases * firings
-                     for p in spec.patterns.outputs]
-            self.computes.append(
-                (name, firings, phases, ins, ports, prep.plans[name].fold_init or 0, fold))
+            self.computes.append((name, firings, ins))
         self.arrivals = []
         self.stamps = {}
         for e in g.edges:
@@ -455,12 +441,9 @@ class _ReplayLayout:
                 continue
             key = (e.producer, e.producer_port)
             self.arrivals.append((e.id, key))
-            producer = g.nodes[e.producer]
-            phases = producer.patterns.outputs[e.producer_port].phases
-            per_token = producer.kind is NodeKind.SOURCE
+            phases = g.nodes[e.producer].patterns.outputs[e.producer_port].phases
             self.stamps[key] = [s + ph for s in plan.starts[e.producer]
-                                for ph, c in enumerate(phases) if c
-                                for _ in range(c if per_token else 1)]
+                                for ph, c in enumerate(phases) for _ in range(c)]
         self.folds = sorted(
             (name for name, dp in prep.plans.items() if dp.mode == "fold" and plan.starts[name]),
             key=lambda name: plan.starts[name][0])
@@ -468,32 +451,26 @@ class _ReplayLayout:
 
 def _replay(
     g: Graph, plan: TokenPlan, streams: dict[tuple[str, int], list[int]]
-) -> tuple[dict[tuple[str, int], list], dict[str, list[int]]]:
+) -> dict[str, list[int] | None]:
     """Concrete values along the firings of a token plan: the value core of
     a clocked simulation, which builds no part of its :class:`SimResult`.
 
     ``streams`` holds the sources' port streams and receives every compute
-    port's.  Compute nodes are replayed in topological order, each in three
-    steps.  Gather: every step the node evaluates takes, from the head of
-    each input's stream, as many real tokens as the plan says were waiting
-    in its FIFO, padded with zeros to a full bus.  Evaluate: the node's RTL
-    datapath module, compiled
-    (:attr:`~patflow.prepared.PreparedGraph.datapaths`), runs on each
-    step's buses in turn.  Scatter: the words of the steps that write a
-    port make its stream.  Which steps a node evaluates and where each read
-    starts and ends come from the plan's :class:`_ReplayLayout`.
-
-    Returns, per compute port that feeds a sink, the words of each step
-    that writes it, which its cycle stamps follow, and per fold node its
-    accumulator after each phase.
+    port's.  Compute nodes are replayed in topological order.  Every step a
+    node evaluates takes, from the head of each input's stream, as many
+    real tokens as the plan says were waiting in its FIFO, padded with
+    zeros to a full bus, as the plan's :class:`_ReplayLayout` cuts them.
+    The node's compiled loop
+    (:attr:`~patflow.prepared.PreparedGraph.datapaths`) runs over all of
+    those buses and gives every output port's stream, and a fold's trace,
+    which this returns per compute node (``None`` if it does not fold).
     """
     layout = plan.layout
     if layout is None:
         layout = plan.layout = _ReplayLayout(g, plan)
     datapaths = g.prepared.datapaths
-    steps: dict[tuple[str, int], list] = {}
-    fold_trace: dict[str, list[int]] = {}
-    for name, firings, phases, ins, ports, seed, fold in layout.computes:
+    fold_trace: dict[str, list[int] | None] = {}
+    for name, firings, ins in layout.computes:
         gathered = []
         for key, cut, pads in ins:
             stream = streams[key]
@@ -503,28 +480,10 @@ def _replay(
                 gathered.append(map(stream.__getitem__, cut))
             else:
                 gathered.append(map(add, map(stream.__getitem__, cut), pads))
-        buses = zip(*gathered) if gathered else repeat((), firings * len(phases))
-        phase = datapaths[name]
-        if not fold:
-            # Only a fold carries its accumulator from phase to phase.
-            outs = list(map(itemgetter(0), map(phase, cycle(phases), buses, repeat(0))))
-        else:
-            # A fold's accumulator shows its seed (0 without one) until a
-            # phase reads tokens.
-            trace = fold_trace[name] = []
-            outs = []
-            for _ in range(firings):
-                acc = seed
-                for ph in phases:
-                    words, acc = phase(ph, next(buses), acc)
-                    outs.append(words)
-                    trace.append(acc)
-        for port, written in enumerate(ports):
-            written_steps = outs if written is None else list(compress(outs, written))
-            streams[name, port] = list(chain.from_iterable(map(itemgetter(port), written_steps)))
-            if (name, port) in layout.stamps:
-                steps[name, port] = written_steps
-    return steps, fold_trace
+        outs, fold_trace[name] = datapaths[name](firings, *gathered)
+        for port, out in enumerate(outs):
+            streams[name, port] = out
+    return fold_trace
 
 
 def equivalence_check(

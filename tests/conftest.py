@@ -143,8 +143,8 @@ def zero_n_patterns(max_len: int, max_n: int) -> list[tuple[int, ...]]:
 
 
 def one_node_doc(expr: str, inputs: list, outputs: list) -> dict:
-    """One source per input port feeding compute node ``c``, whose single
-    output port feeds a sink."""
+    """One source per input port feeding compute node ``c``, whose output
+    ports feed the input ports of one sink."""
     nodes = [
         {"name": f"s{i}", "kind": "source", "width": 8, "outputs": [p]}
         for i, p in enumerate(inputs)
@@ -153,5 +153,5 @@ def one_node_doc(expr: str, inputs: list, outputs: list) -> dict:
                   "inputs": inputs, "outputs": outputs})
     nodes.append({"name": "o", "kind": "sink", "width": 8, "inputs": outputs})
     edges = [{"from": f"s{i}.0", "to": f"c.{i}"} for i in range(len(inputs))]
-    edges.append({"from": "c.0", "to": "o.0"})
+    edges += [{"from": f"c.{k}", "to": f"o.{k}"} for k in range(len(outputs))]
     return {"meta": {"name": "one", "iterations": 1}, "nodes": nodes, "edges": edges}

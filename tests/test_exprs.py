@@ -106,6 +106,60 @@ class TestParsing:
             parse_expr(src)
 
 
+def loop_tokenize(text: str) -> list[str]:
+    """The tokenizer that walked the text one character at a time, kept as
+    the oracle for the one made of regular expressions."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch in "()":
+            tokens.append(ch)
+            i += 1
+        elif ch.isspace():
+            i += 1
+        elif ch == ";":  # comment to end of line
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in "();":
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+# Unicode whitespace (some of it outside ASCII, some ASCII control
+# characters that ``str.isspace`` counts), comment and line marks, and
+# characters that are neither.
+TOKEN_TEXT = st.text(
+    st.sampled_from(list(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u2028\u3000();")
+                    + list("ab1-_x\u00e9\u200b\ufeff"))
+    | st.characters(), max_size=40)
+
+
+class TestTokenizer:
+    @given(text=TOKEN_TEXT)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_tokens_equal_the_character_loop(self, text):
+        assert exprs._tokenize(text) == loop_tokenize(text)
+
+    def test_comment_ends_an_atom(self):
+        text = "(add x;note\n1)\u2003; tail"
+        assert exprs._tokenize(text) == ["(", "add", "x", "1", ")"]
+        assert exprs._tokenize(text) == loop_tokenize(text)
+
+    @pytest.mark.parametrize("src, message", [
+        ("(add 1 ; 2)", "missing closing parenthesis"),
+        ("; (add 1 2)", "empty expression"),
+        ("(add 1 2)\u3000x", "trailing input after expression: 'x'"),
+    ])
+    def test_comments_and_unicode_whitespace_in_errors(self, src, message):
+        with pytest.raises(ExprSyntaxError, match=message):
+            parse_expr(src)
+
+
 # ---------------------------------------------------------------------------
 # Shape inference
 # ---------------------------------------------------------------------------
