@@ -19,8 +19,9 @@ second, else 0.
 
 Expression and shape nodes are immutable ``__slots__`` records with
 structural equality.  :func:`compile_expr` turns a body into one generated
-Python function, the functional reference that value simulation checks
-the hardware form against.
+Python function, and :func:`compile_reference` turns a node's body into one
+generated loop over all of its firings: the functional reference that
+value simulation checks the hardware form against.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "infer_shape",
     "eval_expr",
     "compile_expr",
+    "compile_reference",
     "apply_prim",
     "PRIMS",
     "PRIM_CODE",
@@ -622,6 +624,39 @@ def compile_expr(e: Expr, width: int):
     return namespace["body"]
 
 
+def compile_reference(e: Expr, width: int, lengths: Sequence[int]):
+    """Compile a node's body into one loop over all of its firings,
+    ``f(firings, *streams)``, which returns one stream per output port.
+
+    Each firing takes the next ``lengths[k]`` tokens of ``streams[k]`` as
+    its input port ``k`` while every stream holds them; a node without
+    inputs fires ``firings`` times.  A port's stream is the firings' values
+    end to end, a vector port's element by element.  :func:`infer_shape`
+    runs first and raises on an ill-shaped body, so the loop checks no
+    shape.
+    """
+    infer_shape(e, [Vector(n) for n in lengths])
+    w = _BodyWriter((1 << width) - 1, static=True)
+    w.indent, w.loops = 2, 1  # the body runs inside the firing loop
+    atom, kind = w.value(e, {})
+    outs = atom if kind is _TUP else ((atom, kind),)
+    ins = "".join(f"i{k}, " for k in range(len(lengths)))
+    cuts = ", ".join(f"zip(*[iter(s{k})] * {n})" for k, n in enumerate(lengths))
+    head = [f"def reference(firings, {ins.replace('i', 's')}):"]
+    for port, (atom, kind) in enumerate(outs):
+        if kind is _TUP:
+            raise ShapeMismatch(f"output {port} is a tuple, not a scalar or a vector")
+        head.append(f"    p{port} = []; w{port} = p{port}.{'extend' if kind is _VEC else 'append'}")
+        w.emit(f"w{port}({atom})")
+    head.append(f"    for {ins}in zip({cuts}):" if lengths else "    for _ in range(firings):")
+    ports = "".join(f"p{k}, " for k in range(len(outs)))
+    source = "\n".join(head + w.lines) + f"\n    return {ports}\n"
+    namespace = {"apply_prim": apply_prim, "ShapeMismatch": ShapeMismatch,
+                 "UnsupportedExpr": UnsupportedExpr, **w.consts}
+    exec(compile(source, "<reference>", "exec"), namespace)
+    return namespace["reference"]
+
+
 @lru_cache(maxsize=256)
 def _compiled(e: Expr, width: int):
     """:func:`compile_expr`, kept for the most recently evaluated bodies:
@@ -664,10 +699,16 @@ class _BodyWriter:
     literal, with its static kind.  Only generated names reach the source:
     ``t<n>`` locals, ``k<n>`` constants (user names, error texts, odd
     literals), and the helpers bound in :func:`compile_expr`'s namespace.
+
+    A ``static`` writer writes a body :func:`infer_shape` has checked
+    (:func:`compile_reference`): input port ``k`` is the local ``i<k>``,
+    no check is written, a one-token vector used as a scalar is its word
+    ``x[0]``, and a tuple's atom is the ``(atom, kind)`` of each item.
     """
 
-    def __init__(self, mask: int):
+    def __init__(self, mask: int, static: bool = False):
         self.mask = mask
+        self.static = static
         self.lines: list[str] = []
         self.consts: dict[str, object] = {}
         self.count = 0
@@ -709,6 +750,8 @@ class _BodyWriter:
         atom, kind = self.value(e, scope)
         if kind is _INT:
             return atom
+        if self.static:  # a one-token vector
+            return self.assign(f"{atom}[0]")
         target = atom if self.owned(atom) else self.fresh()
         self.emit(f"{target} = {atom} if {atom}.__class__ is int "
                   f"else _scalar_val({atom}, {self.const(what)})")
@@ -718,7 +761,7 @@ class _BodyWriter:
         """``e``'s value with the vector check of a ``what`` operand, and the
         kind of its elements."""
         atom, kind = self.value(e, scope)
-        if kind is _VEC:
+        if kind is _VEC or self.static:
             return atom, _INT
         target = atom if self.owned(atom) else self.fresh()
         self.emit(f"{target} = {atom} if {atom}.__class__ is tuple "
@@ -728,6 +771,8 @@ class _BodyWriter:
     def value(self, e: Expr, scope: dict) -> tuple[str, str | None]:
         """Emit ``e``; ``scope`` maps bound names to ``(atom, kind)``."""
         if isinstance(e, InputRef):
+            if self.static:
+                return f"i{e.index}", _VEC
             return self.assign(f"inputs[{self.const(e.index)}]"), None
         if isinstance(e, Const):
             return self.const(e.value & self.mask), _INT
@@ -759,10 +804,14 @@ class _BodyWriter:
                 self.named.add(inner[name][0])
             return self.value(e.body, inner)
         if isinstance(e, Tuple):
+            if self.static:
+                return tuple(self.value(item, scope) for item in e.items), _TUP
             items = "".join(f"{self.value(item, scope)[0]}, " for item in e.items)
             return self.assign(f"_TupleVal(({items}))"), _TUP
         if isinstance(e, Proj):
             t, kind = self.value(e.tup, scope)
+            if self.static:
+                return t[e.index]
             if kind is not _TUP:
                 self.emit(f"if {t}.__class__ is not _TupleVal: "
                           f"raise ShapeMismatch({self.const('proj over a non-tuple value')})")
@@ -783,8 +832,9 @@ class _BodyWriter:
         elif isinstance(e, ZipWith):
             a, ka = self.vector(e.left, scope, "zipwith left")
             b, kb = self.vector(e.right, scope, "zipwith right")
-            self.emit(f"if len({a}) != len({b}): raise ShapeMismatch("
-                      f"f\"zipwith length mismatch: {{len({a})}} vs {{len({b})}}\")")
+            if not self.static:
+                self.emit(f"if len({a}) != len({b}): raise ShapeMismatch("
+                          f"f\"zipwith length mismatch: {{len({a})}} vs {{len({b})}}\")")
             y = self.fresh()
             self.emit(f"{out} = []")
             self.emit(f"for {x}, {y} in zip({a}, {b}):")
@@ -797,8 +847,9 @@ class _BodyWriter:
             params = [(out, _INT), (x, kind)]
         else:
             vec, kind = self.vector(e.vec, scope, "fold argument")
-            self.emit(f"if not {vec}: raise ShapeMismatch("
-                      f"{self.const('foldl1 over an empty vector')})")
+            if not self.static:
+                self.emit(f"if not {vec}: raise ShapeMismatch("
+                          f"{self.const('foldl1 over an empty vector')})")
             self.emit(f"{out} = {vec}[0]")
             self.emit(f"for {x} in {vec}[1:]:")
             params = [(out, kind), (x, kind)]
@@ -819,5 +870,6 @@ class _BodyWriter:
         self.loops -= 1
         if folds:
             return out, _INT if isinstance(e, Foldl) else params[0][1]
-        self.emit(f"{out} = tuple({out})")
+        if not self.static:  # a static vector stays a list
+            self.emit(f"{out} = tuple({out})")
         return out, _VEC

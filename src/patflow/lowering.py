@@ -28,7 +28,7 @@ its first operator and holds through idle phases is decided once, by the
 RTL's datapath module (:mod:`patflow.rtl.lower`), which the clocked
 simulator compiles and runs, so the equivalence check compares the
 emitted datapath with the functional reference,
-:func:`~patflow.exprs.compile_expr`.
+:func:`~patflow.exprs.compile_reference`.
 
 Edges
 -----

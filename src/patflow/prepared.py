@@ -4,8 +4,8 @@ Scheduling, value simulation, the equivalence check, lowering, estimation
 and RTL emission all need the same facts about a graph: its adjacency,
 topological order, repetition vector, gate tables, datapath plans, their
 RTL datapath modules compiled (what a clocked run evaluates) and the node
-bodies, each compiled into one generated function, with what the
-functional reference reads of each node.  :class:`PreparedGraph` computes
+bodies, each compiled into one loop over the node's firings (what the
+functional reference evaluates).  :class:`PreparedGraph` computes
 each of them once, on first use, and keeps it;
 :attr:`patflow.graphs.Graph.prepared` holds one per graph.  Graphs are
 immutable after :func:`~patflow.graphs.build_graph`, which makes the
@@ -14,7 +14,7 @@ cache safe.
 Adjacency is built when the view is; everything else waits for its first
 reader, so building and validating a graph or a counts-only schedule
 never plans datapaths or compiles expressions, and a clocked run compiles
-no body.  A computation that raises (``CycleDetected``,
+no reference.  A computation that raises (``CycleDetected``,
 ``InconsistentRates``, ``UnsupportedExpr``, ``ShapeMismatch``,
 ``Deadlock``) keeps nothing and raises again on the next use.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import CycleDetected
-from .exprs import TupleShape, Vector, compile_expr, infer_shape
+from .exprs import compile_reference
 from .graphs import EdgeSpec, Graph, NodeKind, compute_repetition_vector
 from .lowering import DatapathPlan, edge_gate_table, lower_hof_node
 from .patterns import FiringThresholds
@@ -114,31 +114,23 @@ class PreparedGraph:
         return {n.name: lower_hof_node(n) for n in self.g.computes}
 
     @cached_property
-    def bodies(self) -> dict:
-        """Every compute node's body, compiled (see
-        :func:`~patflow.exprs.compile_expr`)."""
-        return {n.name: compile_expr(n.body, n.width) for n in self.g.computes}
-
-    @cached_property
     def reference(self) -> list[tuple]:
-        """What the functional reference reads of every compute node, in
-        topological order: its name, compiled body and repetitions; per
-        input edge the producer port and the tokens one firing takes;
-        whether the body yields a tuple of outputs; and per output whether
-        its static shape (:func:`~patflow.exprs.infer_shape`) is a vector,
-        whose elements the port's stream holds, rather than a scalar."""
-        nodes, out = self.g.nodes, []
+        """What the functional reference runs of every compute node, in
+        topological order: its name, its body compiled into one loop over
+        its firings from the tokens each input edge's firing takes
+        (:func:`~patflow.exprs.compile_reference`), its repetitions and
+        the producer port of each input edge.  Nodes with equal bodies,
+        widths and input lengths share one loop."""
+        nodes, loops, out = self.g.nodes, {}, []
         for name in self.topo:
             spec = nodes[name]
             if spec.kind is not NodeKind.COMPUTE:
                 continue
-            shape = infer_shape(spec.body, spec.input_shapes())
-            tupled = isinstance(shape, TupleShape)
-            out.append((
-                name, self.bodies[name], self.reps[name],
-                [((e.producer, e.producer_port), e.cp.total) for e in self.ins[name]],
-                tupled, [isinstance(s, Vector) for s in (shape.items if tupled else (shape,))],
-            ))
+            key = (spec.body, spec.width, tuple(e.cp.total for e in self.ins[name]))
+            if key not in loops:
+                loops[key] = compile_reference(*key)
+            out.append((name, loops[key], self.reps[name],
+                        [(e.producer, e.producer_port) for e in self.ins[name]]))
         return out
 
     @cached_property

@@ -22,13 +22,12 @@ Two executions of the same graph:
   work that depends on its stimulus.
 
 The two evaluate a node in different forms, both derived once per graph
-on its :class:`~patflow.prepared.PreparedGraph`.  The functional side maps
-the node's body, compiled into one generated function
-(:func:`~patflow.exprs.compile_expr`), over all of its firings at once.
-The replay runs the node's datapath module as the RTL emits it, compiled
-into one loop over all of the node's steps
-(:func:`~patflow.rtl.lower.compile_datapath`).  Both check the stimulus
-the same way.
+on its :class:`~patflow.prepared.PreparedGraph`.  The functional side runs
+the node's body compiled from its static shapes into one loop over all of
+its firings (:func:`~patflow.exprs.compile_reference`).  The replay runs
+the node's datapath module as the RTL emits it, compiled into one loop
+over all of the node's steps (:func:`~patflow.rtl.lower.compile_datapath`).
+Both check the stimulus the same way.
 
 :func:`equivalence_check` runs both on random stimulus and compares the
 token streams delivered to each sink input, so it checks the unrolled
@@ -236,6 +235,11 @@ def _vectors(spec: NodeSpec, tokens: list[int]) -> list[list[int]]:
     return [tokens[k : k + per] for k in range(0, len(tokens), per)]
 
 
+def _stimulus(g: Graph, tokens: dict[str, list[int]]) -> dict[str, list[list[int]]]:
+    """Every source's firing vectors, from its tokens (:func:`_draw`)."""
+    return {name: _vectors(g.nodes[name], t) for name, t in tokens.items()}
+
+
 def random_stimulus(
     g: Graph, iterations: int = 1, seed: int | None = None
 ) -> dict[str, list[list[int]]]:
@@ -247,8 +251,7 @@ def random_stimulus(
     tokens the same way but keeps them as flat port streams, so the
     stimulus of a counterexample is what this returns for its seed.
     """
-    tokens = _draw(g, iterations, seed)
-    return {name: _vectors(g.nodes[name], t) for name, t in tokens.items()}
+    return _stimulus(g, _draw(g, iterations, seed))
 
 
 def _source_ports(g: Graph, tokens: dict[str, list[int]]) -> dict[tuple[str, int], list[int]]:
@@ -281,26 +284,16 @@ def _combinational_streams(
     """Token stream per producer port under the untimed functional
     semantics, from the sources' port streams.
 
-    Node by node, the compiled body is mapped over every firing at once:
-    each input stream is cut into the firings' vectors, and each output
-    stream is the firings' values end to end, flattened where the body's
-    static shape makes the port a vector
-    (:attr:`~patflow.prepared.PreparedGraph.reference`).  Callers only
-    read the streams, which the edges out of one port share.
+    Node by node, in topological order, one call of the node's compiled
+    loop (:attr:`~patflow.prepared.PreparedGraph.reference`) cuts every
+    firing's input vectors from its producers' streams and gives each of
+    its output ports' streams.  Callers only read the streams, which the
+    edges out of one port share.
     """
     ports = dict(sources)
-    for name, body, reps, ins, tupled, vectors in g.prepared.reference:
-        if ins:
-            firings = zip(*[zip(*[iter(ports[key])] * need) for key, need in ins])
-        else:
-            firings = repeat((), reps * iterations)
-        results = list(map(body, firings))
-        if not tupled:
-            ports[name, 0] = list(chain.from_iterable(results)) if vectors[0] else results
-            continue
-        for port, vector in enumerate(vectors):
-            values = map(itemgetter(port), results)
-            ports[name, port] = list(chain.from_iterable(values) if vector else values)
+    for name, loop, reps, keys in g.prepared.reference:
+        for port, stream in enumerate(loop(reps * iterations, *map(ports.__getitem__, keys))):
+            ports[name, port] = stream
     return ports
 
 
@@ -324,17 +317,18 @@ def eval_combinational(
             for sink in g.sinks}
 
 
-class _Drawn(dict):
-    """Firing vectors that :func:`equivalence_check` drew for one trial,
-    with the sources' port streams they make and their iteration count.
-    They are valid by construction, so :func:`simulate_clocked` takes the
-    port streams as they are and checks nothing again."""
+class _Drawn:
+    """The tokens that :func:`equivalence_check` drew for one trial, with
+    the sources' port streams they make and their iteration count.  They
+    are valid by construction, so :func:`simulate_clocked` takes the port
+    streams as they are and checks nothing again.  Only a counterexample
+    cuts the tokens into firing vectors (:func:`_stimulus`)."""
+
+    __slots__ = ("tokens", "iterations", "ports")
 
     def __init__(self, g: Graph, iterations: int, seed: int):
-        tokens = _draw(g, iterations, seed)
-        super().__init__((name, _vectors(g.nodes[name], t)) for name, t in tokens.items())
-        self.iterations = iterations
-        self.ports = _source_ports(g, tokens)
+        self.tokens, self.iterations = _draw(g, iterations, seed), iterations
+        self.ports = _source_ports(g, self.tokens)
 
 
 def simulate_clocked(
@@ -527,7 +521,7 @@ def equivalence_check(
                     report.counterexamples.append(
                         {
                             "edge": eid,
-                            "stimulus": dict(stim),
+                            "stimulus": _stimulus(g, stim.tokens),
                             "expected": expected[key],
                             "clocked": clocked._streams[key],
                             "underflows": clocked.underflow_edges,

@@ -40,6 +40,7 @@ from patflow.exprs import (
     ZipWith,
     apply_prim,
     children,
+    compile_reference,
 )
 
 
@@ -596,6 +597,8 @@ class TestCompiledBodies:
 
         src = f"(map (lambda (x0) {level(1)}) (input 0))"
         assert eval_expr(parse_expr(src), [(3,)], 32) == (3 + 6 * depth,)
+        # The reference nests the body in its loop over firings.
+        assert compile_reference(parse_expr(src), 32, [1])(2, [3, 3]) == ([3 + 6 * depth] * 2,)
 
     @pytest.mark.parametrize("src, inputs, expected", [
         # an inner lambda reads the outer one's parameter
@@ -646,3 +649,53 @@ class TestCompiledBodies:
         f = compile_expr(case, width)
         mask = (1 << width) - 1
         assert f(list(inputs)) == oracle(case, list(inputs), mask)
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: one compiled loop over all of a node's firings
+# ---------------------------------------------------------------------------
+
+def reads_input(e) -> bool:
+    return isinstance(e, InputRef) or any(map(reads_input, children(e)))
+
+
+def constant_bodies():
+    """Random bodies that read no input: scalar arithmetic, ``let`` and
+    ``proj`` over literals, or a tuple of two of them."""
+    scalars = st.recursive(st.builds(Const, st.integers(0, 300)), lambda inner: st.one_of(
+        st.builds(lambda op, a, b: PrimOp(op, (a, b)), st.sampled_from(PRIM_OPS), inner, inner),
+        st.builds(lambda k, a, b: Proj(Tuple((a, b)), k), st.integers(0, 1), inner, inner),
+        st.builds(lambda a, b: Let((("x", a),), PrimOp("sub", (b, Var("x")))), inner, inner),
+    ), max_leaves=6)
+    return st.one_of(scalars, st.builds(lambda a, b: Tuple((a, b)), scalars, scalars))
+
+
+class TestReferenceLoops:
+    @given(case=st.one_of(bodies(), constant_bodies()),
+           width=st.sampled_from([4, 8, 18]),
+           firings=st.integers(0, 4),
+           data=st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_ports_lay_the_oracle_end_to_end(self, case, width, firings, data):
+        # An input-less body runs as a node without inputs, ``firings``
+        # times; every other one over INPUT_LENGTHS, the last of which is
+        # one token that coerces to a scalar.
+        lengths = INPUT_LENGTHS if reads_input(case) else ()
+        streams = [data.draw(st.lists(st.integers(0, 2**width - 1),
+                                      min_size=firings * n, max_size=firings * n))
+                   for n in lengths]
+        shape = infer_shape(case, [Vector(n) for n in lengths])
+        want = [[] for _ in (shape.items if isinstance(shape, TupleShape) else [shape])]
+        mask = (1 << width) - 1
+        for f in range(firings):
+            inputs = [tuple(s[f * n:(f + 1) * n]) for s, n in zip(streams, lengths)]
+            values = _walk(case, inputs, mask, {})  # a list for a multi-output value
+            for port, v in zip(want, values if isinstance(values, list) else [values]):
+                port.extend(v if isinstance(v, tuple) else [v])
+        assert list(compile_reference(case, width, lengths)(firings, *streams)) == want
+
+    def test_a_tuple_inside_an_output_tuple_is_no_port(self):
+        # Validation rejects such a body; an unvalidated graph's reference
+        # raises rather than put tuples into a token stream.
+        with pytest.raises(ShapeMismatch, match="output 0 is a tuple"):
+            compile_reference(parse_expr("(tuple (tuple 1 2) 3)"), 8, [])

@@ -64,12 +64,12 @@ class TestComputedOnce:
         g = load_graph("dotp-1x20")
         simulate_schedule(g, 3)
         assert "lower_hof_node" not in calls
-        assert "bodies" not in vars(g.prepared)
+        assert "reference" not in vars(g.prepared)
         assert "datapaths" not in vars(g.prepared)
-        # A clocked run evaluates the planned datapaths, not the bodies.
+        # A clocked run evaluates the planned datapaths, not the reference.
         g = load_graph("dotp-1x20")
         simulate_clocked(g, random_stimulus(g, 3, seed=0))
-        assert "bodies" not in vars(g.prepared)
+        assert "reference" not in vars(g.prepared)
         assert set(vars(g.prepared)["datapaths"]) == {"zw", "fl"}
 
     def test_lowering_passes_share_gates_and_plans(self, calls):
@@ -115,15 +115,44 @@ class TestComputedOnce:
     def test_trials_compile_and_lay_out_on_first_use(self, name):
         g = build_graph(load(name))
         assert validate_graph(g) == []
-        assert "bodies" not in vars(g.prepared)
+        assert "reference" not in vars(g.prepared)
         assert g.prepared._plans == {}
         equivalence_check(g, 1, iterations=2)
-        assert set(vars(g.prepared)["bodies"]) == {n.name for n in g.computes}
+        assert {name for name, *_ in vars(g.prepared)["reference"]} == {
+            n.name for n in g.computes}
         (plan,) = g.prepared._plans.values()
         layout = plan.layout
         assert layout is not None
         equivalence_check(g, 3, iterations=2)
         assert plan.layout is layout
+
+    @pytest.mark.parametrize("change, shared", [
+        ({"inputs": [[1, 1, 1]], "outputs": [[1, 1, 1]]}, True),  # untimed: equal shapes
+        ({"width": 9}, False),
+        ({"expr": "(map (lambda (x) (add x 2)) (input 0))"}, False),
+        ({"inputs": [[2]], "outputs": [[2]]}, False),
+    ], ids=["patterns", "width", "body", "input-shapes"])
+    def test_reference_loops_are_shared_by_body_width_and_shapes(self, change, shared):
+        # ``b`` differs from ``a`` in the fields ``change`` sets; ``c``
+        # equals ``a``.
+        base = {"kind": "compute", "width": 8, "inputs": [[3]], "outputs": [[3]],
+                "expr": "(map (lambda (x) (add x 1)) (input 0))"}
+        doc = {"meta": {"name": "shared"}, "nodes": [], "edges": []}
+        for name, node in (("a", base), ("b", {**base, **change}), ("c", base)):
+            doc["nodes"] += [
+                {"name": f"{name}s", "kind": "source", "width": node["width"],
+                 "outputs": node["inputs"]},
+                {**node, "name": name},
+                {"name": f"{name}o", "kind": "sink", "width": node["width"],
+                 "inputs": node["outputs"]}]
+            doc["edges"] += [{"from": f"{name}s.0", "to": f"{name}.0"},
+                             {"from": f"{name}.0", "to": f"{name}o.0"}]
+        g = build_graph(doc)
+        assert validate_graph(g) == []
+        loops = {name: loop for name, loop, *_ in g.prepared.reference}
+        assert loops["a"] is loops["c"]
+        assert (loops["b"] is loops["a"]) == shared
+        assert equivalence_check(g, 3, iterations=2).ok
 
     def test_each_graph_has_its_own_view(self):
         a, b = load_graph("fig2"), load_graph("fig2")
