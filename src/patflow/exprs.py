@@ -21,7 +21,9 @@ Expression and shape nodes are immutable ``__slots__`` records with
 structural equality.  :func:`compile_expr` turns a body into one generated
 Python function, and :func:`compile_reference` turns a node's body into one
 generated loop over all of its firings: the functional reference that
-value simulation checks the hardware form against.
+value simulation checks the hardware form against.  The pass that writes
+that loop from the node's input shapes is also the one static shape check:
+:func:`infer_shape` runs it with nothing compiled.
 """
 
 from __future__ import annotations
@@ -437,104 +439,6 @@ def children(e: Expr) -> tuple[Expr, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Shape inference
-
-
-def _as_scalar(shape: Shape, what: str) -> Scalar:
-    # A length-1 vector coerces to a scalar so single-token ports can feed
-    # scalar primitives directly.
-    if isinstance(shape, Scalar):
-        return shape
-    if isinstance(shape, Vector) and shape.length == 1:
-        return Scalar()
-    raise ShapeMismatch(f"{what} must be scalar, got {shape}")
-
-
-def _as_vector(shape: Shape, what: str) -> Vector:
-    if isinstance(shape, Vector):
-        return shape
-    raise ShapeMismatch(f"{what} must be a vector, got {shape}")
-
-
-def infer_shape(
-    e: Expr,
-    input_shapes: Sequence[Shape],
-    env: dict[str, Shape] | None = None,
-) -> Shape:
-    """Infer the static shape of ``e`` given the node's input port shapes.
-
-    Raises
-    ------
-    ShapeMismatch
-        If the expression is not well-shaped (including a bare lambda or an
-        out-of-range input/projection index).
-    """
-    env = env or {}
-    if isinstance(e, InputRef):
-        if not 0 <= e.index < len(input_shapes):
-            raise ShapeMismatch(
-                f"(input {e.index}) out of range for {len(input_shapes)} input ports"
-            )
-        return input_shapes[e.index]
-    if isinstance(e, Const):
-        return Scalar()
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise ShapeMismatch(f"unbound variable '{e.name}'")
-        return env[e.name]
-    if isinstance(e, PrimOp):
-        for k, a in enumerate(e.args):
-            _as_scalar(infer_shape(a, input_shapes, env), f"{e.op} operand {k}")
-        return Scalar()
-    if isinstance(e, Map):
-        v = _as_vector(infer_shape(e.vec, input_shapes, env), "map argument")
-        body_env = dict(env)
-        body_env[e.fn.params[0]] = Scalar()
-        _as_scalar(infer_shape(e.fn.body, input_shapes, body_env), "map lambda body")
-        return v
-    if isinstance(e, ZipWith):
-        a = _as_vector(infer_shape(e.left, input_shapes, env), "zipwith left")
-        b = _as_vector(infer_shape(e.right, input_shapes, env), "zipwith right")
-        if a.length != b.length:
-            raise ShapeMismatch(
-                f"zipwith length mismatch: {a.length} vs {b.length}"
-            )
-        body_env = dict(env)
-        body_env[e.fn.params[0]] = Scalar()
-        body_env[e.fn.params[1]] = Scalar()
-        _as_scalar(infer_shape(e.fn.body, input_shapes, body_env), "zipwith lambda body")
-        return a
-    if isinstance(e, (Foldl, Foldl1)):
-        v = _as_vector(infer_shape(e.vec, input_shapes, env), "fold argument")
-        if isinstance(e, Foldl):
-            _as_scalar(infer_shape(e.init, input_shapes, env), "fold init")
-        elif v.length < 1:
-            raise ShapeMismatch("foldl1 needs a non-empty vector")
-        body_env = dict(env)
-        body_env[e.fn.params[0]] = Scalar()
-        body_env[e.fn.params[1]] = Scalar()
-        _as_scalar(infer_shape(e.fn.body, input_shapes, body_env), "fold lambda body")
-        return Scalar()
-    if isinstance(e, Let):
-        body_env = dict(env)
-        for name, bound in e.bindings:
-            body_env[name] = infer_shape(bound, input_shapes, body_env)
-        return infer_shape(e.body, input_shapes, body_env)
-    if isinstance(e, Tuple):
-        return TupleShape(tuple(infer_shape(i, input_shapes, env) for i in e.items))
-    if isinstance(e, Proj):
-        t = infer_shape(e.tup, input_shapes, env)
-        if not isinstance(t, TupleShape):
-            raise ShapeMismatch(f"proj over non-tuple shape {t}")
-        if not 0 <= e.index < len(t.items):
-            raise ShapeMismatch(f"proj index {e.index} out of range")
-        return t.items[e.index]
-    if isinstance(e, Lambda):
-        raise ShapeMismatch("a lambda is only valid as a higher-order-function argument")
-    raise ShapeMismatch(f"unknown expression {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 #
 # An expression is compiled once into one generated Python function
@@ -624,6 +528,32 @@ def compile_expr(e: Expr, width: int):
     return namespace["body"]
 
 
+def _atom(name: str, shape: Shape):
+    """The static atom of a value of ``shape`` held in ``name``."""
+    if isinstance(shape, TupleShape):
+        return tuple(_atom(f"{name}[{k}]", item) for k, item in enumerate(shape.items))
+    return name
+
+
+def infer_shape(
+    e: Expr,
+    input_shapes: Sequence[Shape],
+    env: dict[str, Shape] | None = None,
+) -> Shape:
+    """The static shape of ``e`` given the node's input port shapes, and
+    free names of the shapes in ``env``: what the static writer behind
+    :func:`compile_reference` finds writing ``e``, with nothing compiled.
+
+    Raises
+    ------
+    ShapeMismatch
+        If the expression is not well-shaped (including a bare lambda or an
+        out-of-range input/projection index).
+    """
+    scope = {name: (_atom("env", shape), shape) for name, shape in (env or {}).items()}
+    return _BodyWriter(0, input_shapes).value(e, scope)[1]
+
+
 def compile_reference(e: Expr, width: int, lengths: Sequence[int]):
     """Compile a node's body into one loop over all of its firings,
     ``f(firings, *streams)``, which returns one stream per output port.
@@ -631,22 +561,23 @@ def compile_reference(e: Expr, width: int, lengths: Sequence[int]):
     Each firing takes the next ``lengths[k]`` tokens of ``streams[k]`` as
     its input port ``k`` while every stream holds them; a node without
     inputs fires ``firings`` times.  A port's stream is the firings' values
-    end to end, a vector port's element by element.  :func:`infer_shape`
-    runs first and raises on an ill-shaped body, so the loop checks no
-    shape.
+    end to end, a vector port's element by element.  The one pass that
+    writes the loop checks the body's shapes as :func:`infer_shape` does,
+    and raises its :class:`ShapeMismatch` on an ill-shaped body, so the
+    loop checks no shape.
     """
-    infer_shape(e, [Vector(n) for n in lengths])
-    w = _BodyWriter((1 << width) - 1, static=True)
+    w = _BodyWriter((1 << width) - 1, [Vector(n) for n in lengths])
     w.indent, w.loops = 2, 1  # the body runs inside the firing loop
-    atom, kind = w.value(e, {})
-    outs = atom if kind is _TUP else ((atom, kind),)
+    atom, shape = w.value(e, {})
+    outs = tuple(zip(atom, shape.items)) if isinstance(shape, TupleShape) else ((atom, shape),)
     ins = "".join(f"i{k}, " for k in range(len(lengths)))
     cuts = ", ".join(f"zip(*[iter(s{k})] * {n})" for k, n in enumerate(lengths))
     head = [f"def reference(firings, {ins.replace('i', 's')}):"]
-    for port, (atom, kind) in enumerate(outs):
-        if kind is _TUP:
+    for port, (atom, shape) in enumerate(outs):
+        if isinstance(shape, TupleShape):
             raise ShapeMismatch(f"output {port} is a tuple, not a scalar or a vector")
-        head.append(f"    p{port} = []; w{port} = p{port}.{'extend' if kind is _VEC else 'append'}")
+        head.append(f"    p{port} = []; w{port} = p{port}."
+                    f"{'extend' if isinstance(shape, Vector) else 'append'}")
         w.emit(f"w{port}({atom})")
     head.append(f"    for {ins}in zip({cuts}):" if lengths else "    for _ in range(firings):")
     ports = "".join(f"p{k}, " for k in range(len(outs)))
@@ -682,9 +613,10 @@ def eval_expr(e: Expr, inputs: Sequence, width: int, env: dict | None = None):
     return _compiled(e, width)(list(inputs), env or _NO_ENV)
 
 
-# What the writer knows of a value statically: an int, a tuple of ints or
-# a _TupleVal; ``None`` when it knows nothing.
-_INT, _VEC, _TUP = "int", "vec", "tup"
+# What a dynamic writer knows of a value: an int, a tuple of ints of some
+# length or a _TupleVal; ``None`` when it knows nothing.  A static writer
+# knows each value's exact Shape.
+_INT, _VEC, _TUP = Scalar(), Vector(None), TupleShape()
 
 # Loops nested in one generated function before the next one moves into a
 # nested function: CPython allows 20 statically nested blocks per function.
@@ -696,19 +628,24 @@ class _BodyWriter:
 
     :meth:`value` emits the statements that compute an expression and
     returns an atom naming the result, a local or a parenthesized int
-    literal, with its static kind.  Only generated names reach the source:
+    literal, with its kind.  Only generated names reach the source:
     ``t<n>`` locals, ``k<n>`` constants (user names, error texts, odd
     literals), and the helpers bound in :func:`compile_expr`'s namespace.
 
-    A ``static`` writer writes a body :func:`infer_shape` has checked
-    (:func:`compile_reference`): input port ``k`` is the local ``i<k>``,
-    no check is written, a one-token vector used as a scalar is its word
-    ``x[0]``, and a tuple's atom is the ``(atom, kind)`` of each item.
+    A writer given the input port ``shapes`` is static: it is the one
+    shape checker (:func:`infer_shape`) and writes the body of
+    :func:`compile_reference`'s loop.  Input port ``k`` is the local
+    ``i<k>`` and a kind is the value's :class:`Shape`.  Each shape check is
+    decided as the body is written, raising :class:`ShapeMismatch` there
+    and then, so none reaches the code; a one-token vector used as a scalar
+    is its word ``x[0]``, and a tuple's atom is the tuple of its items'
+    atoms.
     """
 
-    def __init__(self, mask: int, static: bool = False):
+    def __init__(self, mask: int, shapes: Sequence[Shape] | None = None):
         self.mask = mask
-        self.static = static
+        self.static = shapes is not None
+        self.shapes = shapes
         self.lines: list[str] = []
         self.consts: dict[str, object] = {}
         self.count = 0
@@ -741,44 +678,56 @@ class _BodyWriter:
         shape check may then coerce in place."""
         return atom[0] == "t" and atom not in self.named
 
-    def fail(self, exc: str, message: str) -> tuple[str, None]:
-        self.emit(f"raise {exc}({self.const(message)})")
+    def fail(self, exc: type, message: str) -> tuple[str, None]:
+        """Raise ``exc(message)``: a static writer now, else the code."""
+        if self.static:
+            raise exc(message)
+        self.emit(f"raise {exc.__name__}({self.const(message)})")
         return "None", None
 
     def scalar(self, e: Expr, scope: dict, what: str) -> str:
         """``e``'s value with the scalar check of a ``what`` operand."""
         atom, kind = self.value(e, scope)
-        if kind is _INT:
+        if isinstance(kind, Scalar):
             return atom
-        if self.static:  # a one-token vector
-            return self.assign(f"{atom}[0]")
+        if self.static:
+            if not (isinstance(kind, Vector) and kind.length == 1):
+                raise ShapeMismatch(f"{what} must be scalar, got {kind}")
+            return self.assign(f"{atom}[0]")  # a one-token vector
         target = atom if self.owned(atom) else self.fresh()
         self.emit(f"{target} = {atom} if {atom}.__class__ is int "
                   f"else _scalar_val({atom}, {self.const(what)})")
         return target
 
-    def vector(self, e: Expr, scope: dict, what: str) -> tuple[str, str | None]:
-        """``e``'s value with the vector check of a ``what`` operand, and the
-        kind of its elements."""
+    def vector(self, e: Expr, scope: dict, what: str) -> tuple[str, Vector | None]:
+        """``e``'s value with the vector check of a ``what`` operand, and
+        its kind: a :class:`Vector` when its elements are known ints."""
         atom, kind = self.value(e, scope)
-        if kind is _VEC or self.static:
-            return atom, _INT
+        if isinstance(kind, Vector):
+            return atom, kind
+        if self.static:
+            raise ShapeMismatch(f"{what} must be a vector, got {kind}")
         target = atom if self.owned(atom) else self.fresh()
         self.emit(f"{target} = {atom} if {atom}.__class__ is tuple "
                   f"else _vector_val({atom}, {self.const(what)})")
         return target, None
 
-    def value(self, e: Expr, scope: dict) -> tuple[str, str | None]:
+    def value(self, e: Expr, scope: dict) -> tuple:
         """Emit ``e``; ``scope`` maps bound names to ``(atom, kind)``."""
         if isinstance(e, InputRef):
-            if self.static:
-                return f"i{e.index}", _VEC
-            return self.assign(f"inputs[{self.const(e.index)}]"), None
+            if not self.static:
+                return self.assign(f"inputs[{self.const(e.index)}]"), None
+            if not 0 <= e.index < len(self.shapes):
+                raise ShapeMismatch(
+                    f"(input {e.index}) out of range for {len(self.shapes)} input ports")
+            return _atom(f"i{e.index}", self.shapes[e.index]), self.shapes[e.index]
         if isinstance(e, Const):
             return self.const(e.value & self.mask), _INT
         if isinstance(e, Var):
             if e.name in scope:
                 return scope[e.name]
+            if self.static:
+                raise ShapeMismatch(f"unbound variable '{e.name}'")
             return self.assign(f"env[{self.const(e.name)}]"), None
         if isinstance(e, PrimOp):
             a = self.scalar(e.args[0], scope, f"{e.op} operand 0")
@@ -804,72 +753,90 @@ class _BodyWriter:
                 self.named.add(inner[name][0])
             return self.value(e.body, inner)
         if isinstance(e, Tuple):
+            items = [self.value(item, scope) for item in e.items]
             if self.static:
-                return tuple(self.value(item, scope) for item in e.items), _TUP
-            items = "".join(f"{self.value(item, scope)[0]}, " for item in e.items)
-            return self.assign(f"_TupleVal(({items}))"), _TUP
+                return tuple(a for a, _ in items), TupleShape(tuple(k for _, k in items))
+            atoms = "".join(f"{a}, " for a, _ in items)
+            return self.assign(f"_TupleVal(({atoms}))"), _TUP
         if isinstance(e, Proj):
             t, kind = self.value(e.tup, scope)
             if self.static:
-                return t[e.index]
+                if not isinstance(kind, TupleShape):
+                    raise ShapeMismatch(f"proj over non-tuple shape {kind}")
+                if not 0 <= e.index < len(kind.items):
+                    raise ShapeMismatch(f"proj index {e.index} out of range")
+                return t[e.index], kind.items[e.index]
             if kind is not _TUP:
                 self.emit(f"if {t}.__class__ is not _TupleVal: "
                           f"raise ShapeMismatch({self.const('proj over a non-tuple value')})")
             return self.assign(f"{t}.items[{self.const(e.index)}]"), None
         if isinstance(e, Lambda):
-            return self.fail("ShapeMismatch",
+            return self.fail(ShapeMismatch,
                              "a lambda is only valid as a higher-order-function argument")
-        return self.fail("UnsupportedExpr", f"cannot evaluate {type(e).__name__}")
+        if self.static:
+            raise ShapeMismatch(f"unknown expression {type(e).__name__}")
+        return self.fail(UnsupportedExpr, f"cannot evaluate {type(e).__name__}")
 
-    def hof(self, e: Expr, scope: dict) -> tuple[str, str | None]:
+    def hof(self, e: Expr, scope: dict) -> tuple[str, Shape | None]:
         """A higher-order function as one loop over its vector(s)."""
         out, x = self.fresh(), self.fresh()
         if isinstance(e, Map):
             vec, kind = self.vector(e.vec, scope, "map argument")
             self.emit(f"{out} = []")
             self.emit(f"for {x} in {vec}:")
-            params = [(x, kind)]
+            params, form = [(x, kind)], "map"
         elif isinstance(e, ZipWith):
-            a, ka = self.vector(e.left, scope, "zipwith left")
+            a, kind = self.vector(e.left, scope, "zipwith left")
             b, kb = self.vector(e.right, scope, "zipwith right")
             if not self.static:
                 self.emit(f"if len({a}) != len({b}): raise ShapeMismatch("
                           f"f\"zipwith length mismatch: {{len({a})}} vs {{len({b})}}\")")
+            elif kind.length != kb.length:
+                raise ShapeMismatch(f"zipwith length mismatch: {kind.length} vs {kb.length}")
             y = self.fresh()
             self.emit(f"{out} = []")
             self.emit(f"for {x}, {y} in zip({a}, {b}):")
-            params = [(x, ka), (y, kb)]
+            params, form = [(x, kind), (y, kb)], "zipwith"
         elif isinstance(e, Foldl):
-            init = self.scalar(e.init, scope, "fold init")
-            vec, kind = self.vector(e.vec, scope, "fold argument")
+            if self.static:  # the argument is checked before the init
+                vec, kind = self.vector(e.vec, scope, "fold argument")
+                init = self.scalar(e.init, scope, "fold init")
+            else:  # and evaluated after it
+                init = self.scalar(e.init, scope, "fold init")
+                vec, kind = self.vector(e.vec, scope, "fold argument")
             self.emit(f"{out} = {init}")
             self.emit(f"for {x} in {vec}:")
-            params = [(out, _INT), (x, kind)]
+            params, form = [(out, _INT), (x, kind)], "fold"
         else:
             vec, kind = self.vector(e.vec, scope, "fold argument")
             if not self.static:
                 self.emit(f"if not {vec}: raise ShapeMismatch("
                           f"{self.const('foldl1 over an empty vector')})")
+            elif kind.length < 1:
+                raise ShapeMismatch("foldl1 needs a non-empty vector")
             self.emit(f"{out} = {vec}[0]")
             self.emit(f"for {x} in {vec}[1:]:")
-            params = [(out, kind), (x, kind)]
+            params, form = [(out, kind), (x, kind)], "fold"
         self.indent += 1
         self.loops += 1
-        # The lambda's parameters, each checked scalar as it is bound.
+        # The lambda's parameters, each checked scalar as it is bound unless
+        # it is known to be an int.
         inner = dict(scope)
         for name, (atom, kind) in zip(e.fn.params, params):
-            if kind is not _INT:
+            if kind is None:
                 what = self.const(f"lambda argument '{name}'")
                 self.emit(f"if {atom}.__class__ is not int: {atom} = _scalar_val({atom}, {what})")
             inner[name] = (atom, _INT)
             self.named.add(atom)
-        result = self.scalar(e.fn.body, inner, "lambda body")
-        folds = isinstance(e, (Foldl, Foldl1))
+        what = f"{form} lambda body" if self.static else "lambda body"
+        result = self.scalar(e.fn.body, inner, what)
+        folds = form == "fold"
         self.emit(f"{out} = {result}" if folds else f"{out}.append({result})")
         self.indent -= 1
         self.loops -= 1
         if folds:
-            return out, _INT if isinstance(e, Foldl) else params[0][1]
-        if not self.static:  # a static vector stays a list
-            self.emit(f"{out} = tuple({out})")
+            return out, None if params[0][1] is None else _INT
+        if self.static:  # a list, as long as its first operand
+            return out, params[0][1]
+        self.emit(f"{out} = tuple({out})")
         return out, _VEC

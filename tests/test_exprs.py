@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_node_doc
 from patflow import (
     ExprSyntaxError,
     Scalar,
@@ -17,16 +18,19 @@ from patflow import (
     TupleShape,
     UnsupportedExpr,
     Vector,
+    build_graph,
     compile_expr,
     eval_expr,
     format_expr,
     infer_shape,
     parse_expr,
+    validate_graph,
 )
 from patflow import exprs
 from patflow.exprs import (
     PRIM_OPS,
     Const,
+    Expr,
     Foldl,
     Foldl1,
     InputRef,
@@ -165,6 +169,10 @@ class TestTokenizer:
 # Shape inference
 # ---------------------------------------------------------------------------
 
+def inputs_read(e) -> set[int]:
+    return {e.index} if isinstance(e, InputRef) else set().union(*map(inputs_read, children(e)))
+
+
 class TestShapes:
     def test_zipwith_preserves_length(self):
         e = parse_expr("(zipwith (lambda (a b) (mul a b)) (input 0) (input 1))")
@@ -195,6 +203,63 @@ class TestShapes:
     def test_let_binds_shapes(self):
         e = parse_expr("(let ((s (foldl1 (lambda (a b) (add a b)) (input 0)))) (mul s s))")
         assert infer_shape(e, [Vector(3)]) == Scalar()
+
+    @pytest.mark.parametrize("body, lengths, message", [
+        ("(add (input 1) 1)", [1], "(input 1) out of range for 1 input ports"),
+        ("(add (input 0) y)", [1], "unbound variable 'y'"),
+        ("(mul (input 0) 1)", [2], "mul operand 0 must be scalar, got vec[2]"),
+        ("(sub 1 (tuple (input 0)))", [1], "sub operand 1 must be scalar, got (vec[1])"),
+        ("(map (lambda (x) x) (foldl1 (lambda (a b) a) (input 0)))", [2],
+         "map argument must be a vector, got scalar"),
+        ("(zipwith (lambda (a b) a) 5 (input 0))", [2],
+         "zipwith left must be a vector, got scalar"),
+        ("(zipwith (lambda (a b) a) (input 0) (tuple 1))", [1],
+         "zipwith right must be a vector, got (scalar)"),
+        ("(foldl1 (lambda (a b) a) (add (input 0) 1))", [1],
+         "fold argument must be a vector, got scalar"),
+        ("(foldl (lambda (a b) (add a b)) (input 0) (input 0))", [2],
+         "fold init must be scalar, got vec[2]"),
+        # The argument is checked before the init (eval_expr evaluates, and
+        # checks, the init first).
+        ("(foldl (lambda (a b) (add a b)) (input 0) 5)", [2],
+         "fold argument must be a vector, got scalar"),
+        ("(map (lambda (x) (tuple x x)) (input 0))", [2],
+         "map lambda body must be scalar, got (scalar, scalar)"),
+        # A lambda mapped over no elements is checked all the same.
+        ("(map (lambda (x) (tuple x x)) (input 0))", [0],
+         "map lambda body must be scalar, got (scalar, scalar)"),
+        ("(zipwith (lambda (a b) (input 0)) (input 0) (input 0))", [2],
+         "zipwith lambda body must be scalar, got vec[2]"),
+        ("(foldl (lambda (a b) (tuple a)) 0 (input 0))", [3],
+         "fold lambda body must be scalar, got (scalar)"),
+        ("(zipwith (lambda (a b) (add a b)) (input 0) (input 1))", [2, 3],
+         "zipwith length mismatch: 2 vs 3"),
+        ("(foldl1 (lambda (a b) (add a b)) (input 0))", [0], "foldl1 needs a non-empty vector"),
+        ("(proj (input 0) 0)", [2], "proj over non-tuple shape vec[2]"),
+        ("(proj (tuple (input 0) 1) 2)", [2], "proj index 2 out of range"),
+        ("(add (lambda (x) x) (input 0))", [1],
+         "a lambda is only valid as a higher-order-function argument"),
+        (PrimOp("add", (InputRef(0), Expr())), [1], "unknown expression Expr"),
+        # A one-token vector coerces to a scalar.
+        ("(add (input 0) (let ((v (input 0))) (foldl1 (lambda (a b) (max a v)) (input 0))))",
+         [1], None),
+    ])
+    def test_static_shape_errors(self, body, lengths, message):
+        e = parse_expr(body) if isinstance(body, str) else body
+        shapes = [Vector(n) for n in lengths]
+        if message is None:
+            assert infer_shape(e, shapes) == Scalar()
+        else:
+            with pytest.raises(ShapeMismatch) as exc:
+                infer_shape(e, shapes)
+            assert str(exc.value) == message
+        # Validation reports the same text, where a graph can carry the body:
+        # a port out of range is an ArityMismatch first, a port of no tokens
+        # an AllZero pattern, and an unknown form cannot be written.
+        if isinstance(body, str) and all(lengths) and inputs_read(e) == set(range(len(lengths))):
+            g = build_graph(one_node_doc(body, [[n] for n in lengths], [[1]]))
+            diags = [(d.code, d.message) for d in validate_graph(g)]
+            assert diags == ([("ShapeMismatch", message)] if message else [])
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +356,9 @@ class TestEval:
         ("(proj 5 0)", [], "proj over a non-tuple value"),
         ("(zipwith (lambda (a b) a) (input 0) (tuple 1))", [(1,)],
          "zipwith right must be a vector, got _TupleVal(items=(1,))"),
+        # Evaluation checks the init first; the static check, the argument.
+        ("(foldl (lambda (a b) (add a b)) (input 0) 5)", [(1, 2)],
+         "fold init must be scalar, got (1, 2)"),
     ])
     def test_runtime_shape_errors(self, src, inputs, message):
         with pytest.raises(ShapeMismatch) as exc:
@@ -655,8 +723,6 @@ class TestCompiledBodies:
 # Reference loops: one compiled loop over all of a node's firings
 # ---------------------------------------------------------------------------
 
-def reads_input(e) -> bool:
-    return isinstance(e, InputRef) or any(map(reads_input, children(e)))
 
 
 def constant_bodies():
@@ -680,12 +746,11 @@ class TestReferenceLoops:
         # An input-less body runs as a node without inputs, ``firings``
         # times; every other one over INPUT_LENGTHS, the last of which is
         # one token that coerces to a scalar.
-        lengths = INPUT_LENGTHS if reads_input(case) else ()
+        lengths = INPUT_LENGTHS if inputs_read(case) else ()
         streams = [data.draw(st.lists(st.integers(0, 2**width - 1),
                                       min_size=firings * n, max_size=firings * n))
                    for n in lengths]
-        shape = infer_shape(case, [Vector(n) for n in lengths])
-        want = [[] for _ in (shape.items if isinstance(shape, TupleShape) else [shape])]
+        want = [[] for _ in range(len(case.items) if isinstance(case, Tuple) else 1)]
         mask = (1 << width) - 1
         for f in range(firings):
             inputs = [tuple(s[f * n:(f + 1) * n]) for s, n in zip(streams, lengths)]
@@ -699,3 +764,37 @@ class TestReferenceLoops:
         # raises rather than put tuples into a token stream.
         with pytest.raises(ShapeMismatch, match="output 0 is a tuple"):
             compile_reference(parse_expr("(tuple (tuple 1 2) 3)"), 8, [])
+
+    @given(case=st.one_of(bodies(), constant_bodies()),
+           shapes=st.one_of(
+               st.permutations(INPUT_LENGTHS).map(lambda ns: [Vector(n) for n in ns]),
+               st.lists(st.sampled_from([Scalar(), Vector(0), Vector(1), Vector(2), Vector(3)]),
+                        max_size=3)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_ill_shaped_bodies_fail_alike(self, case, shapes):
+        # A body over input shapes it was not drawn for: the reference
+        # compiles exactly when the shapes check, and validation reports
+        # the check's message.
+        try:
+            shape, message = infer_shape(case, shapes), None
+        except ShapeMismatch as exc:
+            shape, message = None, str(exc)
+        if not all(isinstance(s, Vector) for s in shapes):
+            return  # a graph's ports, and so the reference's, are vectors
+        lengths = [s.length for s in shapes]
+        try:
+            compile_reference(case, 8, lengths)
+            assert message is None
+        except ShapeMismatch as exc:
+            assert str(exc) == message
+        # A graph carries the body when it reads every port and no port
+        # moves no tokens.
+        outputs = [[1]]
+        if shape is not None:
+            ports = shape.items if isinstance(shape, TupleShape) else [shape]
+            outputs = [[s.length if isinstance(s, Vector) else 1] for s in ports]
+        carried = all(lengths) and all(n for [n] in outputs)
+        if carried and inputs_read(case) == set(range(len(lengths))):
+            g = build_graph(one_node_doc(format_expr(case), [[n] for n in lengths], outputs))
+            diags = [(d.code, d.message) for d in validate_graph(g)]
+            assert diags == ([("ShapeMismatch", message)] if message else [])
