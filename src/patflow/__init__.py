@@ -47,7 +47,6 @@ from .exprs import (
     Shape,
     TupleShape,
     Vector,
-    compile_expr,
     eval_expr,
     format_expr,
     infer_shape,
@@ -111,7 +110,7 @@ __all__ = [
     "compute_fifo_thresholds", "compute_registered_thresholds",
     "divisor_refinements",
     # expressions
-    "parse_expr", "format_expr", "eval_expr", "compile_expr", "infer_shape",
+    "parse_expr", "format_expr", "eval_expr", "infer_shape",
     "Shape", "Scalar", "Vector", "TupleShape",
     # graphs
     "Graph", "NodeSpec", "EdgeSpec", "NodeKind", "build_graph",

@@ -18,12 +18,13 @@ Arithmetic wraps around at the node's element width (unsigned).
 second, else 0.
 
 Expression and shape nodes are immutable ``__slots__`` records with
-structural equality.  :func:`compile_expr` turns a body into one generated
-Python function, and :func:`compile_reference` turns a node's body into one
-generated loop over all of its firings: the functional reference that
-value simulation checks the hardware form against.  The pass that writes
-that loop from the node's input shapes is also the one static shape check:
-:func:`infer_shape` runs it with nothing compiled.
+structural equality.  One pass writes a body from its input shapes as
+generated Python and is also the one shape check, so a shape error is
+raised before anything runs.  :func:`compile_reference` turns a node's
+body into one generated loop over all of its firings: the functional
+reference that value simulation checks the hardware form against.
+:func:`eval_expr` evaluates a body over concrete values, written from their
+shapes, and :func:`infer_shape` runs the pass with nothing compiled.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "children",
     "infer_shape",
     "eval_expr",
-    "compile_expr",
     "compile_reference",
     "apply_prim",
     "PRIMS",
@@ -441,22 +441,15 @@ def children(e: Expr) -> tuple[Expr, ...]:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# An expression is compiled once into one generated Python function
-# ``f(inputs, env)``: ``inputs`` holds one value per input port and ``env``
-# maps free names to values.  Runtime values are int (scalar),
-# tuple[int, ...] (vector), and _TupleVal for multi-output bodies.  Every
+# A body is compiled from its input shapes into generated Python: every
 # operator is one statement into a fresh local, a higher-order function is
-# a loop, and lambda parameters and ``let`` names are locals too.  Each
-# shape check is a statement just before the value it guards is used, so a
-# sub-expression that is never evaluated (a lambda mapped over an empty
-# vector, say) never raises.
+# a loop, and lambda parameters and ``let`` names are locals too.  The pass
+# that writes it decides every shape check, so the generated code checks
+# none.  Runtime values are int (scalar) and tuples or lists of ints
+# (vector); a multi-output value is one value per item.
 
-
-class _TupleVal(_Record):
-    __slots__ = ("items",)
-
-    def __init__(self, items: tuple):
-        _set(self, "items", items)
+# A scalar's shape, which most values have.
+_SCALAR = Scalar()
 
 
 # Each primitive as a Python expression over the operands ``{a}`` and
@@ -477,9 +470,6 @@ PRIMS = {
     for op, code in PRIM_CODE.items()
 }
 
-# Compiled bodies never modify ``env``.
-_NO_ENV: dict = {}
-
 
 def apply_prim(op: str, a: int, b: int, mask: int) -> int:
     """Apply one scalar primitive with wrap-around at ``mask``."""
@@ -489,50 +479,17 @@ def apply_prim(op: str, a: int, b: int, mask: int) -> int:
     return fn(a, b, mask)
 
 
-def _scalar_val(v, what: str) -> int:
-    if isinstance(v, int):
-        return v
-    if isinstance(v, tuple) and len(v) == 1 and isinstance(v[0], int):
-        return v[0]
-    raise ShapeMismatch(f"{what} must be scalar, got {v!r}")
-
-
-def _vector_val(v, what: str) -> tuple:
-    if isinstance(v, tuple) and not isinstance(v, _TupleVal):
-        return v
-    raise ShapeMismatch(f"{what} must be a vector, got {v!r}")
-
-
-def compile_expr(e: Expr, width: int):
-    """Compile ``e`` into a function ``f(inputs, env={})``.
-
-    ``f`` returns what :func:`eval_expr` returns for the same arguments, and
-    raises the same errors, but walks the expression tree only once, here,
-    into the source of one Python function.
-    """
-    w = _BodyWriter((1 << width) - 1)
-    atom, kind = w.value(e, {})
-    # A multi-output value is returned as the plain tuple of its items.
-    if kind is _TUP:
-        atom = f"{atom}.items"
-    elif kind is None and isinstance(e, (Let, Proj)):
-        atom = f"{atom}.items if {atom}.__class__ is _TupleVal else {atom}"
-    source = "def body(inputs, env=_NO_ENV):\n" + "\n".join(w.lines) + f"\n    return {atom}\n"
-    namespace = {
-        "_NO_ENV": _NO_ENV, "_TupleVal": _TupleVal, "_scalar_val": _scalar_val,
-        "_vector_val": _vector_val, "apply_prim": apply_prim,
-        "ShapeMismatch": ShapeMismatch, "UnsupportedExpr": UnsupportedExpr,
-        **w.consts,
-    }
-    exec(compile(source, "<expr>", "exec"), namespace)
-    return namespace["body"]
-
-
 def _atom(name: str, shape: Shape):
     """The static atom of a value of ``shape`` held in ``name``."""
     if isinstance(shape, TupleShape):
         return tuple(_atom(f"{name}[{k}]", item) for k, item in enumerate(shape.items))
     return name
+
+
+def _scope(env) -> dict:
+    """The writer's scope for free names of the ``(name, shape)`` pairs
+    ``env``: the k-th name is the local ``e<k>``."""
+    return {name: (_atom(f"e{k}", shape), shape) for k, (name, shape) in enumerate(env)}
 
 
 def infer_shape(
@@ -541,17 +498,18 @@ def infer_shape(
     env: dict[str, Shape] | None = None,
 ) -> Shape:
     """The static shape of ``e`` given the node's input port shapes, and
-    free names of the shapes in ``env``: what the static writer behind
-    :func:`compile_reference` finds writing ``e``, with nothing compiled.
+    free names of the shapes in ``env``: what the writer behind
+    :func:`compile_reference` and :func:`eval_expr` finds writing ``e``,
+    with nothing compiled.
 
     Raises
     ------
     ShapeMismatch
-        If the expression is not well-shaped (including a bare lambda or an
-        out-of-range input/projection index).
+        If the expression is not well-shaped (including a bare lambda, an
+        out-of-range input/projection index, or a primitive that is
+        unknown or not given two operands).
     """
-    scope = {name: (_atom("env", shape), shape) for name, shape in (env or {}).items()}
-    return _BodyWriter(0, input_shapes).value(e, scope)[1]
+    return _BodyWriter(0, input_shapes).value(e, _scope((env or {}).items()))[1]
 
 
 def compile_reference(e: Expr, width: int, lengths: Sequence[int]):
@@ -582,41 +540,82 @@ def compile_reference(e: Expr, width: int, lengths: Sequence[int]):
     head.append(f"    for {ins}in zip({cuts}):" if lengths else "    for _ in range(firings):")
     ports = "".join(f"p{k}, " for k in range(len(outs)))
     source = "\n".join(head + w.lines) + f"\n    return {ports}\n"
-    namespace = {"apply_prim": apply_prim, "ShapeMismatch": ShapeMismatch,
-                 "UnsupportedExpr": UnsupportedExpr, **w.consts}
+    namespace: dict = {}
     exec(compile(source, "<reference>", "exec"), namespace)
     return namespace["reference"]
 
 
+def _plain(atom, shape: Shape) -> str:
+    """The value of ``atom`` as :func:`eval_expr` returns it: a vector as a
+    tuple, and a multi-output value as the plain tuple of its items."""
+    if isinstance(shape, TupleShape):
+        return "(" + "".join(f"{_plain(a, s)}, " for a, s in zip(atom, shape.items)) + ")"
+    return f"tuple({atom})" if isinstance(shape, Vector) else atom
+
+
 @lru_cache(maxsize=256)
-def _compiled(e: Expr, width: int):
-    """:func:`compile_expr`, kept for the most recently evaluated bodies:
-    a ``compile()`` costs about 100 evaluations."""
-    return compile_expr(e, width)
+def _compiled(e: Expr, width: int, shapes: tuple, env: tuple):
+    """The function ``f(*inputs, *env values)`` that evaluates ``e`` over
+    inputs of ``shapes`` and free names of the ``(name, shape)`` pairs
+    ``env``, kept for the most recently evaluated bodies: a ``compile()``
+    costs about 100 evaluations."""
+    w = _BodyWriter((1 << width) - 1, shapes)
+    atom, shape = w.value(e, _scope(env))
+    params = [f"i{k}" for k in range(len(shapes))] + [f"e{k}" for k in range(len(env))]
+    source = (f"def body({', '.join(params)}):\n" + "\n".join(w.lines)
+              + f"\n    return {_plain(atom, shape)}\n")
+    namespace: dict = {}
+    exec(compile(source, "<expr>", "exec"), namespace)
+    return namespace["body"]
+
+
+def _shape_of(v, what: str) -> Shape:
+    """The shape of a concrete value: an int is a scalar, a tuple of ints
+    a vector."""
+    if type(v) is int:
+        return _SCALAR
+    if type(v) is tuple and all(type(x) is int for x in v):
+        return Vector(len(v))
+    raise ShapeMismatch(f"{what} must be an int or a tuple of ints, got {v!r}")
 
 
 def eval_expr(e: Expr, inputs: Sequence, width: int, env: dict | None = None):
     """Evaluate ``e`` over concrete input vectors.
 
+    The body is written from the shapes of ``inputs`` and of ``env``'s
+    values by the pass behind :func:`infer_shape`, and compiled once per
+    body, width and shapes, so an ill-shaped body raises before anything is
+    evaluated: :func:`eval_expr` accepts exactly the bodies that
+    :func:`infer_shape` accepts over those shapes.
+
     Parameters
     ----------
     e : Expr
     inputs : sequence
-        One value per input port: a tuple of ints for vector ports.
+        One value per input port: an int for a scalar port, a tuple of ints
+        for a vector port.
     width : int
         Element width in bits; all arithmetic wraps modulo ``2 ** width``.
+    env : dict, optional
+        Values of free names, each an int or a tuple of ints.
 
     Returns
     -------
     int, tuple of int, or a tuple of those for multi-output bodies.
+
+    Raises
+    ------
+    ShapeMismatch
+        If a value is neither an int nor a tuple of ints, or ``e`` is not
+        well-shaped over the values' shapes, with :func:`infer_shape`'s
+        message.
     """
-    return _compiled(e, width)(list(inputs), env or _NO_ENV)
+    inputs = tuple(inputs)
+    env = env or {}
+    shapes = tuple(_shape_of(v, f"(input {k})") for k, v in enumerate(inputs))
+    names = tuple((name, _shape_of(v, f"variable '{name}'")) for name, v in env.items())
+    return _compiled(e, width, shapes, names)(*inputs, *env.values())
 
-
-# What a dynamic writer knows of a value: an int, a tuple of ints of some
-# length or a _TupleVal; ``None`` when it knows nothing.  A static writer
-# knows each value's exact Shape.
-_INT, _VEC, _TUP = Scalar(), Vector(None), TupleShape()
 
 # Loops nested in one generated function before the next one moves into a
 # nested function: CPython allows 20 statically nested blocks per function.
@@ -624,35 +623,29 @@ _MAX_LOOPS = 16
 
 
 class _BodyWriter:
-    """Writes the statements of one compiled body.
+    """Writes the statements of one compiled body from its input port
+    ``shapes``, and is the one shape checker.
 
     :meth:`value` emits the statements that compute an expression and
     returns an atom naming the result, a local or a parenthesized int
-    literal, with its kind.  Only generated names reach the source:
-    ``t<n>`` locals, ``k<n>`` constants (user names, error texts, odd
-    literals), and the helpers bound in :func:`compile_expr`'s namespace.
-
-    A writer given the input port ``shapes`` is static: it is the one
-    shape checker (:func:`infer_shape`) and writes the body of
-    :func:`compile_reference`'s loop.  Input port ``k`` is the local
-    ``i<k>`` and a kind is the value's :class:`Shape`.  Each shape check is
-    decided as the body is written, raising :class:`ShapeMismatch` there
-    and then, so none reaches the code; a one-token vector used as a scalar
-    is its word ``x[0]``, and a tuple's atom is the tuple of its items'
-    atoms.
+    literal, with its :class:`Shape`.  Input port ``k`` is the local
+    ``i<k>``, a tuple's atom is the tuple of its items' atoms, and only
+    generated names reach the source: ``t<n>`` locals and the atoms a
+    caller puts in the scope.  Each shape check is decided as the body is
+    written, raising :class:`ShapeMismatch` there and then, so none reaches
+    the code.  A one-token vector used as a scalar is its word ``x[0]``,
+    and a vector that a ``map`` or ``zipwith`` computes is a list.
+    :func:`infer_shape` runs the writer with nothing compiled;
+    :func:`compile_reference` and :func:`eval_expr` compile what it writes.
     """
 
-    def __init__(self, mask: int, shapes: Sequence[Shape] | None = None):
+    def __init__(self, mask: int, shapes: Sequence[Shape]):
         self.mask = mask
-        self.static = shapes is not None
         self.shapes = shapes
         self.lines: list[str] = []
-        self.consts: dict[str, object] = {}
         self.count = 0
         self.indent = 1
         self.loops = 0
-        # Locals a scope name refers to.
-        self.named: set[str] = set()
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
@@ -666,177 +659,115 @@ class _BodyWriter:
         self.emit(f"{t} = {expr}")
         return t
 
-    def const(self, value) -> str:
-        if type(value) is int and value >= 0:
-            return f"({value})"  # parenthesized, so ``(0).__class__`` parses
-        name = f"k{len(self.consts)}"
-        self.consts[name] = value
-        return name
-
-    def owned(self, atom: str) -> bool:
-        """Whether ``atom`` is a local that only its one use reads, which a
-        shape check may then coerce in place."""
-        return atom[0] == "t" and atom not in self.named
-
-    def fail(self, exc: type, message: str) -> tuple[str, None]:
-        """Raise ``exc(message)``: a static writer now, else the code."""
-        if self.static:
-            raise exc(message)
-        self.emit(f"raise {exc.__name__}({self.const(message)})")
-        return "None", None
-
     def scalar(self, e: Expr, scope: dict, what: str) -> str:
         """``e``'s value with the scalar check of a ``what`` operand."""
-        atom, kind = self.value(e, scope)
-        if isinstance(kind, Scalar):
+        atom, shape = self.value(e, scope)
+        if isinstance(shape, Scalar):
             return atom
-        if self.static:
-            if not (isinstance(kind, Vector) and kind.length == 1):
-                raise ShapeMismatch(f"{what} must be scalar, got {kind}")
-            return self.assign(f"{atom}[0]")  # a one-token vector
-        target = atom if self.owned(atom) else self.fresh()
-        self.emit(f"{target} = {atom} if {atom}.__class__ is int "
-                  f"else _scalar_val({atom}, {self.const(what)})")
-        return target
+        if not (isinstance(shape, Vector) and shape.length == 1):
+            raise ShapeMismatch(f"{what} must be scalar, got {shape}")
+        return self.assign(f"{atom}[0]")  # a one-token vector
 
-    def vector(self, e: Expr, scope: dict, what: str) -> tuple[str, Vector | None]:
+    def vector(self, e: Expr, scope: dict, what: str) -> tuple[str, Vector]:
         """``e``'s value with the vector check of a ``what`` operand, and
-        its kind: a :class:`Vector` when its elements are known ints."""
-        atom, kind = self.value(e, scope)
-        if isinstance(kind, Vector):
-            return atom, kind
-        if self.static:
-            raise ShapeMismatch(f"{what} must be a vector, got {kind}")
-        target = atom if self.owned(atom) else self.fresh()
-        self.emit(f"{target} = {atom} if {atom}.__class__ is tuple "
-                  f"else _vector_val({atom}, {self.const(what)})")
-        return target, None
+        its shape."""
+        atom, shape = self.value(e, scope)
+        if not isinstance(shape, Vector):
+            raise ShapeMismatch(f"{what} must be a vector, got {shape}")
+        return atom, shape
 
     def value(self, e: Expr, scope: dict) -> tuple:
-        """Emit ``e``; ``scope`` maps bound names to ``(atom, kind)``."""
+        """Emit ``e``; ``scope`` maps bound names to ``(atom, shape)``."""
         if isinstance(e, InputRef):
-            if not self.static:
-                return self.assign(f"inputs[{self.const(e.index)}]"), None
             if not 0 <= e.index < len(self.shapes):
                 raise ShapeMismatch(
                     f"(input {e.index}) out of range for {len(self.shapes)} input ports")
             return _atom(f"i{e.index}", self.shapes[e.index]), self.shapes[e.index]
         if isinstance(e, Const):
-            return self.const(e.value & self.mask), _INT
+            return f"({e.value & self.mask})", _SCALAR
         if isinstance(e, Var):
-            if e.name in scope:
-                return scope[e.name]
-            if self.static:
+            if e.name not in scope:
                 raise ShapeMismatch(f"unbound variable '{e.name}'")
-            return self.assign(f"env[{self.const(e.name)}]"), None
+            return scope[e.name]
         if isinstance(e, PrimOp):
+            form = PRIM_CODE.get(e.op)
+            if form is None:
+                raise ShapeMismatch(f"unknown primitive '{e.op}'")
+            if len(e.args) != 2:
+                raise ShapeMismatch(f"{e.op} takes 2 operands, got {len(e.args)}")
             a = self.scalar(e.args[0], scope, f"{e.op} operand 0")
             b = self.scalar(e.args[1], scope, f"{e.op} operand 1")
-            form = PRIM_CODE.get(e.op)
-            if form is None:  # raises once its operands are evaluated
-                return self.assign(f"apply_prim({self.const(e.op)}, {a}, {b}, {self.mask})"), _INT
-            return self.assign(form.format(a=a, b=b, mask=self.mask)), _INT
+            return self.assign(form.format(a=a, b=b, mask=self.mask)), _SCALAR
         if isinstance(e, (Map, ZipWith, Foldl, Foldl1)):
             if self.loops < _MAX_LOOPS:
                 return self.hof(e, scope)
             fn = self.fresh()
             self.emit(f"def {fn}():")
             self.indent, loops, self.loops = self.indent + 1, self.loops, 0
-            atom, kind = self.hof(e, scope)
+            atom, shape = self.hof(e, scope)
             self.emit(f"return {atom}")
             self.indent, self.loops = self.indent - 1, loops
-            return self.assign(f"{fn}()"), kind
+            return self.assign(f"{fn}()"), shape
         if isinstance(e, Let):
             inner = dict(scope)
             for name, bound in e.bindings:
                 inner[name] = self.value(bound, inner)
-                self.named.add(inner[name][0])
             return self.value(e.body, inner)
         if isinstance(e, Tuple):
             items = [self.value(item, scope) for item in e.items]
-            if self.static:
-                return tuple(a for a, _ in items), TupleShape(tuple(k for _, k in items))
-            atoms = "".join(f"{a}, " for a, _ in items)
-            return self.assign(f"_TupleVal(({atoms}))"), _TUP
+            return tuple(a for a, _ in items), TupleShape(tuple(s for _, s in items))
         if isinstance(e, Proj):
-            t, kind = self.value(e.tup, scope)
-            if self.static:
-                if not isinstance(kind, TupleShape):
-                    raise ShapeMismatch(f"proj over non-tuple shape {kind}")
-                if not 0 <= e.index < len(kind.items):
-                    raise ShapeMismatch(f"proj index {e.index} out of range")
-                return t[e.index], kind.items[e.index]
-            if kind is not _TUP:
-                self.emit(f"if {t}.__class__ is not _TupleVal: "
-                          f"raise ShapeMismatch({self.const('proj over a non-tuple value')})")
-            return self.assign(f"{t}.items[{self.const(e.index)}]"), None
+            t, shape = self.value(e.tup, scope)
+            if not isinstance(shape, TupleShape):
+                raise ShapeMismatch(f"proj over non-tuple shape {shape}")
+            if not 0 <= e.index < len(shape.items):
+                raise ShapeMismatch(f"proj index {e.index} out of range")
+            return t[e.index], shape.items[e.index]
         if isinstance(e, Lambda):
-            return self.fail(ShapeMismatch,
-                             "a lambda is only valid as a higher-order-function argument")
-        if self.static:
-            raise ShapeMismatch(f"unknown expression {type(e).__name__}")
-        return self.fail(UnsupportedExpr, f"cannot evaluate {type(e).__name__}")
+            raise ShapeMismatch("a lambda is only valid as a higher-order-function argument")
+        raise ShapeMismatch(f"unknown expression {type(e).__name__}")
 
-    def hof(self, e: Expr, scope: dict) -> tuple[str, Shape | None]:
+    def hof(self, e: Expr, scope: dict) -> tuple[str, Shape]:
         """A higher-order function as one loop over its vector(s)."""
         out, x = self.fresh(), self.fresh()
         if isinstance(e, Map):
-            vec, kind = self.vector(e.vec, scope, "map argument")
+            vec, shape = self.vector(e.vec, scope, "map argument")
             self.emit(f"{out} = []")
             self.emit(f"for {x} in {vec}:")
-            params, form = [(x, kind)], "map"
+            params, form = (x,), "map"
         elif isinstance(e, ZipWith):
-            a, kind = self.vector(e.left, scope, "zipwith left")
-            b, kb = self.vector(e.right, scope, "zipwith right")
-            if not self.static:
-                self.emit(f"if len({a}) != len({b}): raise ShapeMismatch("
-                          f"f\"zipwith length mismatch: {{len({a})}} vs {{len({b})}}\")")
-            elif kind.length != kb.length:
-                raise ShapeMismatch(f"zipwith length mismatch: {kind.length} vs {kb.length}")
+            a, shape = self.vector(e.left, scope, "zipwith left")
+            b, right = self.vector(e.right, scope, "zipwith right")
+            if shape.length != right.length:
+                raise ShapeMismatch(f"zipwith length mismatch: {shape.length} vs {right.length}")
             y = self.fresh()
             self.emit(f"{out} = []")
             self.emit(f"for {x}, {y} in zip({a}, {b}):")
-            params, form = [(x, kind), (y, kb)], "zipwith"
+            params, form = (x, y), "zipwith"
         elif isinstance(e, Foldl):
-            if self.static:  # the argument is checked before the init
-                vec, kind = self.vector(e.vec, scope, "fold argument")
-                init = self.scalar(e.init, scope, "fold init")
-            else:  # and evaluated after it
-                init = self.scalar(e.init, scope, "fold init")
-                vec, kind = self.vector(e.vec, scope, "fold argument")
+            # The argument is checked before the init.
+            vec, shape = self.vector(e.vec, scope, "fold argument")
+            init = self.scalar(e.init, scope, "fold init")
             self.emit(f"{out} = {init}")
             self.emit(f"for {x} in {vec}:")
-            params, form = [(out, _INT), (x, kind)], "fold"
+            params, form = (out, x), "fold"
         else:
-            vec, kind = self.vector(e.vec, scope, "fold argument")
-            if not self.static:
-                self.emit(f"if not {vec}: raise ShapeMismatch("
-                          f"{self.const('foldl1 over an empty vector')})")
-            elif kind.length < 1:
+            vec, shape = self.vector(e.vec, scope, "fold argument")
+            if shape.length < 1:
                 raise ShapeMismatch("foldl1 needs a non-empty vector")
             self.emit(f"{out} = {vec}[0]")
             self.emit(f"for {x} in {vec}[1:]:")
-            params, form = [(out, kind), (x, kind)], "fold"
+            params, form = (out, x), "fold"
         self.indent += 1
         self.loops += 1
-        # The lambda's parameters, each checked scalar as it is bound unless
-        # it is known to be an int.
+        # The lambda's parameters are scalars.
         inner = dict(scope)
-        for name, (atom, kind) in zip(e.fn.params, params):
-            if kind is None:
-                what = self.const(f"lambda argument '{name}'")
-                self.emit(f"if {atom}.__class__ is not int: {atom} = _scalar_val({atom}, {what})")
-            inner[name] = (atom, _INT)
-            self.named.add(atom)
-        what = f"{form} lambda body" if self.static else "lambda body"
-        result = self.scalar(e.fn.body, inner, what)
+        inner.update((name, (atom, _SCALAR)) for name, atom in zip(e.fn.params, params))
+        result = self.scalar(e.fn.body, inner, f"{form} lambda body")
         folds = form == "fold"
         self.emit(f"{out} = {result}" if folds else f"{out}.append({result})")
         self.indent -= 1
         self.loops -= 1
-        if folds:
-            return out, None if params[0][1] is None else _INT
-        if self.static:  # a list, as long as its first operand
-            return out, params[0][1]
-        self.emit(f"{out} = tuple({out})")
-        return out, _VEC
+        # A fold is a scalar; a map or zipwith a list as long as its first
+        # operand.
+        return out, _SCALAR if folds else shape

@@ -19,7 +19,6 @@ from patflow import (
     UnsupportedExpr,
     Vector,
     build_graph,
-    compile_expr,
     eval_expr,
     format_expr,
     infer_shape,
@@ -219,8 +218,7 @@ class TestShapes:
          "fold argument must be a vector, got scalar"),
         ("(foldl (lambda (a b) (add a b)) (input 0) (input 0))", [2],
          "fold init must be scalar, got vec[2]"),
-        # The argument is checked before the init (eval_expr evaluates, and
-        # checks, the init first).
+        # The argument is checked before the init.
         ("(foldl (lambda (a b) (add a b)) (input 0) 5)", [2],
          "fold argument must be a vector, got scalar"),
         ("(map (lambda (x) (tuple x x)) (input 0))", [2],
@@ -243,15 +241,25 @@ class TestShapes:
         # A one-token vector coerces to a scalar.
         ("(add (input 0) (let ((v (input 0))) (foldl1 (lambda (a b) (max a v)) (input 0))))",
          [1], None),
+        # Primitives built by hand, which the parser cannot make.
+        (PrimOp("add", (Const(1),)), [], "add takes 2 operands, got 1"),
+        (PrimOp("add", (Const(1), Const(2), Const(3))), [], "add takes 2 operands, got 3"),
+        (PrimOp("xor", (Const(1), Const(2))), [], "unknown primitive 'xor'"),
     ])
     def test_static_shape_errors(self, body, lengths, message):
         e = parse_expr(body) if isinstance(body, str) else body
         shapes = [Vector(n) for n in lengths]
+        zeros = [(0,) * n for n in lengths]
         if message is None:
             assert infer_shape(e, shapes) == Scalar()
+            assert eval_expr(e, zeros, 8) == 0
         else:
             with pytest.raises(ShapeMismatch) as exc:
                 infer_shape(e, shapes)
+            assert str(exc.value) == message
+            # Evaluation writes the body with the same checks.
+            with pytest.raises(ShapeMismatch) as exc:
+                eval_expr(e, zeros, 8)
             assert str(exc.value) == message
         # Validation reports the same text, where a graph can carry the body:
         # a port out of range is an ArityMismatch first, a port of no tokens
@@ -280,22 +288,27 @@ class TestEval:
         assert eval_expr(e, [(1, 2, 3)], 8) == 106
 
     def test_repeated_calls_compile_once(self, monkeypatch):
-        compiled = []
+        written = []
 
-        def counting(e, width):
-            compiled.append((e, width))
-            return compile_expr(e, width)
+        class Counting(exprs._BodyWriter):
+            def __init__(self, mask, shapes):
+                written.append((mask, shapes))
+                super().__init__(mask, shapes)
 
-        monkeypatch.setattr(exprs, "compile_expr", counting)
+        monkeypatch.setattr(exprs, "_BodyWriter", Counting)
         exprs._compiled.cache_clear()
         e = parse_expr("(foldl (lambda (acc x) (add acc (mul x x))) 3 (input 0))")
         got = [eval_expr(e, [xs], 8) for xs in [(1, 2), (15, 16), (1, 2)] * 3]
         assert got == [8, 228, 8] * 3
+        assert written == [(0xFF, (Vector(2),))]
         # An equal expression parsed again is the same body; another width
-        # is another one.
+        # or another input shape is written again.
         assert eval_expr(parse_expr(format_expr(e)), [(15, 16)], 8) == 228
         assert eval_expr(e, [(15, 16)], 16) == 484
-        assert compiled == [(e, 8), (e, 16)]
+        assert eval_expr(e, [(15, 16, 1)], 8) == 229
+        assert eval_expr(e, [(7,)], 8) == 52
+        assert written == [(0xFF, (Vector(2),)), (0xFFFF, (Vector(2),)),
+                           (0xFF, (Vector(3),)), (0xFF, (Vector(1),))]
 
     def test_addition_wraps_at_width(self):
         e = parse_expr("(add (input 0) 10)")
@@ -339,55 +352,82 @@ class TestEval:
     @pytest.mark.parametrize("src, inputs, message", [
         ("(zipwith (lambda (a b) (add a b)) (input 0) (input 1))", [(1, 2), (1, 2, 3)],
          "zipwith length mismatch: 2 vs 3"),
-        ("(map (lambda (a) a) (input 0))", [7], "map argument must be a vector, got 7"),
+        ("(map (lambda (a) a) (input 0))", [7], "map argument must be a vector, got scalar"),
         ("(foldl1 (lambda (a b) (add a b)) (input 0))", [()],
-         "foldl1 over an empty vector"),
+         "foldl1 needs a non-empty vector"),
         ("(foldl1 (lambda (a b) (add a b)) (input 0))", [((1, 2), 3)],
-         "lambda argument 'a' must be scalar, got (1, 2)"),
+         "(input 0) must be an int or a tuple of ints, got ((1, 2), 3)"),
         ("(foldl (lambda (a b) (add a b)) (input 0) (input 1))", [(1, 2), (3,)],
-         "fold init must be scalar, got (1, 2)"),
-        ("(map (lambda (x) (proj x 0)) (input 0))", [(5,)], "proj over a non-tuple value"),
+         "fold init must be scalar, got vec[2]"),
+        ("(map (lambda (x) (proj x 0)) (input 0))", [(5,)],
+         "proj over non-tuple shape scalar"),
         ("(let ((v (input 0))) (add v 1))", [(1, 2)],
-         "add operand 0 must be scalar, got (1, 2)"),
-        ("(add (input 0) 1)", [(1, 2)], "add operand 0 must be scalar, got (1, 2)"),
+         "add operand 0 must be scalar, got vec[2]"),
+        ("(add (input 0) 1)", [(1, 2)], "add operand 0 must be scalar, got vec[2]"),
         ("(map (lambda (x) (tuple x x)) (input 0))", [(1,)],
-         "lambda body must be scalar, got _TupleVal(items=(1, 1))"),
-        ("(map (lambda (a) a) 5)", [], "map argument must be a vector, got 5"),
-        ("(proj 5 0)", [], "proj over a non-tuple value"),
+         "map lambda body must be scalar, got (scalar, scalar)"),
+        ("(map (lambda (a) a) 5)", [], "map argument must be a vector, got scalar"),
+        ("(proj 5 0)", [], "proj over non-tuple shape scalar"),
         ("(zipwith (lambda (a b) a) (input 0) (tuple 1))", [(1,)],
-         "zipwith right must be a vector, got _TupleVal(items=(1,))"),
-        # Evaluation checks the init first; the static check, the argument.
+         "zipwith right must be a vector, got (scalar)"),
+        # The argument is checked before the init.
         ("(foldl (lambda (a b) (add a b)) (input 0) 5)", [(1, 2)],
-         "fold init must be scalar, got (1, 2)"),
+         "fold argument must be a vector, got scalar"),
+        ("(add (input 1) 1)", [5], "(input 1) out of range for 1 input ports"),
+        ("(add x 1)", [], "unbound variable 'x'"),
+        ("(add (input 0) 1)", [[1, 2]], "(input 0) must be an int or a tuple of ints, got [1, 2]"),
+        ("(add (input 0) 1)", [True], "(input 0) must be an int or a tuple of ints, got True"),
+        ("(add (input 0) 1)", [(1, False)],
+         "(input 0) must be an int or a tuple of ints, got (1, False)"),
     ])
     def test_runtime_shape_errors(self, src, inputs, message):
         with pytest.raises(ShapeMismatch) as exc:
             eval_expr(parse_expr(src), inputs, 8)
         assert str(exc.value) == message
 
+    def test_env_values_are_checked_like_inputs(self):
+        e = parse_expr("(map (lambda (y) (add y 1)) x)")
+        assert eval_expr(e, [], 8, {"x": (1, 2)}) == (2, 3)
+        for bad in [True, [1], (1, (2,)), None]:
+            with pytest.raises(ShapeMismatch) as exc:
+                eval_expr(e, [], 8, {"x": bad})
+            assert str(exc.value) == f"variable 'x' must be an int or a tuple of ints, got {bad!r}"
+
     @pytest.mark.parametrize("src", [
         "(map (lambda (x) (proj x 0)) (input 0))",
         "(map (lambda (x) (map (lambda (y) y) x)) (input 0))",
         "(map (lambda (x) (add x unbound)) (input 0))",
     ])
-    def test_unevaluated_lambda_body_never_raises(self, src):
-        # Compiling walks the whole body; only evaluating it checks shapes.
-        f = compile_expr(parse_expr(src), 8)
-        assert f([()]) == ()
-        assert eval_expr(parse_expr(src), [()], 8) == ()
-        with pytest.raises((ShapeMismatch, KeyError)):
-            f([(4,)])
+    def test_unevaluated_lambda_body_raises_before_evaluation(self, src):
+        # The whole body is written and checked from the inputs' shapes
+        # before it runs, so a lambda mapped over no elements is checked
+        # all the same, as validation checks it.
+        e = parse_expr(src)
+        with pytest.raises(ShapeMismatch) as static:
+            infer_shape(e, [Vector(0)])
+        for xs in [(), (4,)]:
+            with pytest.raises(ShapeMismatch) as exc:
+                eval_expr(e, [xs], 8)
+            assert str(exc.value) == str(static.value)
 
     @pytest.mark.parametrize("src, inputs, expected", [
         ("(let ((x 0)) 7)", [], 7),
         ("(let ((t (tuple 1 (input 0)))) t)", [(2, 3)], (1, (2, 3))),
         ("(proj (tuple (tuple 1 2) 3) 0)", [], (1, 2)),
-        ("(foldl1 (lambda (a b) (add a b)) (input 0))", [((4, 5),)], (4, 5)),
+        ("(tuple (tuple 1 (input 0)) 3)", [(2, 3)], ((1, (2, 3)), 3)),
+        # A vector of vectors is no input: a port carries words.
+        ("(foldl1 (lambda (a b) (add a b)) (input 0))", [((4, 5),)],
+         ShapeMismatch("(input 0) must be an int or a tuple of ints, got ((4, 5),)")),
     ])
     def test_root_values(self, src, inputs, expected):
-        # A multi-output value leaves as the plain tuple of its items; a
-        # one-element foldl1 returns its element unchecked.
-        assert eval_expr(parse_expr(src), inputs, 8) == expected
+        # A multi-output value leaves as the plain tuple of its items, at
+        # every level.
+        if isinstance(expected, ShapeMismatch):
+            with pytest.raises(ShapeMismatch) as exc:
+                eval_expr(parse_expr(src), inputs, 8)
+            assert str(exc.value) == str(expected)
+        else:
+            assert eval_expr(parse_expr(src), inputs, 8) == expected
 
     def test_one_element_vectors_are_scalars(self):
         assert eval_expr(parse_expr("(add (input 0) 1)"), [(5,)], 8) == 6
@@ -397,9 +437,13 @@ class TestEval:
         e = parse_expr(
             "(let ((s (foldl1 (lambda (a b) (add a b)) (input 0)))) (tuple s (input 0)))"
         )
-        f = compile_expr(e, 8)
         for xs in [(1, 2, 3), (200, 100), (7,)]:
-            assert f([xs]) == eval_expr(e, [xs], 8) == (sum(xs) & 0xFF, xs)
+            assert eval_expr(e, [xs], 8) == (sum(xs) & 0xFF, xs)
+            # The function written for these shapes serves other values.
+            f = exprs._compiled(e, 8, (Vector(len(xs)),), ())
+            ys = tuple(x + 50 for x in xs)
+            assert f(xs) == (sum(xs) & 0xFF, xs)
+            assert f(ys) == eval_expr(e, [ys], 8) == (sum(ys) & 0xFF, ys)
 
     @given(
         xs=st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=8),
@@ -691,7 +735,7 @@ class TestCompiledBodies:
 
     def test_names_like_generated_or_python_identifiers(self):
         names = ["t1", "t2", "k0", "inputs", "env", "body", "None", "True", "class",
-                 "lambda", "_scalar_val", "ShapeMismatch", "__class__", "print"]
+                 "lambda", "i0", "e0", "__class__", "print"]
         bindings = " ".join(f"({n} {k + 1})" for k, n in enumerate(names))
         total = "0"
         for n in names:
@@ -702,6 +746,10 @@ class TestCompiledBodies:
         # Free names are read from ``env`` under any spelling.
         e = parse_expr("(add (add t1 env) (add inputs k0))")
         assert eval_expr(e, [], 8, {"t1": 1, "env": 2, "inputs": 3, "k0": 4}) == 10
+        # A free name spelled like the local of another name or of a port
+        # still reads its own value.
+        e = parse_expr("(add (add e1 (mul e0 10)) (add i0 (input 0)))")
+        assert eval_expr(e, [100], 8, {"e1": 1, "e0": 2, "i0": 4}) == 125
         # A name that is no identifier at all never reaches the source.
         odd = "x) + 1; import os; (x"
         e = Let(((odd, Const(3)),), PrimOp("add", (Var(odd), Var(odd))))
@@ -714,9 +762,8 @@ class TestCompiledBodies:
     def test_random_bodies_match_a_tree_walk(self, case, width, data):
         inputs = data.draw(st.tuples(
             *(st.tuples(*[st.integers(0, 2**width - 1)] * n) for n in INPUT_LENGTHS)))
-        f = compile_expr(case, width)
         mask = (1 << width) - 1
-        assert f(list(inputs)) == oracle(case, list(inputs), mask)
+        assert eval_expr(case, inputs, width) == oracle(case, list(inputs), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -769,16 +816,24 @@ class TestReferenceLoops:
            shapes=st.one_of(
                st.permutations(INPUT_LENGTHS).map(lambda ns: [Vector(n) for n in ns]),
                st.lists(st.sampled_from([Scalar(), Vector(0), Vector(1), Vector(2), Vector(3)]),
-                        max_size=3)))
+                        max_size=3)),
+           width=st.sampled_from([4, 8, 18]))
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_ill_shaped_bodies_fail_alike(self, case, shapes):
-        # A body over input shapes it was not drawn for: the reference
-        # compiles exactly when the shapes check, and validation reports
-        # the check's message.
+    def test_ill_shaped_bodies_fail_alike(self, case, shapes, width):
+        # A body over input shapes it was not drawn for: evaluation raises
+        # and the reference compiles exactly when the shapes check, and
+        # validation reports the check's message.
         try:
             shape, message = infer_shape(case, shapes), None
         except ShapeMismatch as exc:
             shape, message = None, str(exc)
+        zeros = [0 if isinstance(s, Scalar) else (0,) * s.length for s in shapes]
+        try:
+            value = eval_expr(case, zeros, width)
+            assert message is None
+            assert value == oracle(case, zeros, (1 << width) - 1)
+        except ShapeMismatch as exc:
+            assert str(exc) == message
         if not all(isinstance(s, Vector) for s in shapes):
             return  # a graph's ports, and so the reference's, are vectors
         lengths = [s.length for s in shapes]
