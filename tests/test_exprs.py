@@ -414,10 +414,10 @@ class TestEval:
         ("(let ((x 0)) 7)", [], 7),
         ("(let ((t (tuple 1 (input 0)))) t)", [(2, 3)], (1, (2, 3))),
         ("(proj (tuple (tuple 1 2) 3) 0)", [], (1, 2)),
-        ("(tuple (tuple 1 (input 0)) 3)", [(2, 3)], ((1, (2, 3)), 3)),
         # A vector of vectors is no input: a port carries words.
         ("(foldl1 (lambda (a b) (add a b)) (input 0))", [((4, 5),)],
          ShapeMismatch("(input 0) must be an int or a tuple of ints, got ((4, 5),)")),
+        ("(tuple (tuple 1 (input 0)) 3)", [(2, 3)], ((1, (2, 3)), 3)),
     ])
     def test_root_values(self, src, inputs, expected):
         # A multi-output value leaves as the plain tuple of its items, at
