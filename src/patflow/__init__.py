@@ -10,7 +10,6 @@ functional semantics, a resource estimate, and structural Verilog.
 
 from .errors import (
     AllZero,
-    CapacityMissing,
     CycleDetected,
     DanglingEdge,
     Deadlock,
@@ -104,7 +103,7 @@ __all__ = [
     "InconsistentRates", "CycleDetected", "UnknownEdge", "ExprSyntaxError",
     "ShapeMismatch", "UnsupportedExpr", "ScheduleError", "Deadlock",
     "HorizonExceeded", "FifoOverflow", "DocumentError", "NameCollision",
-    "CapacityMissing", "Diagnostic",
+    "Diagnostic",
     # patterns
     "AccessPattern", "FiringThresholds", "PatternSet", "validate_pattern",
     "compute_fifo_thresholds", "compute_registered_thresholds",

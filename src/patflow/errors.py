@@ -32,7 +32,6 @@ __all__ = [
     "FifoOverflow",
     "DocumentError",
     "NameCollision",
-    "CapacityMissing",
     "Diagnostic",
 ]
 
@@ -142,10 +141,6 @@ class DocumentError(PatflowError, ValueError):
 
 class NameCollision(PatflowError, ValueError):
     """Two distinct names sanitize to the same RTL identifier."""
-
-
-class CapacityMissing(PatflowError, KeyError):
-    """An edge that needs a FIFO has no sized capacity."""
 
 
 # ---------------------------------------------------------------------------

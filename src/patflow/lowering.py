@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .errors import CapacityMissing, UnsupportedExpr
+from .errors import UnsupportedExpr
 from .exprs import (
     Const,
     Expr,
@@ -390,12 +390,7 @@ def edge_gate_table(g: Graph, e: EdgeSpec) -> FiringThresholds:
     return compute_registered_thresholds(e.pp, e.cp)
 
 
-def lower_edges(
-    g: Graph,
-    capacities: dict[str, int] | None = None,
-    *,
-    require_capacities: bool = False,
-) -> dict[str, EdgeLowering]:
+def lower_edges(g: Graph, capacities: dict[str, int] | None = None) -> dict[str, EdgeLowering]:
     """Classify every edge and fix its storage.
 
     Parameters
@@ -404,8 +399,6 @@ def lower_edges(
     capacities : dict, optional
         Peak occupancies from the scheduler (``size_fifos``).  Without them
         FIFOs fall back to their lower bound, one full firing of input.
-    require_capacities : bool
-        Raise :class:`CapacityMissing` instead of falling back.
     """
     capacities = capacities or {}
     gates = g.prepared.gates
@@ -420,8 +413,6 @@ def lower_edges(
         if producer_is_compute and e.pp.phases == e.cp.phases:
             out[e.id] = EdgeLowering(e, "pipeline", e.pp.value, None, width, gate)
             continue
-        if e.id not in capacities and require_capacities:
-            raise CapacityMissing(f"edge '{e.id}' has no sized capacity")
         capacity = max(e.cp.total, capacities.get(e.id, 0))
         flavor = "register" if capacity <= REGISTER_FIFO_MAX else "memory"
         out[e.id] = EdgeLowering(e, "fifo", capacity, flavor, width, gate)

@@ -22,13 +22,11 @@ Two facts depend on a run's configuration as well as on the graph, and are
 kept per configuration.  The scheduler's step tables, per gate offset, are
 built by the first run at that offset: each non-sink node's gate, arrival
 and consumption tables per input edge, which every run steps the node from,
-whatever its iteration count.  The :class:`~patflow.schedule.TokenPlan` of
+whatever its iteration count.  The :class:`~patflow.valuesim.TokenPlan` of
 a clocked run is kept per iteration count and gate offset, and only the
 ``MAX_TOKEN_PLANS`` most recently used are.  A plan is fixed by the graph
 alone, since token values never decide a firing, so equivalence trials at
-one configuration schedule once.  The replay layout the first clocked run
-of a plan derives from it is kept on the plan itself
-(:attr:`~patflow.schedule.TokenPlan.layout`), and goes when the plan does.
+one configuration schedule once.
 """
 
 from __future__ import annotations
@@ -41,7 +39,8 @@ from .graphs import EdgeSpec, Graph, NodeKind, compute_repetition_vector
 from .lowering import DatapathPlan, edge_gate_table, lower_hof_node
 from .patterns import FiringThresholds
 from .rtl.lower import compile_datapath, datapath_signature
-from .schedule import Machine, StepTables, TokenPlan
+from .schedule import Machine, StepTables
+from .valuesim import TokenPlan
 
 __all__ = ["PreparedGraph"]
 
@@ -155,14 +154,14 @@ class PreparedGraph:
         return tables
 
     def token_plan(self, iterations: int, gate_offset: int) -> TokenPlan:
-        """The :class:`~patflow.schedule.TokenPlan` of a run of
+        """The :class:`~patflow.valuesim.TokenPlan` of a run of
         ``iterations`` at ``gate_offset`` with the default cycle budget and
         no capacity checks.  The ``MAX_TOKEN_PLANS`` most recently used are
         kept; a run that raises keeps nothing."""
         key = (iterations, gate_offset)
         plan = self._plans.pop(key, None)
         if plan is None:
-            plan = TokenPlan(Machine(self.g, iterations, gate_offset=gate_offset).run())
+            plan = TokenPlan(self.g, Machine(self.g, iterations, gate_offset=gate_offset).run())
             if len(self._plans) >= MAX_TOKEN_PLANS:
                 del self._plans[next(iter(self._plans))]
         self._plans[key] = plan

@@ -2,10 +2,9 @@
 
 One machine runs the graph on token counts alone, node by node.  Firing
 decisions never read token values, so the schedule view and the value
-simulator (:mod:`patflow.valuesim`) both run it: the value simulator then
-replays concrete values along its :class:`TokenPlan`, the firings and the
-real tokens of every read that the run recorded, and the two always agree
-on every firing decision.
+simulator (:mod:`patflow.valuesim`) both run it, and the two always agree
+on every firing decision.  This module deals in counts only: what a value
+replay reads of a finished run is cut from it in :mod:`patflow.valuesim`.
 
 Timing semantics
 ----------------
@@ -294,7 +293,7 @@ class Machine:
 
     Token values play no part in any firing decision, so
     :func:`patflow.valuesim.simulate_clocked` derives them afterwards from
-    the run's :class:`TokenPlan`.
+    the finished run.
 
     Not part of the public API surface; use :func:`simulate_schedule` or
     :func:`patflow.valuesim.simulate_clocked`.
@@ -502,51 +501,6 @@ class Machine:
 
     def underflows(self) -> list[str]:
         return [eid for eid, u in zip(self.tables.edge_ids, self.underflow) if u]
-
-
-class TokenPlan:
-    """Which tokens every firing of one finished run reads.
-
-    Token values play no part in any firing decision, so one counts-only
-    run fixes, for every stimulus, when each node fires and how many real
-    tokens each of its reads finds.  The plan keeps that and drops the
-    machine: ``starts``, ``cycles`` and ``underflows`` as the run reported
-    them, and ``reads[node]``, for every non-sink node in topological
-    order, one entry per input edge (in port order).  An entry is a flat
-    list with the real tokens read in each (firing, phase), firing-major;
-    a phase reading ``c`` tokens of which ``n`` were waiting pads ``c - n``
-    zeros.  An edge whose every read was full has ``None`` instead, which
-    is every edge of a run with sound gates.
-
-    :func:`patflow.valuesim.simulate_clocked` replays values along a plan;
-    :meth:`patflow.prepared.PreparedGraph.token_plan` keeps recent ones.
-    ``layout`` is ``None`` until the first replay, which works out from the
-    plan what every later replay of it reads (a
-    :class:`patflow.valuesim._ReplayLayout`) and keeps it here, so it goes
-    when the plan does.  Callers must not modify what they read here.
-    """
-
-    __slots__ = ("starts", "cycles", "underflows", "reads", "layout")
-
-    def __init__(self, m: Machine):
-        tb = m.tables
-        self.starts = m.starts
-        self.cycles = m.cycles
-        self.underflows = m.underflows()
-        self.reads: dict[str, tuple[list[int] | None, ...]] = {}
-        for name, starts, (_, ins, _, _) in zip(tb.names, m.firings, tb.rows):
-            reads = []
-            for j, _, _, cp, *_ in ins:
-                # A read comes up short exactly when the machine flags the
-                # edge: both compare ``c`` with the consumer's sample.
-                if m.underflow[j]:
-                    at = m.occupancy.reader(tb.edge_ids[j])
-                    reads.append(
-                        [min(c, at(s + ph)) for s in starts for ph, c in enumerate(cp)])
-                else:
-                    reads.append(None)
-            self.reads[name] = tuple(reads)
-        self.layout = None
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,13 @@ Two executions of the same graph:
   the timing rules the generated hardware implements, and then replays
   concrete values along those firings: node by node, each consumer takes
   as many real tokens as were waiting in its FIFO, and pads the rest of an
-  underflowing read with zeros.  What the replay needs of the run, the
-  firing starts and the real tokens of every read, is its
-  :class:`~patflow.schedule.TokenPlan`.
+  underflowing read with zeros.  What the replay reads of the run, where
+  every read starts and ends, its zero padding and each sink token's
+  cycle stamp, is its :class:`TokenPlan`, cut from the finished machine.
   Token values never decide a firing, so the plan holds for every
   stimulus, and the graph keeps it per iteration count and gate offset:
-  repeated trials at one configuration schedule once.  The first
-  replay of a plan also works out where every read starts and ends, its
-  zero padding and each sink token's cycle stamp, and keeps that
-  :class:`_ReplayLayout` with the plan, so a later trial does only the
-  work that depends on its stimulus.
+  repeated trials at one configuration schedule once, and each does only
+  the work that depends on its stimulus.
 
 The two evaluate a node in different forms, both derived once per graph
 on its :class:`~patflow.prepared.PreparedGraph`.  The functional side runs
@@ -53,7 +50,7 @@ from operator import add, itemgetter
 
 from .errors import ShapeMismatch
 from .graphs import Graph, NodeKind, NodeSpec
-from .schedule import Machine, TokenPlan
+from .schedule import Machine
 
 __all__ = [
     "SimResult",
@@ -85,9 +82,9 @@ class SimResult:
 
     @cached_property
     def edge_arrivals(self) -> dict[str, list[tuple[int, int]]]:
-        layout = self._plan.layout
-        return {eid: list(zip(layout.stamps[key], self._streams[key]))
-                for eid, key in layout.arrivals}
+        plan = self._plan
+        return {eid: list(zip(plan.stamps[key], self._streams[key]))
+                for eid, key in plan.arrivals}
 
     @cached_property
     def arrivals(self) -> dict[str, list[tuple[int, int]]]:
@@ -106,7 +103,7 @@ class SimResult:
     @cached_property
     def fold_trace(self) -> dict[str, list[int]]:
         # In the order the nodes first fired, as a clocked run records them.
-        return {name: self._folds[name] for name in self._plan.layout.folds}
+        return {name: self._folds[name] for name in self._plan.folds}
 
     def values(self, sink: str) -> list[int]:
         """Token values delivered to ``sink`` in arrival order."""
@@ -176,12 +173,12 @@ def _stimulus_iterations(
     inferred = counts.pop() if counts else None
     if iterations is None:
         iterations = inferred if inferred is not None else 1
+    elif iterations < 0:
+        raise ValueError("iterations must be >= 0")
     elif inferred is not None and inferred != iterations:
         raise ShapeMismatch(
             f"stimulus holds {inferred} iterations, {iterations} requested"
         )
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
     for src in g.sources:
         per_firing = sum(p.total for p in src.patterns.outputs)
         bound = 1 << src.width
@@ -343,8 +340,8 @@ def simulate_clocked(
     """Cycle-accurate run with concrete token values: the scheduler fixes
     every firing on token counts, then the values are replayed along them.
 
-    The run's :class:`~patflow.schedule.TokenPlan` depends only on
-    ``iterations`` and ``gate_offset``, so the graph keeps recent plans
+    The run's :class:`TokenPlan` depends only on ``iterations`` and
+    ``gate_offset``, so the graph keeps recent plans
     (:meth:`~patflow.prepared.PreparedGraph.token_plan`) and a repeated
     configuration schedules nothing.  A call with ``horizon`` or
     ``capacities`` runs its own schedule and keeps nothing.
@@ -371,17 +368,21 @@ def simulate_clocked(
     if horizon is None and capacities is None:
         plan = g.prepared.token_plan(iterations, gate_offset)
     else:
-        plan = TokenPlan(Machine(
+        plan = TokenPlan(g, Machine(
             g, iterations, gate_offset=gate_offset, horizon=horizon, capacities=capacities
         ).run())
     return SimResult(g, plan, streams, _replay(g, plan, streams))
 
 
-class _ReplayLayout:
-    """Everything a replay reads of its token plan, worked out once per plan
-    (kept as :attr:`~patflow.schedule.TokenPlan.layout`), so a replay does
-    only the work that depends on the stimulus.
+class TokenPlan:
+    """Everything a replay reads of one finished counts-only run.
 
+    Token values play no part in any firing decision, so one run fixes, for
+    every stimulus, when each node fires and how many real tokens each of
+    its reads finds.  The plan keeps that and drops the machine, so a replay
+    does only the work that depends on the stimulus:
+
+    * ``starts``, ``cycles`` and ``underflows``, as the run reported them.
     * ``computes``: per compute node in topological order, its name, its
       firing count and, per input edge, the producer port, how the steps
       its compiled loop evaluates (``loop.phases`` of every firing, see
@@ -397,37 +398,45 @@ class _ReplayLayout:
       of each token it writes in phase ``ph`` of the firing started at
       ``s``.
     * ``folds``: the fold nodes that fired, in the order they first did.
+
+    :meth:`~patflow.prepared.PreparedGraph.token_plan` keeps recent ones.
+    Callers must not modify what they read here.
     """
 
-    __slots__ = ("computes", "arrivals", "stamps", "folds")
+    __slots__ = ("starts", "cycles", "underflows", "computes", "arrivals", "stamps", "folds")
 
-    def __init__(self, g: Graph, plan: TokenPlan):
-        prep = g.prepared
+    def __init__(self, g: Graph, m: Machine):
+        prep, tb = g.prepared, m.tables
+        starts = self.starts = m.starts
+        self.cycles = m.cycles
+        self.underflows = m.underflows()
         self.computes = []
-        for name, reads in plan.reads.items():
-            spec = g.nodes[name]
-            if spec.kind is NodeKind.SOURCE:
+        for name, (*_, numbers) in zip(tb.names, tb.rows):
+            if g.nodes[name].kind is NodeKind.SOURCE:
                 continue
-            firings = len(plan.starts[name])
             phases = prep.datapaths[name].phases
             ins = []
-            for e, counts in zip(prep.ins[name], reads):
-                key = (e.producer, e.producer_port)
-                if counts is None and all(e.cp.phases[ph] for ph in phases):
+            for e, j in zip(prep.ins[name], numbers):
+                key, cp = (e.producer, e.producer_port), e.cp.phases
+                # A read comes up short exactly when the machine flags the
+                # edge: both compare a phase's count with the consumer's
+                # sample, which is then all the read gets.
+                at = m.occupancy.reader(tb.edge_ids[j]) if m.underflow[j] else None
+                if at is None and all(cp[ph] for ph in phases):
                     ins.append((key, e.cp.value, None))
                     continue
                 producer = g.nodes[e.producer].patterns.outputs[e.producer_port]
-                end = len(plan.starts[e.producer]) * producer.total
-                slices, pads, at = [], [], 0
-                for f in range(firings):
+                end = len(starts[e.producer]) * producer.total
+                slices, pads, head = [], [], 0
+                for s in starts[name]:
                     for ph in phases:
-                        got = e.cp.phases[ph] if counts is None else counts[f * spec.length + ph]
-                        shown = got if e.cp.phases[ph] else min(e.cp.value, end - at)
-                        slices.append(slice(at, at + shown))
+                        got = cp[ph] if at is None else min(cp[ph], at(s + ph))
+                        shown = got if cp[ph] else min(e.cp.value, end - head)
+                        slices.append(slice(head, head + shown))
                         pads.append([0] * (e.cp.value - shown))
-                        at += got
+                        head += got
                 ins.append((key, slices, pads if any(pads) else None))
-            self.computes.append((name, firings, ins))
+            self.computes.append((name, len(starts[name]), ins))
         self.arrivals = []
         self.stamps = {}
         for e in g.edges:
@@ -436,11 +445,11 @@ class _ReplayLayout:
             key = (e.producer, e.producer_port)
             self.arrivals.append((e.id, key))
             phases = g.nodes[e.producer].patterns.outputs[e.producer_port].phases
-            self.stamps[key] = [s + ph for s in plan.starts[e.producer]
+            self.stamps[key] = [s + ph for s in starts[e.producer]
                                 for ph, c in enumerate(phases) for _ in range(c)]
         self.folds = sorted(
-            (name for name, dp in prep.plans.items() if dp.mode == "fold" and plan.starts[name]),
-            key=lambda name: plan.starts[name][0])
+            (name for name, dp in prep.plans.items() if dp.mode == "fold" and starts[name]),
+            key=lambda name: starts[name][0])
 
 
 def _replay(
@@ -453,18 +462,14 @@ def _replay(
     port's.  Compute nodes are replayed in topological order.  Every step a
     node evaluates takes, from the head of each input's stream, as many
     real tokens as the plan says were waiting in its FIFO, padded with
-    zeros to a full bus, as the plan's :class:`_ReplayLayout` cuts them.
-    The node's compiled loop
+    zeros to a full bus.  The node's compiled loop
     (:attr:`~patflow.prepared.PreparedGraph.datapaths`) runs over all of
     those buses and gives every output port's stream, and a fold's trace,
     which this returns per compute node (``None`` if it does not fold).
     """
-    layout = plan.layout
-    if layout is None:
-        layout = plan.layout = _ReplayLayout(g, plan)
     datapaths = g.prepared.datapaths
     fold_trace: dict[str, list[int] | None] = {}
-    for name, firings, ins in layout.computes:
+    for name, firings, ins in plan.computes:
         gathered = []
         for key, cut, pads in ins:
             stream = streams[key]
@@ -514,7 +519,7 @@ def equivalence_check(
         expected = _combinational_streams(g, stim.ports, iterations)
         clocked = simulate_clocked(g, stim, iterations=iterations, gate_offset=gate_offset)
         bad = False
-        for eid, key in clocked._plan.layout.arrivals:
+        for eid, key in clocked._plan.arrivals:
             if expected[key] != clocked._streams[key]:
                 bad = True
                 if len(report.counterexamples) < max_counterexamples:

@@ -20,7 +20,6 @@ from patflow import (
     validate_graph,
 )
 from patflow.errors import (
-    CapacityMissing,
     CycleDetected,
     DanglingEdge,
     DocumentError,
@@ -478,11 +477,6 @@ class TestLowerEdges:
         low = lower_edges(g, capacities={"xs.0->zw.0": 33})
         assert low["xs.0->zw.0"].capacity == 33
         assert low["xs.0->zw.0"].flavor == "memory"
-
-    def test_require_capacities(self):
-        g = load_graph("dotp-1010")
-        with pytest.raises(CapacityMissing, match="no sized capacity"):
-            lower_edges(g, require_capacities=True)
 
     def test_pipeline_uses_registered_gate(self):
         g = load_graph("dotp-1010")

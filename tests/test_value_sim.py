@@ -31,6 +31,7 @@ from patflow.rtl import Assign, lower_design
 from patflow.rtl import lower as rtl_lower
 
 from conftest import dotp_document, generated_graph, one_node_doc
+from stepping import step_schedule
 from test_rtl import datapath_module, settle
 
 
@@ -166,10 +167,14 @@ class TestStimulus:
                 simulate(g, stim)
 
     def test_negative_iterations_rejected(self):
-        g = load_graph("fig2")
-        for simulate in (simulate_clocked, eval_combinational):
-            with pytest.raises(ValueError, match="iterations must be >= 0"):
-                simulate(g, {"p": [[1]]}, iterations=-1)
+        # On a graph with sources the count is checked before it is
+        # compared with the iterations the stimulus holds (0 and 1 here).
+        fig2, dotp = load_graph("fig2"), load_graph("dotp-1x20")
+        cases = [(fig2, {"p": [[1]]})] + [(dotp, random_stimulus(dotp, k, seed=0)) for k in (0, 1)]
+        for g, stim in cases:
+            for simulate in (simulate_clocked, eval_combinational):
+                with pytest.raises(ValueError, match="iterations must be >= 0"):
+                    simulate(g, stim, iterations=-1)
 
     def test_random_stimulus_shape(self):
         g = load_graph("fold-pipeline")
@@ -605,27 +610,29 @@ class TestCompiledLoops:
 
 
 def stepped_replay(g, stimulus: dict, iterations: int, gate_offset: int) -> dict:
-    """What ``simulate_clocked`` gives, one step at a time along the token
-    plan: every compute port's stream, each sink edge's ``(cycle, value)``
-    arrivals and each fold's trace.
+    """What ``simulate_clocked`` gives, one step at a time along the plain
+    stepping scheduler's run (``tests/stepping.py``): every compute port's
+    stream, each sink edge's ``(cycle, value)`` arrivals and each fold's
+    trace.
 
     Nodes go in topological order, and every firing of a node through its
     phases: all of them in a fold, otherwise those that move tokens.  Each
     input bus shows the next unread words of its stream, as many real ones
-    as the plan says the read found (zeros after them), or the next full
-    bus (zeros past the end) in a phase that reads nothing.  The emitted
+    as the FIFO held when the consumer sampled it, up to the phase's count
+    (zeros after them), or the next full bus (zeros past the end) in a
+    phase that reads nothing.  The emitted
     datapath module then settles (``settle``), a port's words are taken in
     the phases its pattern writes, and a fold's ``acc_q`` starts each
     firing at its seed and loads ``result`` after every phase."""
     prep = g.prepared
-    plan = prep.token_plan(iterations, gate_offset)
+    starts, occupancy, *_ = step_schedule(g, iterations, gate_offset=gate_offset)
     design = lower_design(g)
     stamped = {}
     for src in g.sources:
         at = 0
         for port, p in enumerate(src.patterns.outputs):
             stream = [t for v in stimulus[src.name] for t in v[at : at + p.total]]
-            stamps = [s + ph for s in plan.starts[src.name]
+            stamps = [s + ph for s in starts[src.name]
                       for ph, c in enumerate(p.phases) for _ in range(c)]
             stamped[src.name, port] = list(zip(stamps, stream))
             at += p.total
@@ -642,15 +649,15 @@ def stepped_replay(g, stimulus: dict, iterations: int, gate_offset: int) -> dict
         heads = [0] * len(edges)
         outs = [[] for _ in node.patterns.outputs]
         trace = []
-        for f, start in enumerate(plan.starts[name]):
+        for start in starts[name]:
             acc = prep.plans[name].fold_init or 0
             for ph in range(node.length):
                 if not fold and not any(p.phases[ph] for p in node.patterns.all_patterns):
                     continue
                 env = {"phase": ph, "firing": 1, "acc_q": acc}
-                for i, (e, reads) in enumerate(zip(edges, plan.reads[name])):
+                for i, e in enumerate(edges):
                     c, stream = e.cp.phases[ph], streams[i]
-                    got = c if reads is None else reads[f * node.length + ph]
+                    got = min(c, occupancy[e.id][start + ph])
                     shown = got if c else min(e.cp.value, len(stream) - heads[i])
                     words = stream[heads[i] : heads[i] + shown] + [0] * (e.cp.value - shown)
                     env[f"in{i}"] = sum(w << (k * width) for k, w in enumerate(words))
