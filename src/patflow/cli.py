@@ -109,8 +109,9 @@ def cmd_simulate(args) -> int:
         return rc
     if args.stimulus:
         stim = _load_document(args.stimulus)
-        result = simulate_clocked(g, stim, gate_offset=args.gate_offset)
-        reference = eval_combinational(g, stim)
+        result = simulate_clocked(g, stim, iterations=args.iterations,
+                                  gate_offset=args.gate_offset)
+        reference = eval_combinational(g, stim, iterations=args.iterations)
         ok = True
         for sink, values in sorted(reference.items()):
             # In port order, as the reference concatenates a sink's inputs.
@@ -130,7 +131,7 @@ def cmd_simulate(args) -> int:
         g,
         args.random,
         seed=args.seed,
-        iterations=args.iterations,
+        iterations=1 if args.iterations is None else args.iterations,
         gate_offset=args.gate_offset,
     )
     print(
@@ -230,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--random", type=_at_least(1), metavar="N",
                       help="N random-stimulus equivalence trials")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=_at_least(0), default=1)
+    p.add_argument("--iterations", type=_at_least(0), default=None,
+                   help="iterations to run (default: the stimulus depth, or 1 with --random)")
     p.add_argument("--gate-offset", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 

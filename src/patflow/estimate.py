@@ -60,14 +60,15 @@ def estimate_resources(
         node_regs = counter_bits(node.length)
         if plan.accumulator_width:
             node_regs += plan.accumulator_width
-        muls = plan.op_counts.get("mul", 0)
+        ops = plan.op_counts
+        muls = ops.get("mul", 0)
         dsp += muls
         register_bits += node_regs
         controllers += 1
         per_node[node.name] = {
             "mode": plan.mode,
             "lanes": plan.lanes,
-            "ops": dict(plan.op_counts),
+            "ops": ops,
             "dsp": muls,
             "register_bits": node_regs,
         }

@@ -12,6 +12,11 @@ from pathlib import Path
 
 from ..graphs import Graph
 from .ir import (
+    AlwaysFF,
+    Assign,
+    Net,
+    Param,
+    Port,
     RBin,
     RConcat,
     RIndex,
@@ -20,6 +25,7 @@ from .ir import (
     RNot,
     RRef,
     RSlice,
+    RegDecl,
     RtlBody,
     RtlDesign,
     RtlModule,
@@ -107,31 +113,69 @@ def _range(width: int) -> str:
     return "" if width == 1 else f"[{width - 1}:0] "
 
 
-def _walk(b: RtlBody) -> tuple[str, set[str]]:
+# One renderer per part of a body.  Each returns the part's text (a port's
+# without its separator) and adds the names it references to ``used``.
+
+
+def _port(p: Port, used: set[str]) -> str:
+    return f"  {p.direction} wire {_range(p.width)}{p.name}"
+
+
+def _param(p: Param, used: set[str]) -> str:
+    return f"  localparam integer {p.name} = {p.value};\n"
+
+
+def _net(n: Net, used: set[str]) -> str:
+    return f"  wire {_range(n.width)}{n.name};\n"
+
+
+def _reg(r: RegDecl, used: set[str]) -> str:
+    if r.depth is None:
+        return f"  reg {_range(r.width)}{r.name};\n"
+    return f"  reg {_range(r.width)}{r.name} [0:{r.depth - 1}];\n"
+
+
+def _assign(a: Assign, used: set[str]) -> str:
+    used.add(a.target)
+    v = a.value
+    return f"  assign {a.target} = {_TEXT[v.__class__](v, used)};\n"
+
+
+def _always(ff: AlwaysFF, used: set[str]) -> str:
+    out = ["  always @(posedge clk) begin\n"]
+    for s in ff.body:
+        _STMT[s.__class__](s, "    ", out, used)
+    out.append("  end\n")
+    return "".join(out)
+
+
+_PART = {Port: _port, Param: _param, Net: _net, RegDecl: _reg, Assign: _assign,
+         AlwaysFF: _always}
+
+
+def _walk(b: RtlBody, memo: dict[int, tuple[str, set[str]]] | None) -> tuple[str, set[str]]:
     """One walk of a body: its text below the ``module`` line, and every
-    name its assigns, processes and instance connections reference."""
+    name its assigns, processes and instance connections reference.
+
+    ``memo`` maps the identity of each declaration, assign and process met
+    so far to its text and names, so that a part bodies share is rendered
+    once; without a memo every part is rendered."""
     used: set[str] = set()
+    parts = (*b.ports, *b.params, *b.nets, *b.regs, *b.assigns, *b.always)
+    if memo is None:
+        texts = [_PART[p.__class__](p, used) for p in parts]
+    else:
+        texts = []
+        for p in parts:
+            hit = memo.get(id(p))
+            if hit is None:
+                names: set[str] = set()
+                hit = memo[id(p)] = (_PART[p.__class__](p, names), names)
+            texts.append(hit[0])
+            used |= hit[1]
+    ports = len(b.ports)
+    out = [",\n".join(texts[:ports]), "\n);\n", *texts[ports:]]
     text = _TEXT
-    out = [",\n".join([f"  {p.direction} wire {_range(p.width)}{p.name}" for p in b.ports]),
-           "\n);\n"]
-    for p in b.params:
-        out.append(f"  localparam integer {p.name} = {p.value};\n")
-    for n in b.nets:
-        out.append(f"  wire {_range(n.width)}{n.name};\n")
-    for r in b.regs:
-        if r.depth is None:
-            out.append(f"  reg {_range(r.width)}{r.name};\n")
-        else:
-            out.append(f"  reg {_range(r.width)}{r.name} [0:{r.depth - 1}];\n")
-    for a in b.assigns:
-        used.add(a.target)
-        v = a.value
-        out.append(f"  assign {a.target} = {text[v.__class__](v, used)};\n")
-    for ff in b.always:
-        out.append("  always @(posedge clk) begin\n")
-        for s in ff.body:
-            _STMT[s.__class__](s, "    ", out, used)
-        out.append("  end\n")
     for inst in b.instances:
         conns = ",\n".join([f"    .{port} ({text[e.__class__](e, used)})"
                             for port, e in inst.conns])
@@ -142,12 +186,16 @@ def _walk(b: RtlBody) -> tuple[str, set[str]]:
 
 def walk_bodies(design: RtlDesign) -> tuple[dict[RtlBody, str], dict[RtlBody, set[str]]]:
     """Each distinct body of ``design``, walked once: its text below the
-    ``module`` line and the names it references."""
+    ``module`` line and the names it references.  One memo serves every
+    body, so a part shared by bodies is rendered once per design."""
     texts: dict[RtlBody, str] = {}
     names: dict[RtlBody, set[str]] = {}
+    memo: dict[int, tuple[str, set[str]]] = {}
     for m in design.modules.values():
         if m.body not in texts:
-            texts[m.body], names[m.body] = _walk(m.body)
+            # The top's parts are its own, so a memo of them would only cost.
+            texts[m.body], names[m.body] = _walk(m.body, None if m.name == design.top
+                                                 else memo)
     return texts, names
 
 
@@ -160,7 +208,7 @@ def _head(m: RtlModule) -> str:
 
 def render_module(m: RtlModule) -> str:
     """One module as Verilog text."""
-    return _head(m) + _walk(m.body)[0]
+    return _head(m) + _walk(m.body, None)[0]
 
 
 # A module and an edge of the manifest, as ``json.dumps(indent=2,

@@ -5,12 +5,14 @@ The expression nodes cover exactly what the lowering emits; rendering
 parenthesizes everything, so operator precedence never matters.  Nodes are
 plain ``__slots__`` classes with structural equality, never changed once
 built, so one node may sit in many places: the lowering shares each
-reference and literal across a design.  A module is a name, a comment and
-an :class:`RtlBody`; modules of one structural class share a frozen body.
+reference and literal, each declaration and whole statements such as a
+FIFO's write process across a design.  A module is a name, a comment and an
+:class:`RtlBody`; modules of one structural class share a frozen body.
 
 :func:`check_design` checks each distinct body once.  The names a body
 references come from the same walk that renders it (``emit.walk_bodies``),
-so emission and the check walk each body once between them.
+so emission and the check walk each body once between them; that walk
+renders a part shared by several bodies once per design.
 """
 
 from __future__ import annotations
@@ -312,6 +314,18 @@ def _body_problems(b: RtlBody, used: set[str], modules: dict[str, RtlModule],
         ports = child_ports.get(child.body)
         if ports is None:
             ports = child_ports[child.body] = {p.name: p for p in child.body.ports}
+        # Connections that follow the child's distinct ports in order, each
+        # of its width, are sound; anything else is diagnosed port by port.
+        if len(inst.conns) == len(ports) == len(child.body.ports):
+            for (port_name, expr), port in zip(inst.conns, child.body.ports):
+                if port_name != port.name:
+                    break
+                got = (widths.get(expr.name) if expr.__class__ is RRef
+                       else _expr_width(expr, widths))
+                if got is not None and got != port.width:
+                    break
+            else:
+                continue
         connected = set()
         for port_name, expr in inst.conns:
             port = ports.get(port_name)

@@ -32,9 +32,18 @@ and width; a FIFO's capacity, width, patterns and write-through; a
 threshold table's capacity, producer length and gate table; a datapath's
 width, patterns and plan).  The first module of a signature builds the
 body and freezes it; later ones get the same :class:`RtlBody` under their
-own name and comment.  Every body and the top also share one
-:class:`~patflow.rtl.ir.RRef` per name and one :class:`~patflow.rtl.ir.RLit`
-per value and width.  These tables live for one :func:`lower_design` call.
+own name and comment.
+
+Bodies of different signatures share their parts through one table
+(:class:`_Leaves`): one :class:`~patflow.rtl.ir.RRef` per name, one
+:class:`~patflow.rtl.ir.RLit` per value and width, one declaration per set
+of fields, and one block per builder and the values it is built from: a
+FIFO's ``dout`` words (words in and out, width, write-through) and its write
+process (words in, width, occupancy width), which name ``DEPTH`` rather
+than hold it; the push and pop counts; a threshold controller's ``need``
+and ``ready``; a fold's accumulator process.  The top builds each node's
+firing and phase references once and shares its ``clk``/``rst``
+connections.  These tables live for one :func:`lower_design` call.
 """
 
 from __future__ import annotations
@@ -96,15 +105,33 @@ class _NameTable:
 
 
 class _Leaves(dict):
-    """The leaves of one design, each built on first use: ``leaf[name]``
-    is the :class:`RRef` of a name, ``leaf[value, width]`` the
-    :class:`RLit` of a value (``width`` None for a plain integer)."""
+    """The shared parts of one design, each built on first use:
+    ``leaf[name]`` is the :class:`RRef` of a name, ``leaf[value, width]``
+    the :class:`RLit` of a value (``width`` None for a plain integer),
+    ``leaf[cls, *fields]`` the declaration ``cls(*fields)`` and
+    ``leaf[build, *args]`` the block ``build(leaf, *args)``."""
 
     __slots__ = ()
 
     def __missing__(self, key):
-        node = self[key] = RRef(key) if key.__class__ is str else RLit(*key)
+        if key.__class__ is str:
+            node = RRef(key)
+        elif key[0].__class__ is int:
+            node = RLit(*key)
+        elif key[0].__class__ is type:
+            node = key[0](*key[1:])
+        else:
+            node = key[0](self, *key[1:])
+        self[key] = node
         return node
+
+
+def _ports(leaf: _Leaves, *specs: tuple) -> list[Port]:
+    """The shared :class:`Port` of each ``(name, width, direction)``."""
+    return [leaf[(Port, *spec)] for spec in specs]
+
+
+_CLOCK = (("clk", 1, "input"), ("rst", 1, "input"))
 
 
 def _table_mux(leaf: _Leaves, sel: RExpr, values: list[RExpr], default: RExpr) -> RExpr:
@@ -146,7 +173,8 @@ def _render(body: RtlBody, leaf: _Leaves, net: Netlist, prefix: str, width: int,
         return _word(f"in{port}", k, width)
 
     for i, (op, a, b) in enumerate(net.ops, start):
-        name = body.net(f"{prefix}_w{i}", width)
+        name = f"{prefix}_w{i}"
+        body.nets.append(leaf[Net, name, width])
         body.assigns.append(Assign(name, _PRIMS[op](leaf, operand(a), operand(b), width)))
         wires.append(leaf[name])
     return [[operand(x) for x in words] for words in net.outs]
@@ -158,16 +186,11 @@ def _render(body: RtlBody, leaf: _Leaves, net: Netlist, prefix: str, width: int,
 
 def _ctrl_body(body: RtlBody, leaf: _Leaves, length: int) -> None:
     pb = counter_bits(length)
-    body.port("clk", 1, "input")
-    body.port("rst", 1, "input")
-    body.port("run", 1, "input")
-    body.port("ready", 1, "input")
-    body.port("firing", 1, "output")
-    body.port("phase", pb, "output")
-    body.params += [Param("LEN", length), Param("IDLE", length)]
-    body.regs.append(RegDecl("phase_q", pb))
-    body.net("idle_w", 1)
-    body.net("start", 1)
+    body.ports += _ports(leaf, *_CLOCK, ("run", 1, "input"), ("ready", 1, "input"),
+                         ("firing", 1, "output"), ("phase", pb, "output"))
+    body.params += [leaf[Param, "LEN", length], leaf[Param, "IDLE", length]]
+    body.regs.append(leaf[RegDecl, "phase_q", pb])
+    body.nets += [leaf[Net, "idle_w", 1], leaf[Net, "start", 1]]
     idle = leaf["idle_w"]
     start = leaf["start"]
     body.assigns += [
@@ -176,42 +199,18 @@ def _ctrl_body(body: RtlBody, leaf: _Leaves, length: int) -> None:
         Assign("firing", RBin("|", start, RNot(idle))),
         Assign("phase", RMux(start, leaf[0, pb], leaf["phase_q"])),
     ]
+    phase_q = leaf["phase_q"]
     after_start = leaf[1 if length > 1 else length, pb]
-    body.always.append(
-        AlwaysFF(
-            (
-                SIf(
-                    leaf["rst"],
-                    (SAssign(leaf["phase_q"], leaf["IDLE"]),),
-                    (
-                        SIf(
-                            start,
-                            (SAssign(leaf["phase_q"], after_start),),
-                            (
-                                SIf(
-                                    RNot(idle),
-                                    (
-                                        SAssign(
-                                            leaf["phase_q"],
-                                            RMux(
-                                                RBin(
-                                                    "==",
-                                                    leaf["phase_q"],
-                                                    leaf[length - 1, pb],
-                                                ),
-                                                leaf["IDLE"],
-                                                RBin("+", leaf["phase_q"], leaf[1, None]),
-                                            ),
-                                        ),
-                                    ),
-                                ),
-                            ),
-                        ),
-                    ),
-                ),
-            )
-        )
-    )
+    step = RMux(RBin("==", phase_q, leaf[length - 1, pb]), leaf["IDLE"],
+                RBin("+", phase_q, leaf[1, None]))
+    # if (rst) ... else if (start) ... else if (!idle) phase_q <= step.
+    body.always.append(AlwaysFF((
+        SIf(leaf["rst"], (SAssign(phase_q, leaf["IDLE"]),), (
+            SIf(start, (SAssign(phase_q, after_start),), (
+                SIf(RNot(idle), (SAssign(phase_q, step),)),
+            )),
+        )),
+    )))
 
 
 def _word(bus: str, k: int, width: int) -> RSlice:
@@ -225,14 +224,11 @@ def _concat_words(words: list[RExpr]) -> RExpr:
 def _datapath_body(body: RtlBody, leaf: _Leaves, node: NodeSpec, plan: DatapathPlan) -> None:
     width = node.width
     pb = counter_bits(node.length)
-    body.port("clk", 1, "input")
-    body.port("rst", 1, "input")
-    body.port("firing", 1, "input")
-    body.port("phase", pb, "input")
-    for i, p in enumerate(node.patterns.inputs):
-        body.port(f"in{i}", p.value * width, "input")
-    for k, p in enumerate(node.patterns.outputs):
-        body.port(f"out{k}", p.value * width, "output")
+    body.ports += _ports(leaf, *_CLOCK, ("firing", 1, "input"), ("phase", pb, "input"),
+                         *((f"in{i}", p.value * width, "input")
+                           for i, p in enumerate(node.patterns.inputs)),
+                         *((f"out{k}", p.value * width, "output")
+                           for k, p in enumerate(node.patterns.outputs)))
 
     if plan.mode == "fold":
         _fold_datapath(body, leaf, node, plan, width)
@@ -255,10 +251,10 @@ def _fold_datapath(body: RtlBody, leaf: _Leaves, node: NodeSpec, plan: DatapathP
     cp = node.patterns.inputs[plan.fold_input]
     first_phase = next(j for j, v in enumerate(cp.phases) if v)
     at_first = RBin("==", leaf["phase"], leaf[first_phase, None])
-    body.regs.append(RegDecl("acc_q", width))
+    body.regs.append(leaf[RegDecl, "acc_q", width])
     start = 0
     if plan.fold_init is not None:
-        body.net("carry", width)
+        body.nets.append(leaf[Net, "carry", width])
         seed = leaf[plan.fold_init, width]
         body.assigns.append(Assign("carry", RMux(at_first, seed, leaf["acc_q"])))
     else:
@@ -267,7 +263,7 @@ def _fold_datapath(body: RtlBody, leaf: _Leaves, node: NodeSpec, plan: DatapathP
         first = plan.netlists[0]
         first_op = _render(body, leaf, first, "f", width)[0][0]
         tok0 = _word(f"in{plan.fold_input}", 0, width)
-        body.net("stage0", width)
+        body.nets.append(leaf[Net, "stage0", width])
         body.assigns.append(Assign("stage0", RMux(at_first, tok0, first_op)))
         start = len(first.ops)
     acc = _render(body, leaf, plan.netlists[-1], "f", width, start)[0][0]
@@ -275,25 +271,18 @@ def _fold_datapath(body: RtlBody, leaf: _Leaves, node: NodeSpec, plan: DatapathP
         # The input bus still shows words in a phase that reads none; the
         # accumulator holds through such a phase.
         acc = RMux(_nz_mux(leaf, leaf["phase"], cp), acc, leaf["acc_q"])
-    body.net("result", width)
-    body.assigns.append(Assign("result", acc))
-    body.assigns.append(Assign("out0", leaf["result"]))
-    body.always.append(
-        AlwaysFF(
-            (
-                SIf(
-                    leaf["rst"],
-                    (SAssign(leaf["acc_q"], leaf[0, width]),),
-                    (
-                        SIf(
-                            leaf["firing"],
-                            (SAssign(leaf["acc_q"], leaf["result"]),),
-                        ),
-                    ),
-                ),
-            )
-        )
-    )
+    body.nets.append(leaf[Net, "result", width])
+    body.assigns += [Assign("result", acc), Assign("out0", leaf["result"])]
+    body.always.append(leaf[_acc_always, width])
+
+
+def _acc_always(leaf: _Leaves, width: int) -> AlwaysFF:
+    """A fold's accumulator: reset to 0, else ``result`` while firing."""
+    return AlwaysFF((
+        SIf(leaf["rst"], (SAssign(leaf["acc_q"], leaf[0, width]),), (
+            SIf(leaf["firing"], (SAssign(leaf["acc_q"], leaf["result"]),)),
+        )),
+    ))
 
 
 def datapath_signature(node: NodeSpec, plan: DatapathPlan) -> tuple:
@@ -393,45 +382,45 @@ def _fifo_body(body: RtlBody, leaf: _Leaves, low: EdgeLowering, write_through: b
     depth = low.capacity
     n = e.pp.value
     mm = e.cp.value
-    ppb = counter_bits(len(e.pp))
-    cpb = counter_bits(len(e.cp))
     ow = counter_bits(depth)
-    body.port("clk", 1, "input")
-    body.port("rst", 1, "input")
-    body.port("wr_en", 1, "input")
-    body.port("wr_phase", ppb, "input")
-    body.port("din", n * width, "input")
-    body.port("rd_en", 1, "input")
-    body.port("rd_phase", cpb, "input")
-    body.port("dout", mm * width, "output")
-    body.port("occupancy", ow, "output")
-    body.params += [
-        Param("DEPTH", depth),
-        Param("WRITE_THROUGH", 1 if write_through else 0),
-    ]
-    body.regs.append(RegDecl("mem", width, depth))
-    body.regs += [RegDecl("wr_q", ow), RegDecl("rd_q", ow), RegDecl("occ_q", ow)]
-    body.net("push", ow)
-    body.net("pop", ow)
-    push_table = _table_mux(
-        leaf, leaf["wr_phase"],
-        [leaf[v, ow] for v in e.pp.phases],
-        leaf[0, ow],
-    )
-    pop_table = _table_mux(
-        leaf, leaf["rd_phase"],
-        [leaf[v, ow] for v in e.cp.phases],
-        leaf[0, ow],
-    )
+    body.ports += _ports(leaf, *_CLOCK, ("wr_en", 1, "input"),
+                         ("wr_phase", counter_bits(len(e.pp)), "input"),
+                         ("din", n * width, "input"), ("rd_en", 1, "input"),
+                         ("rd_phase", counter_bits(len(e.cp)), "input"),
+                         ("dout", mm * width, "output"), ("occupancy", ow, "output"))
+    body.params += [leaf[Param, "DEPTH", depth],
+                    leaf[Param, "WRITE_THROUGH", 1 if write_through else 0]]
+    body.regs += [leaf[RegDecl, "mem", width, depth], leaf[RegDecl, "wr_q", ow],
+                  leaf[RegDecl, "rd_q", ow], leaf[RegDecl, "occ_q", ow]]
+    body.nets += [leaf[Net, "push", ow], leaf[Net, "pop", ow]]
     body.assigns += [
-        Assign("push", RMux(leaf["wr_en"], push_table, leaf[0, ow])),
-        Assign("pop", RMux(leaf["rd_en"], pop_table, leaf[0, ow])),
-        Assign("occupancy", leaf["occ_q"]),
+        leaf[_count_assign, "push", "wr_en", "wr_phase", e.pp.phases, ow],
+        leaf[_count_assign, "pop", "rd_en", "rd_phase", e.cp.phases, ow],
     ]
+    # The words read and the write process refer to the depth by name.
+    nets, assigns = leaf[_fifo_dout, mm, n, width, write_through]
+    body.nets += nets
+    body.assigns += assigns
+    body.always.append(leaf[_fifo_always, n, width, ow])
+
+
+def _count_assign(leaf: _Leaves, target: str, enable: str, phase: str,
+                  counts: tuple[int, ...], ow: int) -> Assign:
+    """``target``: the tokens moved in the live phase while ``enable``."""
+    table = _table_mux(leaf, leaf[phase], [leaf[v, ow] for v in counts], leaf[0, ow])
+    return Assign(target, RMux(leaf[enable], table, leaf[0, ow]))
+
+
+def _fifo_dout(leaf: _Leaves, mm: int, n: int, width: int,
+               write_through: bool) -> tuple[tuple[Net, ...], tuple[Assign, ...]]:
+    """The nets and assigns of a FIFO's ``dout`` words, after the assign of
+    ``occupancy``."""
     # Nodes never change, so one node may appear in several places.
     din = [_word("din", k, width) for k in range(n)]
     occ_is = [RBin("==", leaf["occ_q"], leaf[j, None]) for j in range(mm)]
+    nets: list[Net] = []
     words: list[RExpr] = []
+    assigns = [Assign("occupancy", leaf["occ_q"])]
     for k in range(mm):
         stored: RExpr = RIndex(
             "mem", RBin("%", RBin("+", leaf["rd_q"], leaf[k, None]), leaf["DEPTH"])
@@ -443,109 +432,80 @@ def _fifo_body(body: RtlBody, leaf: _Leaves, low: EdgeLowering, write_through: b
             word: RExpr = RMux(RBin("<", leaf[k, None], leaf["occ_q"]), stored, fresh)
         else:
             word = stored
-        name = body.net(f"dout_w{k}", width)
-        body.assigns.append(Assign(name, word))
+        name = f"dout_w{k}"
+        nets.append(leaf[Net, name, width])
+        assigns.append(Assign(name, word))
         words.append(leaf[name])
-    body.assigns.append(Assign("dout", _concat_words(words)))
-    stmts: list = []
-    for k in range(n):
-        stmts.append(
-            SIf(
-                RBin(">", leaf["push"], leaf[k, None]),
-                (
-                    SAssign(
-                        RIndex(
-                            "mem",
-                            RBin("%", RBin("+", leaf["wr_q"], leaf[k, None]), leaf["DEPTH"]),
-                        ),
-                        din[k],
-                    ),
-                ),
-            )
-        )
-    stmts += [
-        SAssign(leaf["wr_q"], RBin("%", RBin("+", leaf["wr_q"], leaf["push"]), leaf["DEPTH"])),
-        SAssign(leaf["rd_q"], RBin("%", RBin("+", leaf["rd_q"], leaf["pop"]), leaf["DEPTH"])),
-        SAssign(leaf["occ_q"], RBin("-", RBin("+", leaf["occ_q"], leaf["push"]), leaf["pop"])),
-    ]
-    body.always.append(
-        AlwaysFF(
-            (
-                SIf(
-                    leaf["rst"],
-                    (
-                        SAssign(leaf["wr_q"], leaf[0, ow]),
-                        SAssign(leaf["rd_q"], leaf[0, ow]),
-                        SAssign(leaf["occ_q"], leaf[0, ow]),
-                    ),
-                    tuple(stmts),
-                ),
-            )
-        )
+    assigns.append(Assign("dout", _concat_words(words)))
+    return tuple(nets), tuple(assigns)
+
+
+def _fifo_always(leaf: _Leaves, n: int, width: int, ow: int) -> AlwaysFF:
+    """A FIFO's write process: ``n`` words in, pointers and occupancy."""
+    wr_q, rd_q, occ_q, push, pop, depth = (
+        leaf[name] for name in ("wr_q", "rd_q", "occ_q", "push", "pop", "DEPTH"))
+    writes = tuple(
+        SIf(RBin(">", push, leaf[k, None]),
+            (SAssign(RIndex("mem", RBin("%", RBin("+", wr_q, leaf[k, None]), depth)),
+                     _word("din", k, width)),))
+        for k in range(n)
     )
+    return AlwaysFF((
+        SIf(leaf["rst"], tuple(SAssign(q, leaf[0, ow]) for q in (wr_q, rd_q, occ_q)), (
+            *writes,
+            SAssign(wr_q, RBin("%", RBin("+", wr_q, push), depth)),
+            SAssign(rd_q, RBin("%", RBin("+", rd_q, pop), depth)),
+            SAssign(occ_q, RBin("-", RBin("+", occ_q, push), pop)),
+        )),
+    ))
 
 
 def _fifo_ctrl_body(body: RtlBody, leaf: _Leaves, low: EdgeLowering) -> None:
     gate = low.gate
-    ppb = counter_bits(len(low.edge.pp))
     ow = counter_bits(low.capacity)
-    body.port("occupancy", ow, "input")
-    body.port("prod_firing", 1, "input")
-    body.port("prod_phase", ppb, "input")
-    body.port("ready", 1, "output")
-    for j, v in enumerate(gate.per_phase):
-        body.params.append(Param(f"THRESH_P{j}", v))
-    body.params.append(Param("THRESH_IDLE", gate.idle))
+    body.ports += _ports(leaf, ("occupancy", ow, "input"), ("prod_firing", 1, "input"),
+                         ("prod_phase", counter_bits(len(low.edge.pp)), "input"),
+                         ("ready", 1, "output"))
+    body.params += [leaf[Param, f"THRESH_P{j}", v] for j, v in enumerate(gate.per_phase)]
+    body.params.append(leaf[Param, "THRESH_IDLE", gate.idle])
+    body.nets.append(leaf[Net, "need", ow])
+    body.assigns += leaf[_threshold_assigns, len(gate.per_phase)]
+
+
+def _threshold_assigns(leaf: _Leaves, phases: int) -> tuple[Assign, Assign]:
+    """``need``, the threshold of the producer's live phase, and ``ready``."""
     table = _table_mux(
         leaf, leaf["prod_phase"],
-        [leaf[f"THRESH_P{j}"] for j in range(len(gate.per_phase))],
+        [leaf[f"THRESH_P{j}"] for j in range(phases)],
         leaf["THRESH_IDLE"],
     )
-    body.net("need", ow)
-    body.assigns += [
+    return (
         Assign("need", RMux(leaf["prod_firing"], table, leaf["THRESH_IDLE"])),
         Assign("ready", RBin(">=", leaf["occupancy"], leaf["need"])),
-    ]
+    )
 
 
 def _pipe_body(body: RtlBody, leaf: _Leaves, low: EdgeLowering) -> None:
     e = low.edge
     width = low.width
     n = e.pp.value
-    ppb = counter_bits(len(e.pp))
-    body.port("clk", 1, "input")
-    body.port("rst", 1, "input")
-    body.port("stb", 1, "input")
-    body.port("phase", ppb, "input")
-    body.port("din", n * width, "input")
-    body.port("dout", n * width, "output")
-    body.port("valid", 1, "output")
-    body.regs += [RegDecl("data_q", n * width), RegDecl("valid_q", 1)]
-    body.net("wr", 1)
+    body.ports += _ports(leaf, *_CLOCK, ("stb", 1, "input"),
+                         ("phase", counter_bits(len(e.pp)), "input"),
+                         ("din", n * width, "input"), ("dout", n * width, "output"),
+                         ("valid", 1, "output"))
+    body.regs += [leaf[RegDecl, "data_q", n * width], leaf[RegDecl, "valid_q", 1]]
+    body.nets.append(leaf[Net, "wr", 1])
     body.assigns += [
         Assign("wr", RBin("&", leaf["stb"], _nz_mux(leaf, leaf["phase"], e.pp))),
         Assign("dout", leaf["data_q"]),
         Assign("valid", leaf["valid_q"]),
     ]
-    body.always.append(
-        AlwaysFF(
-            (
-                SIf(
-                    leaf["rst"],
-                    (SAssign(leaf["valid_q"], leaf[0, 1]),),
-                    (
-                        SIf(
-                            leaf["wr"],
-                            (
-                                SAssign(leaf["data_q"], leaf["din"]),
-                                SAssign(leaf["valid_q"], leaf[1, 1]),
-                            ),
-                        ),
-                    ),
-                ),
-            )
-        )
-    )
+    body.always.append(AlwaysFF((
+        SIf(leaf["rst"], (SAssign(leaf["valid_q"], leaf[0, 1]),), (
+            SIf(leaf["wr"], (SAssign(leaf["data_q"], leaf["din"]),
+                             SAssign(leaf["valid_q"], leaf[1, 1]))),
+        )),
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -712,15 +672,10 @@ def _top_module(
             top.net(f"{base}_dout", e.pp.value * low.width)
             top.net(f"{base}_valid", 1)
 
-    def producer_refs(e) -> tuple[RExpr, RExpr, str]:
-        node = g.nodes[e.producer]
-        base = node_rtl[e.producer]
-        data = (
-            f"{base}_p{e.producer_port}_data"
-            if node.kind is NodeKind.SOURCE
-            else f"{base}_out{e.producer_port}"
-        )
-        return leaf[f"{base}_firing"], leaf[f"{base}_phase"], data
+    # Each source's and compute's firing and phase, and the clock pairs.
+    fire = {name: (leaf[f"{node_rtl[name]}_firing"], leaf[f"{node_rtl[name]}_phase"])
+            for name in order if g.nodes[name].kind is not NodeKind.SINK}
+    clock = (("clk", leaf["clk"]), ("rst", leaf["rst"]))
 
     # Ready conjunction per compute node
     for name in order:
@@ -739,26 +694,16 @@ def _top_module(
         for t in terms[1:]:
             ready = RBin("&", ready, t)
         top.assigns.append(Assign(f"{base}_ready", ready))
+        firing, phase = fire[name]
+        state = (("firing", firing), ("phase", phase))
         top.instances.append(
             Instance(
                 f"{base}_ctrl",
                 f"u_{base}_ctrl",
-                (
-                    ("clk", leaf["clk"]),
-                    ("rst", leaf["rst"]),
-                    ("run", leaf["run"]),
-                    ("ready", leaf[f"{base}_ready"]),
-                    ("firing", leaf[f"{base}_firing"]),
-                    ("phase", leaf[f"{base}_phase"]),
-                ),
+                (*clock, ("run", leaf["run"]), ("ready", leaf[f"{base}_ready"]), *state),
             )
         )
-        conns: list[tuple[str, RExpr]] = [
-            ("clk", leaf["clk"]),
-            ("rst", leaf["rst"]),
-            ("firing", leaf[f"{base}_firing"]),
-            ("phase", leaf[f"{base}_phase"]),
-        ]
+        conns: list[tuple[str, RExpr]] = [*clock, *state]
         for i, e in enumerate(g.prepared.ins[name]):
             conns.append((f"in{i}", leaf[f"{edge_rtl[e.id]}_dout"]))
         for k in range(len(node.patterns.outputs)):
@@ -771,12 +716,16 @@ def _top_module(
     for e in g.edges:
         low = lows[e.id]
         ebase = edge_rtl[e.id]
-        p_firing, p_phase, p_data = producer_refs(e)
+        p_firing, p_phase = fire[e.producer]
+        pbase = node_rtl[e.producer]
+        p_data = leaf[
+            f"{pbase}_p{e.producer_port}_data"
+            if g.nodes[e.producer].kind is NodeKind.SOURCE
+            else f"{pbase}_out{e.producer_port}"
+        ]
         if low.kind == "sink":
             sbase = node_rtl[e.consumer]
-            top.assigns.append(
-                Assign(f"{sbase}_p{e.consumer_port}_data", leaf[p_data])
-            )
+            top.assigns.append(Assign(f"{sbase}_p{e.consumer_port}_data", p_data))
             top.assigns.append(
                 Assign(
                     f"{sbase}_p{e.consumer_port}_valid",
@@ -784,20 +733,19 @@ def _top_module(
                 )
             )
             continue
-        cbase = node_rtl[e.consumer]
         if low.kind == "fifo":
+            c_firing, c_phase = fire[e.consumer]
             top.instances.append(
                 Instance(
                     f"{ebase}_fifo",
                     f"u_{ebase}_fifo",
                     (
-                        ("clk", leaf["clk"]),
-                        ("rst", leaf["rst"]),
+                        *clock,
                         ("wr_en", p_firing),
                         ("wr_phase", p_phase),
-                        ("din", leaf[p_data]),
-                        ("rd_en", leaf[f"{cbase}_firing"]),
-                        ("rd_phase", leaf[f"{cbase}_phase"]),
+                        ("din", p_data),
+                        ("rd_en", c_firing),
+                        ("rd_phase", c_phase),
                         ("dout", leaf[f"{ebase}_dout"]),
                         ("occupancy", leaf[f"{ebase}_occ"]),
                     ),
@@ -821,11 +769,10 @@ def _top_module(
                     f"{ebase}_pipe",
                     f"u_{ebase}_pipe",
                     (
-                        ("clk", leaf["clk"]),
-                        ("rst", leaf["rst"]),
+                        *clock,
                         ("stb", p_firing),
                         ("phase", p_phase),
-                        ("din", leaf[p_data]),
+                        ("din", p_data),
                         ("dout", leaf[f"{ebase}_dout"]),
                         ("valid", leaf[f"{ebase}_valid"]),
                     ),

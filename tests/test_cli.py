@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from patflow import __version__
+from patflow import __version__, simulate_schedule
 from patflow.cli import main
-from patflow.fixtures import load
+from patflow.fixtures import load, load_graph
 
 FIX = "src/patflow/fixtures"
 
@@ -162,6 +162,24 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "MISMATCH" in out
         assert "underflows: ['zw.0->fl.0']" in out
+
+    def test_stimulus_runs_the_requested_iterations(self, tmp_path, capsys):
+        # fig2 has no sources, so only --iterations sets the depth.
+        stim = tmp_path / "stim.json"
+        stim.write_text("{}")
+        assert main(["simulate", f"{FIX}/fig2.json", "--stimulus", str(stim),
+                     "--iterations", "5"]) == 0
+        horizon = simulate_schedule(load_graph("fig2"), 5).horizon
+        assert horizon == 31
+        assert f"cycles: {horizon}\n" in capsys.readouterr().out
+
+    def test_stimulus_of_another_depth_exit_one(self, tmp_path, capsys):
+        stim = tmp_path / "stim.json"
+        stim.write_text(json.dumps({"xs": [[1, 2, 3, 4, 5, 6]] * 2,
+                                    "ys": [[1, 2, 3, 4, 5, 6]] * 2}))
+        assert main(["simulate", f"{FIX}/fold-pipeline.json", "--stimulus", str(stim),
+                     "--iterations", "5"]) == 1
+        assert "stimulus holds 2 iterations, 5 requested" in capsys.readouterr().err
 
     def test_random_trials(self, capsys):
         assert main(["simulate", f"{FIX}/fold-pipeline.json",

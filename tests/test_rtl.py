@@ -38,6 +38,7 @@ from patflow.rtl import (
     RtlBody,
     RtlDesign,
     RtlModule,
+    SAssign,
     check_design,
     emit_verilog,
     lower_design,
@@ -635,11 +636,24 @@ class TestSharedBodies:
         assert "extra" not in render_module(mods["b2_ctrl"])
 
     def test_emitted_text_equals_unshared_render(self):
-        for label, (g, caps) in sharing_graphs().items():
+        graphs = sharing_graphs()
+        for family in FAMILIES:
+            g = generated_graph(family, 24)
+            graphs[f"{family}-24"] = (g, size_fifos(simulate_schedule(g, 2), g))
+        depths_sharing_parts = 0
+        for label, (g, caps) in graphs.items():
             design = lower_design(g, caps)
+            by_process = {}
+            for m in design.modules.values():
+                if m.name.endswith("_fifo"):
+                    depth = [p.value for p in m.body.params if p.name == "DEPTH"]
+                    by_process.setdefault(id(m.body.always[0]), set()).update(depth)
+            depths_sharing_parts += sum(len(d) > 1 for d in by_process.values())
             files = emit_verilog(g, caps)
             for name, m in design.modules.items():
                 assert files[f"{name}.v"] == render_module(unshared_copy(m)), (label, name)
+        # FIFOs of different depths hold one write process in some designs.
+        assert depths_sharing_parts > 0
 
     def test_manifest_matches_json_dumps(self):
         kinds = set()
@@ -662,6 +676,41 @@ class TestSharedBodies:
         body.assigns += (Assign("phase", RRef("ghost")),)
         assert check_design(design) == [
             f"{name}: reference to undeclared name 'ghost'" for name in sharing
+        ]
+
+
+def fifo_shape(m: RtlModule) -> tuple:
+    """A FIFO module's word buses, memory width, write-through and
+    occupancy width: everything but its depth."""
+    params = {p.name: p.value for p in m.body.params}
+    ports = {p.name: p.width for p in m.body.ports}
+    mem = next(r for r in m.body.regs if r.name == "mem")
+    return (ports["din"], ports["dout"], mem.width, params["WRITE_THROUGH"],
+            ports["occupancy"])
+
+
+class TestSharedParts:
+    def test_fifos_of_different_depth_share_their_process(self):
+        g = generated_graph("fanout", 24)
+        design = lower_design(g, size_fifos(simulate_schedule(g, 2), g))
+        assert check_design(design) == []
+        fifos = [m for m in design.modules.values() if m.name.endswith("_fifo")]
+        depth = {m.name: m.body.params[0].value for m in fifos}
+        a, b = next((a, b) for a in fifos for b in fifos
+                    if depth[a.name] < depth[b.name] and fifo_shape(a) == fifo_shape(b))
+        assert a.body is not b.body
+        ff = a.body.always[0]
+        assert b.body.always[0] is ff
+        # So do their occupancy and dout assigns, after push and pop.
+        assert all(x is y for x, y in zip(a.body.assigns[2:], b.body.assigns[2:], strict=True))
+        # A fault planted in the shared process is reported under every
+        # module of every body that holds it.
+        holders = [m.name for m in design.modules.values()
+                   if any(x is ff for x in m.body.always)]
+        assert a.name in holders and b.name in holders
+        ff.body += (SAssign(RRef("ghost_q"), RLit(0, 1)),)
+        assert check_design(design) == [
+            f"{name}: reference to undeclared name 'ghost_q'" for name in holders
         ]
 
 
@@ -704,6 +753,15 @@ class TestNoStateBetweenCalls:
         for ia, ib in zip(a_insts, b_insts, strict=True):
             for (_, ea), (_, eb) in zip(ia.conns, ib.conns, strict=True):
                 assert ea == eb and ea is not eb
+        # So are declarations, statements and processes.
+        fields = ("ports", "params", "nets", "regs", "assigns", "always")
+        fifo = next(name for name in a.modules if name.endswith("_fifo"))
+        assert all(getattr(a.modules[fifo].body, f) for f in fields)
+        for name, ma in a.modules.items():
+            for f in fields:
+                for pa, pb in zip(getattr(ma.body, f), getattr(b.modules[name].body, f),
+                                  strict=True):
+                    assert pa == pb and pa is not pb, (name, f)
 
 
 # ---------------------------------------------------------------------------
