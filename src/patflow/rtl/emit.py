@@ -153,26 +153,27 @@ _PART = {Port: _port, Param: _param, Net: _net, RegDecl: _reg, Assign: _assign,
          AlwaysFF: _always}
 
 
-def _walk(b: RtlBody, memo: dict[int, tuple[str, set[str]]] | None) -> tuple[str, set[str]]:
+def _walk(b: RtlBody, memo: dict[int, str | tuple[str, set[str]]]) -> tuple[str, set[str]]:
     """One walk of a body: its text below the ``module`` line, and every
     name its assigns, processes and instance connections reference.
 
-    ``memo`` maps the identity of each declaration, assign and process met
-    so far to its text and names, so that a part bodies share is rendered
-    once; without a memo every part is rendered."""
+    ``memo`` maps the identity of each part met so far to its text, and an
+    assign's or process's also to the names it references, so that a part
+    bodies share is rendered once.  A declaration references no names."""
     used: set[str] = set()
-    parts = (*b.ports, *b.params, *b.nets, *b.regs, *b.assigns, *b.always)
-    if memo is None:
-        texts = [_PART[p.__class__](p, used) for p in parts]
-    else:
-        texts = []
-        for p in parts:
-            hit = memo.get(id(p))
-            if hit is None:
-                names: set[str] = set()
-                hit = memo[id(p)] = (_PART[p.__class__](p, names), names)
-            texts.append(hit[0])
-            used |= hit[1]
+    texts = []
+    for p in (*b.ports, *b.params, *b.nets, *b.regs):
+        decl = memo.get(id(p))
+        if decl is None:
+            decl = memo[id(p)] = _PART[p.__class__](p, used)
+        texts.append(decl)
+    for p in (*b.assigns, *b.always):
+        hit = memo.get(id(p))
+        if hit is None:
+            names: set[str] = set()
+            hit = memo[id(p)] = (_PART[p.__class__](p, names), names)
+        texts.append(hit[0])
+        used |= hit[1]
     ports = len(b.ports)
     out = [",\n".join(texts[:ports]), "\n);\n", *texts[ports:]]
     text = _TEXT
@@ -190,12 +191,10 @@ def walk_bodies(design: RtlDesign) -> tuple[dict[RtlBody, str], dict[RtlBody, se
     body, so a part shared by bodies is rendered once per design."""
     texts: dict[RtlBody, str] = {}
     names: dict[RtlBody, set[str]] = {}
-    memo: dict[int, tuple[str, set[str]]] = {}
+    memo: dict[int, str | tuple[str, set[str]]] = {}
     for m in design.modules.values():
         if m.body not in texts:
-            # The top's parts are its own, so a memo of them would only cost.
-            texts[m.body], names[m.body] = _walk(m.body, None if m.name == design.top
-                                                 else memo)
+            texts[m.body], names[m.body] = _walk(m.body, memo)
     return texts, names
 
 
@@ -208,7 +207,7 @@ def _head(m: RtlModule) -> str:
 
 def render_module(m: RtlModule) -> str:
     """One module as Verilog text."""
-    return _head(m) + _walk(m.body, None)[0]
+    return _head(m) + _walk(m.body, {})[0]
 
 
 # A module and an edge of the manifest, as ``json.dumps(indent=2,

@@ -212,14 +212,6 @@ class RtlBody:
         self.always: list[AlwaysFF] = []
         self.instances: list[Instance] = []
 
-    def port(self, name: str, width: int, direction: str) -> str:
-        self.ports.append(Port(name, width, direction))
-        return name
-
-    def net(self, name: str, width: int) -> str:
-        self.nets.append(Net(name, width))
-        return name
-
     def freeze(self) -> RtlBody:
         for f in self.__slots__:
             setattr(self, f, tuple(getattr(self, f)))
@@ -268,7 +260,7 @@ def _decl_widths(b: RtlBody) -> dict[str, int]:
 
 
 def _expr_width(e: RExpr, widths: dict[str, int]) -> int | None:
-    if isinstance(e, RRef):
+    if e.__class__ is RRef:
         return widths.get(e.name)
     if isinstance(e, RLit):
         return e.width
@@ -314,18 +306,6 @@ def _body_problems(b: RtlBody, used: set[str], modules: dict[str, RtlModule],
         ports = child_ports.get(child.body)
         if ports is None:
             ports = child_ports[child.body] = {p.name: p for p in child.body.ports}
-        # Connections that follow the child's distinct ports in order, each
-        # of its width, are sound; anything else is diagnosed port by port.
-        if len(inst.conns) == len(ports) == len(child.body.ports):
-            for (port_name, expr), port in zip(inst.conns, child.body.ports):
-                if port_name != port.name:
-                    break
-                got = (widths.get(expr.name) if expr.__class__ is RRef
-                       else _expr_width(expr, widths))
-                if got is not None and got != port.width:
-                    break
-            else:
-                continue
         connected = set()
         for port_name, expr in inst.conns:
             port = ports.get(port_name)

@@ -631,23 +631,23 @@ def _top_module(
     leaf: _Leaves,
 ) -> RtlModule:
     top = RtlBody()
-    top.port("clk", 1, "input")
-    top.port("rst", 1, "input")
-    top.port("run", 1, "input")
+    top.ports.append(Port("clk", 1, "input"))
+    top.ports.append(Port("rst", 1, "input"))
+    top.ports.append(Port("run", 1, "input"))
 
     for name in order:
         node = g.nodes[name]
         base = node_rtl[name]
         if node.kind is NodeKind.SOURCE:
             pb = counter_bits(node.length)
-            top.port(f"{base}_firing", 1, "input")
-            top.port(f"{base}_phase", pb, "input")
+            top.ports.append(Port(f"{base}_firing", 1, "input"))
+            top.ports.append(Port(f"{base}_phase", pb, "input"))
             for k, p in enumerate(node.patterns.outputs):
-                top.port(f"{base}_p{k}_data", p.value * node.width, "input")
+                top.ports.append(Port(f"{base}_p{k}_data", p.value * node.width, "input"))
         elif node.kind is NodeKind.SINK:
             for k, p in enumerate(node.patterns.inputs):
-                top.port(f"{base}_p{k}_data", p.value * node.width, "output")
-                top.port(f"{base}_p{k}_valid", 1, "output")
+                top.ports.append(Port(f"{base}_p{k}_data", p.value * node.width, "output"))
+                top.ports.append(Port(f"{base}_p{k}_valid", 1, "output"))
 
     # Wires
     for name in order:
@@ -656,21 +656,21 @@ def _top_module(
         if node.kind is not NodeKind.COMPUTE:
             continue
         pb = counter_bits(node.length)
-        top.net(f"{base}_firing", 1)
-        top.net(f"{base}_phase", pb)
-        top.net(f"{base}_ready", 1)
+        top.nets.append(Net(f"{base}_firing", 1))
+        top.nets.append(Net(f"{base}_phase", pb))
+        top.nets.append(Net(f"{base}_ready", 1))
         for k, p in enumerate(node.patterns.outputs):
-            top.net(f"{base}_out{k}", p.value * node.width)
+            top.nets.append(Net(f"{base}_out{k}", p.value * node.width))
     for e in g.edges:
         low = lows[e.id]
         base = edge_rtl[e.id]
         if low.kind == "fifo":
-            top.net(f"{base}_dout", e.cp.value * low.width)
-            top.net(f"{base}_occ", counter_bits(low.capacity))
-            top.net(f"{base}_ready", 1)
+            top.nets.append(Net(f"{base}_dout", e.cp.value * low.width))
+            top.nets.append(Net(f"{base}_occ", counter_bits(low.capacity)))
+            top.nets.append(Net(f"{base}_ready", 1))
         elif low.kind == "pipeline":
-            top.net(f"{base}_dout", e.pp.value * low.width)
-            top.net(f"{base}_valid", 1)
+            top.nets.append(Net(f"{base}_dout", e.pp.value * low.width))
+            top.nets.append(Net(f"{base}_valid", 1))
 
     # Each source's and compute's firing and phase, and the clock pairs.
     fire = {name: (leaf[f"{node_rtl[name]}_firing"], leaf[f"{node_rtl[name]}_phase"])

@@ -28,6 +28,7 @@ from patflow.graphs import NodeKind
 from patflow.rtl import (
     Assign,
     Instance,
+    Net,
     Port,
     RBin,
     RConcat,
@@ -543,7 +544,7 @@ class TestCheckDesign:
         child = RtlModule(name="child")
         child.body.ports.append(Port("a", 4, "input"))
         parent = RtlModule(name="parent")
-        parent.body.net("w", 2)
+        parent.body.nets.append(Net("w", 2))
         parent.body.instances.append(Instance("child", "u0", (("a", RRef("w")),)))
         d = RtlDesign(name="d", top="parent")
         d.add(parent)
@@ -632,7 +633,7 @@ class TestSharedBodies:
         with pytest.raises(AttributeError):
             mods["a_ctrl"].body.assigns.append(Assign("phase", RRef("x")))
         with pytest.raises(AttributeError):
-            mods["b1_ctrl"].body.net("extra", 1)
+            mods["b1_ctrl"].body.nets.append(Net("extra", 1))
         assert "extra" not in render_module(mods["b2_ctrl"])
 
     def test_emitted_text_equals_unshared_render(self):
